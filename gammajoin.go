@@ -59,7 +59,8 @@ const (
 // Algorithms lists all four algorithms in the paper's presentation order.
 var Algorithms = []Algorithm{SortMerge, Simple, Grace, Hybrid}
 
-// Tuple is a 208-byte Wisconsin benchmark record.
+// Tuple is a Wisconsin benchmark record: 208 bytes in the simulated machine,
+// held on the host as its 13 integer attributes (see tuple.Tuple).
 type Tuple = tuple.Tuple
 
 // Joined is a composite join result tuple.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -514,11 +516,13 @@ func drainSorted(net *netsim.Network, a *cost.Acct, batches []*netsim.Batch) []*
 	for _, b := range batches {
 		net.Recv(a, b)
 	}
-	sort.Slice(batches, func(i, j int) bool {
-		if batches[i].Src != batches[j].Src {
-			return batches[i].Src < batches[j].Src
+	// (Src, Seq) is unique within a mailbox, so the unstable sort is
+	// deterministic.
+	slices.SortFunc(batches, func(x, y *netsim.Batch) int {
+		if c := cmp.Compare(x.Src, y.Src); c != 0 {
+			return c
 		}
-		return batches[i].Seq < batches[j].Seq
+		return cmp.Compare(x.Seq, y.Seq)
 	})
 	return batches
 }

@@ -333,6 +333,43 @@ func TestHashTableDuplicates(t *testing.T) {
 	}
 }
 
+// TestChainStatsMatchesSlotCounts checks the chain walk against the
+// definition — entries counted per slot — bit for bit, across inserts with
+// duplicate keys and the clearing passes that rebuild the chains.
+func TestChainStatsMatchesSlotCounts(t *testing.T) {
+	ht := NewHashTable(cost.Default(), 300*tuple.Bytes, tuple.Unique1)
+	var a cost.Acct
+	for i := int32(0); i < 2000; i++ {
+		v := (i * 7919) % 450 // every key repeats
+		h := split.Hash(v, 3)
+		if !AboveCutoff(ht.Cutoff(), h) {
+			insT(ht, &a, v, h)
+		}
+		if i%97 != 0 {
+			continue
+		}
+		lengths := make(map[int]int)
+		for j := range ht.entries {
+			lengths[ht.slot(ht.entries[j].h)]++
+		}
+		wantAvg, wantMax := 0.0, 0
+		if len(lengths) > 0 {
+			total := 0
+			for _, l := range lengths {
+				total += l
+				wantMax = max(wantMax, l)
+			}
+			wantAvg = float64(total) / float64(len(lengths))
+		}
+		if avg, maxLen := ht.ChainStats(); avg != wantAvg || maxLen != wantMax {
+			t.Fatalf("after %d inserts: ChainStats = (%v, %d), want (%v, %d)", i+1, avg, maxLen, wantAvg, wantMax)
+		}
+	}
+	if !ht.Overflowed() {
+		t.Fatal("table never overflowed; clearing passes untested")
+	}
+}
+
 func TestHashTableOverflowMachinery(t *testing.T) {
 	m := cost.Default()
 	capBytes := int64(100 * tuple.Bytes) // room for 100 tuples

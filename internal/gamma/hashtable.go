@@ -2,9 +2,9 @@ package gamma
 
 import (
 	"math"
-	"sync"
 
 	"gammajoin/internal/cost"
+	"gammajoin/internal/slicepool"
 	"gammajoin/internal/tuple"
 	"gammajoin/internal/xrand"
 )
@@ -62,8 +62,8 @@ type htEntry struct {
 // would otherwise allocate a fresh one. Only Release hands arrays back, and
 // only callers that provably hold the last reference call it.
 var (
-	headsPool   = sync.Pool{New: func() any { return []int32(nil) }}
-	entriesPool = sync.Pool{New: func() any { return []htEntry(nil) }}
+	headsPool   slicepool.Pool[int32]
+	entriesPool slicepool.Pool[htEntry]
 )
 
 // NewHashTable creates a table holding at most capBytes of tuples, keyed on
@@ -73,7 +73,7 @@ func NewHashTable(m *cost.Model, capBytes int64, attr int) *HashTable {
 	if nb < 16 {
 		nb = 16
 	}
-	heads := headsPool.Get().([]int32)
+	heads := headsPool.Get()
 	if cap(heads) < nb {
 		heads = make([]int32, nb)
 	} else {
@@ -92,7 +92,7 @@ func NewHashTable(m *cost.Model, capBytes int64, attr int) *HashTable {
 	if prealloc > 8192 {
 		prealloc = 8192
 	}
-	entries := entriesPool.Get().([]htEntry)
+	entries := entriesPool.Get()
 	if cap(entries) < prealloc {
 		entries = make([]htEntry, 0, prealloc)
 	} else {
@@ -116,12 +116,8 @@ func (ht *HashTable) Release() {
 	if ht == nil {
 		return
 	}
-	if ht.heads != nil {
-		headsPool.Put(ht.heads[:0]) //nolint:staticcheck // slice header round-trips through any
-	}
-	if ht.entries != nil {
-		entriesPool.Put(ht.entries[:0]) //nolint:staticcheck // slice header round-trips through any
-	}
+	headsPool.Put(ht.heads)
+	entriesPool.Put(ht.entries)
 	ht.heads, ht.entries = nil, nil
 }
 
@@ -335,19 +331,23 @@ func (ht *HashTable) ProbeBatch(a *cost.Acct, tuples []tuple.Tuple, hashes []uin
 // non-empty chains (the paper reports 3.3 average / 16 max for the skewed
 // inner relation).
 func (ht *HashTable) ChainStats() (avg float64, maxLen int) {
-	lengths := make(map[int]int)
-	for i := range ht.entries {
-		lengths[ht.slot(ht.entries[i].h)]++
-	}
-	if len(lengths) == 0 {
-		return 0, 0
-	}
-	total := 0
-	for _, l := range lengths {
+	total, chains := 0, 0
+	for _, head := range ht.heads {
+		l := 0
+		for e := head - 1; e >= 0; e = ht.entries[e].next {
+			l++
+		}
+		if l == 0 {
+			continue
+		}
 		total += l
+		chains++
 		if l > maxLen {
 			maxLen = l
 		}
 	}
-	return float64(total) / float64(len(lengths)), maxLen
+	if chains == 0 {
+		return 0, 0
+	}
+	return float64(total) / float64(chains), maxLen
 }

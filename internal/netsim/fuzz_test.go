@@ -19,12 +19,30 @@ type pktRec struct {
 	hashes []uint64
 }
 
+// streamTags returns up to k distinct stream tags in the shapes the join
+// operators use: the probe and store streams (-1, -2), bucket ids, and the
+// per-join-site inner and outer overflow streams (1<<20+site, 1<<21+site).
+func streamTags(k, nsites int) []int {
+	all := []int{-1, -2, 0, 1, 2, 3}
+	for site := 0; site < nsites; site++ {
+		all = append(all, 1<<20+site, 1<<21+site)
+	}
+	if k < 1 {
+		k = 1
+	}
+	if k > len(all) {
+		k = len(all)
+	}
+	return all[:k]
+}
+
 // sendTrial pushes n synthetic tuples through one sender at the given
-// delivery-run length, routing each through the split table, and returns
-// the delivered packets in arrival order plus the sender's account.
-// maxRun records the largest delivered run observed.
+// delivery-run length, routing each through the split table and spreading
+// them over the given stream tags, and returns the delivered packets in
+// arrival order, the sender's account, and the network counters after
+// FlushAll. maxRun records the largest delivered run observed.
 func sendTrial(t *testing.T, tab *split.JoinTable, n int, runLen int, seed uint64,
-	twoTags bool) (recs []pktRec, acct cost.Acct, maxRun int) {
+	tags []int) (recs []pktRec, acct cost.Acct, ctr Counters, maxRun int) {
 	t.Helper()
 	net := New(cost.Default())
 	net.SetRunLength(runLen)
@@ -53,19 +71,25 @@ func sendTrial(t *testing.T, tab *split.JoinTable, n int, runLen int, seed uint6
 		// value distribution (and thus routing) varies run to run.
 		v := int32(uint32(seed>>16) + uint32(i)*2654435761)
 		h := split.Hash(v, seed)
-		tag := 0
-		if twoTags && v&1 == 0 {
-			// Alternate tags on even values: forces mid-stream buffer
-			// switches, so partial batches of both streams coexist.
-			tag = 1
+		// Interleave the tags, mostly switching every tuple but holding one
+		// for a stretch at the top of every 64: forces mid-stream buffer
+		// switches, so partial batches of many streams coexist at the
+		// FlushAll barrier.
+		tag := tags[int(uint32(v)%uint32(len(tags)))]
+		if i%64 < 16 {
+			tag = tags[(i/64)%len(tags)]
 		}
 		var tt tuple.Tuple
 		tt.SetInt(tuple.Unique1, v)
 		snd.Send(tab.Lookup(h), tag, &tt, h)
 	}
 	snd.FlushAll()
+	ctr = net.Counters()
 	snd.Release()
-	return recs, acct, maxRun
+	if after := net.Counters(); after != ctr {
+		t.Fatalf("Release moved the counters: %+v after FlushAll, %+v after Release", ctr, after)
+	}
+	return recs, acct, ctr, maxRun
 }
 
 // FuzzBatchRouting is the transport half of the serial-vs-batched
@@ -75,15 +99,18 @@ func sendTrial(t *testing.T, tab *split.JoinTable, n int, runLen int, seed uint6
 // (delivery runs of one packet) is the oracle: the batched engine must
 // deliver the identical packets — same sequence numbers, same payload, same
 // charges — merely grouped into runs, and every tuple must land on the site
-// the unbatched split-table layout assigns.
+// the unbatched split-table layout assigns. Tuples are spread over up to
+// ntags interleaved streams in the operators' real tag shapes, which
+// exercises the sender's tag directory and FlushAll's first-write order.
 func FuzzBatchRouting(f *testing.F) {
-	f.Add(uint16(1), uint8(1), uint8(2), uint64(0), false)     // single-tuple relation
-	f.Add(uint16(9), uint8(8), uint8(32), uint64(1989), false) // exactly one packet
-	f.Add(uint16(10), uint8(8), uint8(32), uint64(1989), true) // one packet + partial
-	f.Add(uint16(500), uint8(8), uint8(3), uint64(42), true)   // runs straddle pages
-	f.Add(uint16(2000), uint8(31), uint8(64), uint64(7), true) // many sites, long runs
-	f.Add(uint16(77), uint8(2), uint8(1), uint64(123), false)  // "batched" at length 1
-	f.Fuzz(func(t *testing.T, n16 uint16, nsites uint8, runLen8 uint8, seed uint64, twoTags bool) {
+	f.Add(uint16(1), uint8(1), uint8(2), uint64(0), uint8(1))       // single-tuple relation
+	f.Add(uint16(9), uint8(8), uint8(32), uint64(1989), uint8(1))   // exactly one packet
+	f.Add(uint16(10), uint8(8), uint8(32), uint64(1989), uint8(2))  // one packet + partial
+	f.Add(uint16(500), uint8(8), uint8(3), uint64(42), uint8(6))    // runs straddle pages
+	f.Add(uint16(2000), uint8(31), uint8(64), uint64(7), uint8(40)) // many sites and tags, long runs
+	f.Add(uint16(77), uint8(2), uint8(1), uint64(123), uint8(1))    // "batched" at length 1
+	f.Add(uint16(1500), uint8(4), uint8(5), uint64(11), uint8(14))  // every overflow stream live
+	f.Fuzz(func(t *testing.T, n16 uint16, nsites uint8, runLen8 uint8, seed uint64, ntags uint8) {
 		if nsites == 0 {
 			return
 		}
@@ -95,13 +122,21 @@ func FuzzBatchRouting(f *testing.F) {
 			sites[i] = i
 		}
 		tab := &split.JoinTable{Sites: sites}
+		tags := streamTags(int(ntags), int(nsites))
 
-		serial, serialAcct, _ := sendTrial(t, tab, n, 1, seed, twoTags)
-		batched, batchedAcct, _ := sendTrial(t, tab, n, runLen, seed, twoTags)
+		serial, serialAcct, serialCtr, _ := sendTrial(t, tab, n, 1, seed, tags)
+		batched, batchedAcct, batchedCtr, _ := sendTrial(t, tab, n, runLen, seed, tags)
 
-		// The simulated charges must not move with the run length.
+		// The simulated charges and the network counters must not move with
+		// the run length.
 		if serialAcct.CPU != batchedAcct.CPU || serialAcct.Net != batchedAcct.Net || serialAcct.Disk != batchedAcct.Disk {
 			t.Fatalf("charges differ: serial %+v batched %+v", serialAcct, batchedAcct)
+		}
+		if serialCtr != batchedCtr {
+			t.Fatalf("counters differ: serial %+v batched %+v", serialCtr, batchedCtr)
+		}
+		if got := serialCtr.TuplesLocal + serialCtr.TuplesRemote; got != cost.Tuples(n) {
+			t.Fatalf("counters saw %d tuples, want %d", got, n)
 		}
 
 		// Packet-for-packet identity. Sequence numbers are assigned at

@@ -21,6 +21,7 @@ import (
 
 	"gammajoin/internal/cost"
 	"gammajoin/internal/fault"
+	"gammajoin/internal/slicepool"
 	"gammajoin/internal/tuple"
 )
 
@@ -134,7 +135,11 @@ func (n *Network) DetectionDelay(site int, at cost.SimNs) cost.SimNs {
 	return declaredAt - at
 }
 
-// Counters returns a snapshot of the network counters.
+// Counters returns a snapshot of the network counters. Senders tally their
+// packets privately and publish them here only in FlushAll (and Release),
+// so the snapshot counts exactly the senders that have flushed: read it at
+// a barrier after every producer's FlushAll, as the phase and report code
+// does, never mid-phase.
 func (n *Network) Counters() Counters {
 	return Counters{
 		PacketsLocal:  n.packetsLocal.Load(),
@@ -209,16 +214,17 @@ func PutBatches(bs []*Batch) {
 }
 
 // runPool recycles the []*Batch run slices that travel through exchanges.
-var runPool = sync.Pool{New: func() any { return make([]*Batch, 0, DefaultRunLength) }}
+var runPool slicepool.Pool[*Batch]
 
-func getRun() []*Batch { return runPool.Get().([]*Batch)[:0] }
+func getRun() []*Batch {
+	if run := runPool.Get(); run != nil {
+		return run
+	}
+	return make([]*Batch, 0, DefaultRunLength)
+}
 
 // PutRun recycles a delivery-run slice (not the batches inside it).
-func PutRun(run []*Batch) {
-	if run != nil {
-		runPool.Put(run[:0]) //nolint:staticcheck // slice header round-trips through any
-	}
-}
+func PutRun(run []*Batch) { runPool.Put(run) }
 
 // Recv charges the receive-side protocol cost for one batch to a.
 // Consumers call it once per batch before processing the tuples.
@@ -235,9 +241,27 @@ func (n *Network) Recv(a *cost.Acct, b *Batch) {
 	}
 }
 
+// streamKey names one output stream for FlushAll's first-write order: a
+// destination and the index of its tag in the sender's tag directory.
 type streamKey struct {
 	dst int
-	tag int
+	ti  int
+}
+
+// tagBufs is one tag's destination-indexed packet buffers.
+type tagBufs struct {
+	tag  int
+	bufs []*Batch
+}
+
+// tally is a sender's private network accounting, published to the
+// Network's shared counters once per FlushAll/Release instead of with
+// several contended atomic adds per packet.
+type tally struct {
+	packetsLocal, packetsRemote int64
+	tuplesLocal, tuplesRemote   int64
+	bytesOnWire                 int64
+	retransmitted, duplicated   int64
 }
 
 // Sender buffers outgoing tuples into per-destination packets on behalf of
@@ -248,7 +272,9 @@ type streamKey struct {
 // per tag, with the current tag's slice cached: operator inner loops send
 // long stretches of tuples under one tag while scattering across
 // destinations, so the per-tuple stream lookup is one bounds check and one
-// slice index instead of a map probe on a two-field key.
+// slice index. A producer writes only a handful of tags (bucket ids plus a
+// few overflow streams), so switching tags is a short linear search of the
+// tag directory rather than a map probe.
 type Sender struct {
 	net    *Network
 	a      *cost.Acct
@@ -261,12 +287,14 @@ type Sender struct {
 	seq    int64
 
 	curTag  int
-	cur     []*Batch         // destination-indexed buffers for curTag
-	byTag   map[int][]*Batch // all tags' buffer slices (cur is byTag[curTag])
-	order   []streamKey      // stream first-write order, for deterministic FlushAll
-	pending [][]*Batch       // destination-indexed delivery runs being filled
-	pdsts   []int            // destinations with a pending slot, first-use order
-	pmark   map[int]struct{} // membership set for pdsts
+	curIdx  int         // index of curTag in tags
+	cur     []*Batch    // destination-indexed buffers for curTag (aliases tags[curIdx].bufs)
+	tags    []tagBufs   // tag directory, in first-use order
+	order   []streamKey // stream first-write order, for deterministic FlushAll
+	pending [][]*Batch  // destination-indexed delivery runs being filled
+	pdsts   []int       // destinations with a pending slot, first-use order
+	pseen   []bool      // destination-indexed membership flags for pdsts
+	tally   tally       // unpublished network counters
 
 	// colocated, when non-nil, overrides the short-circuit test: after a
 	// failover moves a dead site's roles to its ring neighbor, streams
@@ -319,59 +347,88 @@ func (n *Network) NewSender(a *cost.Acct, src int, deliver func(dst int, run []*
 
 // Release recycles the sender. Call only after FlushAll, when no packet can
 // still be buffered; any stragglers (a cancelled worker's partial buffers)
-// are recycled, not delivered. The caller must not use the sender again.
+// are recycled, not delivered, and any unpublished counters are published.
+// The caller must not use the sender again.
 func (s *Sender) Release() {
-	if s.cur != nil {
-		s.byTag[s.curTag] = s.cur
-	}
-	for _, bufs := range s.byTag {
-		for i, b := range bufs {
+	s.publish()
+	for _, tb := range s.tags {
+		for i, b := range tb.bufs {
 			if b != nil {
 				PutBatch(b)
-				bufs[i] = nil
+				tb.bufs[i] = nil
 			}
 		}
 	}
 	for _, dst := range s.pdsts {
-		if dst < len(s.pending) && s.pending[dst] != nil {
+		if s.pending[dst] != nil {
 			PutRun(s.pending[dst])
 			s.pending[dst] = nil
 		}
+		s.pseen[dst] = false
 	}
+	s.tags = s.tags[:0]
 	s.order = s.order[:0]
 	s.pdsts = s.pdsts[:0]
-	for dst := range s.pmark {
-		delete(s.pmark, dst)
-	}
 	s.cur = nil
 	s.a, s.out, s.colocated = nil, nil, nil
 	senderPool.Put(s)
+}
+
+// publish adds the sender's private tallies to the network's counters and
+// zeroes them.
+func (s *Sender) publish() {
+	t := &s.tally
+	if *t == (tally{}) {
+		return
+	}
+	n := s.net
+	n.packetsLocal.Add(t.packetsLocal)
+	n.packetsRemote.Add(t.packetsRemote)
+	n.tuplesLocal.Add(t.tuplesLocal)
+	n.tuplesRemote.Add(t.tuplesRemote)
+	n.bytesOnWire.Add(t.bytesOnWire)
+	n.packetsRetransmitted.Add(t.retransmitted)
+	n.packetsDuplicated.Add(t.duplicated)
+	*t = tally{}
+}
+
+// selectTag makes tag the cached current tag, adding it to the directory
+// on first use.
+func (s *Sender) selectTag(tag int) {
+	i := 0
+	for i < len(s.tags) && s.tags[i].tag != tag {
+		i++
+	}
+	if i == len(s.tags) {
+		if i < cap(s.tags) {
+			// Reuse a pooled sender's cleared buffer array for the new tag.
+			s.tags = s.tags[:i+1]
+			s.tags[i].tag = tag
+		} else {
+			s.tags = append(s.tags, tagBufs{tag: tag})
+		}
+	}
+	s.curTag, s.curIdx, s.cur = tag, i, s.tags[i].bufs
 }
 
 // buffer returns the packet under construction for stream (dst, tag),
 // creating (and recording in first-write order) an empty one if needed.
 func (s *Sender) buffer(dst, tag int) *Batch {
 	if tag != s.curTag {
-		if s.byTag == nil {
-			s.byTag = make(map[int][]*Batch)
-		} else if s.cur != nil {
-			s.byTag[s.curTag] = s.cur
-		}
-		s.cur = s.byTag[tag]
-		s.curTag = tag
+		s.selectTag(tag)
 	}
 	if dst >= len(s.cur) {
 		grown := make([]*Batch, dst+1)
 		copy(grown, s.cur)
 		s.cur = grown
-		s.byTag[tag] = grown
+		s.tags[s.curIdx].bufs = grown
 	}
 	b := s.cur[dst]
 	if b == nil {
 		b = GetBatch()
 		b.Src, b.Dst, b.Local, b.Tag = s.src, dst, s.local(dst), tag
 		s.cur[dst] = b
-		s.order = append(s.order, streamKey{dst, tag})
+		s.order = append(s.order, streamKey{dst, s.curIdx})
 	}
 	return b
 }
@@ -389,6 +446,7 @@ func (s *Sender) Send(dst, tag int, t *tuple.Tuple, h uint64) {
 	}
 	b.Append(t, h)
 	if len(b.Tuples) >= s.capT {
+		s.cur[dst] = nil
 		s.flush(b)
 	}
 }
@@ -402,6 +460,7 @@ func (s *Sender) SendJoined(dst, tag int, j *tuple.Joined) {
 	}
 	b.Joined = append(b.Joined, *j)
 	if len(b.Joined) >= s.capJ {
+		s.cur[dst] = nil
 		s.flush(b)
 	}
 }
@@ -421,29 +480,31 @@ func (s *Sender) SendJoinedPair(dst, tag int, inner, outer *tuple.Tuple) {
 	b.Joined[n].Inner = *inner
 	b.Joined[n].Outer = *outer
 	if len(b.Joined) >= s.capJ {
+		s.cur[dst] = nil
 		s.flush(b)
 	}
 }
 
-// flush seals one packet: it is sequenced, charged (protocol, wire, fault
-// rolls) exactly as a packet, then appended to its destination's delivery
-// run. The stream's buffer slot is cleared so the next Send starts a fresh
-// packet. Accounting here is per packet and unchanged by run batching.
+// flush seals one packet whose stream slot the caller has already cleared:
+// it is sequenced, charged (protocol, wire, fault rolls) exactly as a
+// packet, tallied, then appended to its destination's delivery run.
+// Accounting here is per packet and unchanged by run batching.
 func (s *Sender) flush(b *Batch) {
 	m := s.net.model
+	t := &s.tally
 	s.seq++
 	b.Seq = s.seq
 	nt := int64(b.Len())
 	if b.Local {
 		s.a.AddCPU(m.PacketProtoLocal)
-		s.net.packetsLocal.Add(1)
-		s.net.tuplesLocal.Add(nt)
+		t.packetsLocal++
+		t.tuplesLocal += nt
 	} else {
 		s.a.AddCPU(m.PacketProto)
 		s.a.AddNet(m.PacketWire)
-		s.net.packetsRemote.Add(1)
-		s.net.tuplesRemote.Add(nt)
-		s.net.bytesOnWire.Add(int64(m.P.PacketBytes))
+		t.packetsRemote++
+		t.tuplesRemote += nt
+		t.bytesOnWire += int64(m.P.PacketBytes)
 
 		// Fault injection applies to the wire only, so short-circuited
 		// local packets are exempt, matching the paper's protocol split.
@@ -451,24 +512,20 @@ func (s *Sender) flush(b *Batch) {
 		for i := 0; i < retrans; i++ {
 			s.a.AddCPU(m.PacketProto)
 			s.a.AddNet(m.PacketWire)
-			s.net.packetsRetransmitted.Add(1)
-			s.net.bytesOnWire.Add(int64(m.P.PacketBytes))
 		}
 		if retrans > 0 {
+			t.retransmitted += int64(retrans)
+			t.bytesOnWire += int64(retrans) * int64(m.P.PacketBytes)
 			s.a.Note("net.retransmit", int64(retrans))
 		}
 		if dups > 0 {
 			b.Dups = dups
 			s.a.AddNet(cost.ScaleNs(dups, m.PacketWire))
-			s.net.packetsDuplicated.Add(int64(dups))
-			s.net.bytesOnWire.Add(int64(dups) * int64(m.P.PacketBytes))
+			t.duplicated += int64(dups)
+			t.bytesOnWire += int64(dups) * int64(m.P.PacketBytes)
 			s.a.Note("net.duplicate", int64(dups))
 		}
 	}
-
-	// Clear the stream slot (the tag is always the cached one here: flush is
-	// only reached from Send/SendJoined/FlushAll right after buffer()).
-	s.cur[b.Dst] = nil
 
 	// Delivery: append to the destination's run; hand the run over when it
 	// reaches the configured length.
@@ -482,14 +539,14 @@ func (s *Sender) flush(b *Batch) {
 		grown := make([][]*Batch, dst+1)
 		copy(grown, s.pending)
 		s.pending = grown
+		seen := make([]bool, dst+1)
+		copy(seen, s.pseen)
+		s.pseen = seen
 	}
 	if s.pending[dst] == nil {
 		s.pending[dst] = getRun()
-		if s.pmark == nil {
-			s.pmark = make(map[int]struct{})
-		}
-		if _, seen := s.pmark[dst]; !seen {
-			s.pmark[dst] = struct{}{}
+		if !s.pseen[dst] {
+			s.pseen[dst] = true
 			s.pdsts = append(s.pdsts, dst)
 		}
 	}
@@ -501,29 +558,18 @@ func (s *Sender) flush(b *Batch) {
 }
 
 // FlushAll sends every partially filled packet, in the deterministic order
-// the streams were first written, then delivers every pending run. Call
-// once when the producer's input stream ends (Gamma's end-of-stream close).
+// the streams were first written, then delivers every pending run and
+// publishes the sender's counters to the network. Call once when the
+// producer's input stream ends (Gamma's end-of-stream close).
 func (s *Sender) FlushAll() {
 	for _, k := range s.order {
-		bufs := s.byTag[k.tag]
-		if k.tag == s.curTag {
-			bufs = s.cur
-		}
-		if k.dst < len(bufs) {
-			if b := bufs[k.dst]; b != nil {
-				if b.Len() > 0 {
-					// flush expects the stream's tag to be the cached one so
-					// it can clear the slot through s.cur.
-					if k.tag != s.curTag {
-						s.byTag[s.curTag] = s.cur
-						s.cur = s.byTag[k.tag]
-						s.curTag = k.tag
-					}
-					s.flush(b)
-				} else {
-					PutBatch(b)
-					bufs[k.dst] = nil
-				}
+		bufs := s.tags[k.ti].bufs
+		if b := bufs[k.dst]; b != nil {
+			bufs[k.dst] = nil
+			if b.Len() > 0 {
+				s.flush(b)
+			} else {
+				PutBatch(b)
 			}
 		}
 	}
@@ -534,4 +580,5 @@ func (s *Sender) FlushAll() {
 			s.pending[dst] = nil
 		}
 	}
+	s.publish()
 }

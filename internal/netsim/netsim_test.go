@@ -125,6 +125,11 @@ func TestShortCircuit(t *testing.T) {
 		tp := mkTuple(int32(i))
 		s.Send(5, 0, &tp, 0)
 	}
+	// Senders publish their tallies at FlushAll, the end-of-stream barrier.
+	if c := n.Counters(); c != (Counters{}) {
+		t.Fatalf("counters published before FlushAll: %+v", c)
+	}
+	s.FlushAll()
 	c := n.Counters()
 	if c.PacketsLocal != 1 || c.PacketsRemote != 0 || c.TuplesLocal != 9 {
 		t.Fatalf("counters = %+v", c)

@@ -2,6 +2,12 @@
 // the reproduction: thirteen 4-byte integer attributes followed by three
 // 52-byte string attributes, 208 bytes per tuple, exactly as in Bitton,
 // DeWitt & Turbyfill (VLDB 1983) and as used by Schneider & DeWitt (1989).
+//
+// The 208 bytes are the simulated size: every cost charge uses Bytes and
+// JoinedBytes. The host representation is compact — a Tuple holds only the
+// 52 bytes of integers, and the string attributes, which no join, predicate
+// or checksum reads, are derived from unique1/unique2 on demand (Str) and
+// materialized only by the wire encoding (Marshal).
 package tuple
 
 import (
@@ -69,10 +75,10 @@ func AttrIndex(name string) (int, error) {
 	return 0, fmt.Errorf("tuple: unknown integer attribute %q", name)
 }
 
-// Tuple is one Wisconsin-benchmark record.
+// Tuple is one Wisconsin-benchmark record. Only the integer attributes are
+// stored; see Str for the string attributes.
 type Tuple struct {
 	Ints [NumInts]int32
-	Strs [NumStrs][StrLen]byte
 }
 
 // Int returns integer attribute i.
@@ -81,33 +87,74 @@ func (t *Tuple) Int(i int) int32 { return t.Ints[i] }
 // SetInt sets integer attribute i.
 func (t *Tuple) SetInt(i int, v int32) { t.Ints[i] = v }
 
+// Str returns string attribute i (0 stringu1, 1 stringu2, 2 string4),
+// derived from the integer attributes: stringu1 from unique1, stringu2 from
+// unique2 and string4 from unique1 mod 100, each in the spirit of the
+// benchmark's cyclic string attributes.
+func (t *Tuple) Str(i int) [StrLen]byte {
+	switch i {
+	case 0:
+		return str(t.Ints[Unique1])
+	case 1:
+		return str(t.Ints[Unique2])
+	case 2:
+		return str(t.Ints[Unique1] % 100)
+	}
+	panic(fmt.Sprintf("tuple: string attribute %d out of range", i))
+}
+
+// str renders a 52-byte string attribute deterministically from v: four
+// base-26 letters of v followed by "xxx", repeated to fill the field.
+func str(v int32) [StrLen]byte {
+	var s [7]byte
+	s[0] = byte('A' + v%26)
+	s[1] = byte('A' + (v/26)%26)
+	s[2] = byte('A' + (v/676)%26)
+	s[3] = byte('A' + (v/17576)%26)
+	s[4], s[5], s[6] = 'x', 'x', 'x'
+	var dst [StrLen]byte
+	for i := range dst {
+		dst[i] = s[i%len(s)]
+	}
+	return dst
+}
+
 // Marshal appends the 208-byte wire encoding of t to dst and returns the
-// extended slice. Integers are little-endian.
+// extended slice: the integers little-endian, then the three derived string
+// attributes.
 func (t *Tuple) Marshal(dst []byte) []byte {
 	var buf [4]byte
 	for _, v := range t.Ints {
 		binary.LittleEndian.PutUint32(buf[:], uint32(v))
 		dst = append(dst, buf[:]...)
 	}
-	for i := range t.Strs {
-		dst = append(dst, t.Strs[i][:]...)
+	for i := 0; i < NumStrs; i++ {
+		s := t.Str(i)
+		dst = append(dst, s[:]...)
 	}
 	return dst
 }
 
-// Unmarshal decodes a tuple from the first Bytes bytes of src.
+// Unmarshal decodes a tuple from the first Bytes bytes of src. The string
+// attributes are not stored, so it rejects an encoding whose string bytes
+// differ from the ones the decoded integers derive — decoding such a record
+// would silently drop data. On error t is left unchanged.
 func (t *Tuple) Unmarshal(src []byte) error {
 	if len(src) < Bytes {
 		return fmt.Errorf("tuple: short buffer: %d < %d", len(src), Bytes)
 	}
-	for i := range t.Ints {
-		t.Ints[i] = int32(binary.LittleEndian.Uint32(src[i*4:]))
+	var d Tuple
+	for i := range d.Ints {
+		d.Ints[i] = int32(binary.LittleEndian.Uint32(src[i*4:]))
 	}
 	off := NumInts * 4
-	for i := range t.Strs {
-		copy(t.Strs[i][:], src[off:off+StrLen])
+	for i := 0; i < NumStrs; i++ {
+		if s := d.Str(i); string(src[off:off+StrLen]) != string(s[:]) {
+			return fmt.Errorf("tuple: %s bytes do not match the value derived from the integer attributes", StrAttrNames[i])
+		}
 		off += StrLen
 	}
+	*t = d
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -48,8 +49,8 @@ func TestIntAccessors(t *testing.T) {
 }
 
 func TestMarshalRoundTrip(t *testing.T) {
-	f := func(ints [NumInts]int32, s0, s1, s2 [StrLen]byte) bool {
-		in := Tuple{Ints: ints, Strs: [NumStrs][StrLen]byte{s0, s1, s2}}
+	f := func(ints [NumInts]int32) bool {
+		in := Tuple{Ints: ints}
 		buf := in.Marshal(nil)
 		if len(buf) != Bytes {
 			return false
@@ -63,6 +64,41 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestUnmarshalRejectsForeignStrings(t *testing.T) {
+	var tp Tuple
+	tp.SetInt(Unique1, 7)
+	tp.SetInt(Unique2, 9)
+	for i := 0; i < NumStrs; i++ {
+		buf := tp.Marshal(nil)
+		buf[NumInts*4+i*StrLen+StrLen/2] ^= 0x20 // flip one string byte
+		var out Tuple
+		if err := out.Unmarshal(buf); err == nil {
+			t.Fatalf("Unmarshal accepted a %s that its integers do not derive", StrAttrNames[i])
+		}
+		if out != (Tuple{}) {
+			t.Fatalf("failed Unmarshal modified its receiver: %v", out.Ints)
+		}
+	}
+}
+
+func TestStrDerivation(t *testing.T) {
+	var tp Tuple
+	tp.SetInt(Unique1, 1+2*26+3*676+4*17576) // base-26 digits 1,2,3,4; mod 100 = 85
+	tp.SetInt(Unique2, 0)
+	cycle := func(s string) string { return strings.Repeat(s, StrLen/len(s)+1)[:StrLen] }
+	for i, want := range []string{cycle("BCDExxx"), cycle("AAAAxxx"), cycle("HDAAxxx")} {
+		if got := tp.Str(i); string(got[:]) != want {
+			t.Errorf("Str(%d) = %q, want %q", i, got[:], want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Str(NumStrs) did not panic")
+		}
+	}()
+	tp.Str(NumStrs)
 }
 
 func TestMarshalAppends(t *testing.T) {

@@ -56,6 +56,8 @@ func GenerateSkewed(n int, seed uint64) []tuple.Tuple {
 	return out
 }
 
+// fill sets the integer attributes; the string attributes are derived from
+// them on demand (tuple.Tuple.Str), never stored.
 func fill(t *tuple.Tuple, u1, u2, normal int32) {
 	t.Ints[tuple.Unique1] = u1
 	t.Ints[tuple.Unique2] = u2
@@ -70,23 +72,6 @@ func fill(t *tuple.Tuple, u1, u2, normal int32) {
 	t.Ints[tuple.Unique3] = normal // Normal slot; uniform unless skewed
 	t.Ints[tuple.EvenOnePercent] = (u1 % 100) * 2
 	t.Ints[tuple.OddOnePercent] = (u1%100)*2 + 1
-	str(&t.Strs[0], u1)
-	str(&t.Strs[1], u2)
-	str(&t.Strs[2], u1%100)
-}
-
-// str fills a 52-byte string attribute deterministically from v in the
-// spirit of the benchmark's cyclic string attributes.
-func str(dst *[tuple.StrLen]byte, v int32) {
-	var s [7]byte
-	s[0] = byte('A' + v%26)
-	s[1] = byte('A' + (v/26)%26)
-	s[2] = byte('A' + (v/676)%26)
-	s[3] = byte('A' + (v/17576)%26)
-	s[4], s[5], s[6] = 'x', 'x', 'x'
-	for i := 0; i < tuple.StrLen; i++ {
-		dst[i] = s[i%len(s)]
-	}
 }
 
 // Bprime selects the tuples of rel whose unique1 value is below k, yielding

@@ -155,8 +155,8 @@ func TestStringsFilled(t *testing.T) {
 	rel := Generate(10, 1)
 	for i := range rel {
 		for s := 0; s < tuple.NumStrs; s++ {
-			for b := 0; b < tuple.StrLen; b++ {
-				if rel[i].Strs[s][b] == 0 {
+			for _, b := range rel[i].Str(s) {
+				if b == 0 {
 					t.Fatal("string attribute contains zero byte")
 				}
 			}

@@ -15,6 +15,7 @@ import (
 
 	"gammajoin/internal/cost"
 	"gammajoin/internal/disk"
+	"gammajoin/internal/slicepool"
 	"gammajoin/internal/tuple"
 )
 
@@ -111,11 +112,11 @@ func (f *File) Pages() int {
 // pagePool recycles page backing arrays across files. Only files whose
 // pages are provably unreferenced hand pages back (File.Recycle); everything
 // else lets the garbage collector reclaim them as before.
-var pagePool = sync.Pool{New: func() any { return []tuple.Tuple(nil) }}
+var pagePool slicepool.Pool[tuple.Tuple]
 
 // getPage returns an empty page with at least perPage capacity.
 func getPage(perPage int) []tuple.Tuple {
-	pg := pagePool.Get().([]tuple.Tuple)
+	pg := pagePool.Get()
 	if cap(pg) < perPage {
 		return make([]tuple.Tuple, 0, perPage)
 	}
@@ -130,7 +131,7 @@ func getPage(perPage int) []tuple.Tuple {
 func (f *File) Recycle() {
 	f.mu.Lock()
 	for _, pg := range f.pages {
-		pagePool.Put(pg[:0]) //nolint:staticcheck // slice header round-trips through any
+		pagePool.Put(pg)
 	}
 	f.pages, f.n = nil, 0
 	f.mu.Unlock()

@@ -135,7 +135,7 @@ type chunkBufs struct {
 // each tuple's sign-biased 32-bit key is packed above its index, so sorting
 // the packed words orders ties by original position — exactly the
 // permutation a stable sort of the tuples themselves would produce — while
-// the sort itself touches only 8-byte words, never 208-byte tuples.
+// the sort itself touches only 8-byte words, never whole tuples.
 func sortChunk(a *cost.Acct, m *cost.Model, ts []tuple.Tuple, attr int) {
 	n := len(ts)
 	if n > 1 {

@@ -71,13 +71,8 @@ bench-batch-baseline:
 # bench-sim gates only the simulated metrics — the machine-independent,
 # must-match-exactly half of the bench gate. A drifted sim metric is a
 # correctness change, not a perf regression, so this gate has no tolerance
-# and no noise. Reuses the bench run's output when one exists. It first runs
-# the serial-vs-batched equivalence matrix under the race detector: every
-# algorithm in every scenario (clean, faults, failover, budget swings,
-# cancellation) must produce bit-identical reports at BatchSize 1 and the
-# batched default.
+# and no noise. Reuses the bench run's output when one exists.
 bench-sim:
-	$(GO) test -race -run 'TestBatchedEquivalence' -count 1 ./internal/core/
 	@test -s /tmp/gammajoin-bench.txt || $(GO) test $(BENCH_FLAGS) > /tmp/gammajoin-bench.txt || { cat /tmp/gammajoin-bench.txt; exit 1; }
 	$(GO) run ./cmd/benchcheck -sim-only -against BENCH_$(BENCH_SEED).json < /tmp/gammajoin-bench.txt
 	@echo "sim-metrics gate: OK"

@@ -140,8 +140,9 @@ func (l *Loader) loadPath(path string) (*LoadedPackage, error) {
 		return nil, err
 	}
 	// Build-constraint filtering uses the default build context, so
-	// tag-switched variant files (e.g. a gammajoin_serial default) resolve
-	// the same way `go build` does instead of colliding as redeclarations.
+	// tag-switched variant files (e.g. per-OS or per-tag implementations)
+	// resolve the same way `go build` does instead of colliding as
+	// redeclarations.
 	ctx := build.Default
 	var names []string
 	for _, e := range entries {

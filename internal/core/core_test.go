@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"gammajoin/internal/gamma"
@@ -413,6 +414,35 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := Run(c, Spec{Alg: Hybrid, R: f.r, S: f.s, MemRatio: 1, JoinSites: []int{42}}); err == nil {
 		t.Fatal("out-of-range join site should error")
+	}
+}
+
+// TestJoinSitesRejectsDuplicates: a join-site list naming a site twice would
+// make that site build, probe and write its overflow file twice, so every
+// algorithm must refuse it up front rather than return a wrong answer.
+func TestJoinSitesRejectsDuplicates(t *testing.T) {
+	c := gamma.NewLocal(8, nil)
+	f := mkFixture(t, c, 4000, gamma.HashPart, tuple.Unique1)
+	for _, alg := range allAlgs {
+		for _, ratio := range []float64{0.25, 4.0} {
+			rep, err := Run(c, Spec{
+				Alg: alg, R: f.r, S: f.s,
+				RAttr: tuple.Unique1, SAttr: tuple.Unique1,
+				MemRatio:  ratio,
+				JoinSites: []int{0, 0, 1, 2, 3, 4, 5, 6, 7},
+			})
+			if err == nil {
+				t.Errorf("%v ratio %.2f: duplicate join site accepted (%d rows, want an error)",
+					alg, ratio, rep.ResultCount)
+				continue
+			}
+			if !strings.Contains(err.Error(), "join site 0 listed twice") {
+				t.Errorf("%v ratio %.2f: error %q does not name the repeated site", alg, ratio, err)
+			}
+		}
+	}
+	if live := c.LiveTempFiles(); len(live) != 0 {
+		t.Errorf("temp files left behind: %v", live)
 	}
 }
 

@@ -5,13 +5,8 @@ import (
 	"sort"
 
 	"gammajoin/internal/bitfilter"
-	"gammajoin/internal/cost"
-	"gammajoin/internal/gamma"
-	"gammajoin/internal/netsim"
-	"gammajoin/internal/pred"
 	"gammajoin/internal/split"
 	"gammajoin/internal/tuple"
-	"gammajoin/internal/wiss"
 )
 
 // runGrace executes the parallel Grace hash-join (Section 3.3): both
@@ -29,7 +24,7 @@ func (rc *runCtx) runGrace() error {
 		if tune < 2 {
 			tune = 3
 		}
-		nb = rc.optimizerBuckets(false) * tune
+		nb *= tune
 		if !rc.spec.SkipAnalyzer {
 			nb = split.AnalyzeBuckets(false, len(rc.diskSites), len(rc.joinSites), nb)
 		}
@@ -39,16 +34,10 @@ func (rc *runCtx) runGrace() error {
 	if err != nil {
 		return err
 	}
-
-	rb, err := rc.makeBucketFiles("grace.r", 0, nb)
+	rb, sb, err := rc.bucketSinks("grace", 0, nb)
 	if err != nil {
 		return err
 	}
-	sb, err := rc.makeBucketFiles("grace.s", 0, nb)
-	if err != nil {
-		return err
-	}
-	ff := rc.makeFormingFilters(0, nb)
 
 	// Each forming pass is one redo-able unit: a crash fires at phase
 	// entry, so the bucket files have no partial appends and re-running
@@ -56,33 +45,37 @@ func (rc *runCtx) runGrace() error {
 	// The forming filters and split table survive a failover — Gamma ships
 	// them in scheduler control packets, so they are not lost with a site.
 	if err := rc.runUnit(func() error {
-		return rc.formPhase("form R", rc.spec.R, rc.spec.RAttr, rc.spec.RPred, pt, rb, 0, ff, true)
+		return rc.partitionPhase("form R", "bucket write", rc.spec.R, rc.spec.RAttr, rc.spec.RPred, pt, rb)
 	}); err != nil {
 		return err
 	}
 	if err := rc.runUnit(func() error {
-		return rc.formPhase("form S", rc.spec.S, rc.spec.SAttr, rc.spec.SPred, pt, sb, 0, ff, false)
+		return rc.partitionPhase("form S", "bucket write", rc.spec.S, rc.spec.SAttr, rc.spec.SPred, pt, sb)
 	}); err != nil {
 		return err
 	}
 
 	for _, group := range rc.bucketGroups(rb, nb) {
 		var rsrc, ssrc []fileAt
-		label := "bucket"
-		for i, b := range group {
-			rsrc = append(rsrc, rc.bucketSources(rb, b)...)
-			ssrc = append(ssrc, rc.bucketSources(sb, b)...)
-			if i == 0 {
-				label = fmt.Sprintf("bucket %d", b+1)
-			} else {
-				label += fmt.Sprintf("+%d", b+1)
-			}
+		for _, b := range group {
+			rsrc = append(rsrc, rb.sources(b)...)
+			ssrc = append(ssrc, sb.sources(b)...)
 		}
-		if err := rc.hashJoinStreams(label, group[0], rsrc, ssrc, rc.spec.HashSeed, 0); err != nil {
+		if err := rc.hashJoinStreams(groupLabel("bucket", group), group[0], rsrc, ssrc, rc.spec.HashSeed, 0, nil, nil); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// groupLabel names a join group by its 1-based members ("bucket 3",
+// "partition 1+2").
+func groupLabel(kind string, group []int) string {
+	label := fmt.Sprintf("%s %d", kind, group[0]+1)
+	for _, b := range group[1:] {
+		label += fmt.Sprintf("+%d", b+1)
+	}
+	return label
 }
 
 // bucketGroups returns the joining order of buckets: one bucket per group
@@ -90,7 +83,7 @@ func (rc *runCtx) runGrace() error {
 // into join groups using their *measured per-site loads*, so that no
 // joining site's share of a group exceeds its hash-table capacity even
 // under skew — the point of tuning.
-func (rc *runCtx) bucketGroups(rb []map[int]*wiss.File, nb int) [][]int {
+func (rc *runCtx) bucketGroups(rb *fileSink, nb int) [][]int {
 	if !rc.spec.BucketTuning {
 		groups := make([][]int, nb)
 		for b := range groups {
@@ -107,16 +100,20 @@ func (rc *runCtx) bucketGroups(rb []map[int]*wiss.File, nb int) [][]int {
 	capPerSite := rc.tableCap() / tuple.Bytes
 	vec := make([][]int64, nb)
 	total := make([]int64, nb)
-	for b := 0; b < nb; b++ {
+	for b := range vec {
 		vec[b] = make([]int64, nj)
-		for i, ds := range rc.diskSites {
-			n := rb[b][ds].Len()
-			total[b] += n
+	}
+	for i, ds := range rc.diskSites {
+		for _, sf := range rb.at(ds) {
+			n := sf.f.Len()
+			total[sf.tag] += n
 			if len(rc.diskSites) == nj {
-				vec[b][i%nj] += n
+				vec[sf.tag][i%nj] += n
 			}
 		}
-		if len(rc.diskSites) != nj {
+	}
+	if len(rc.diskSites) != nj {
+		for b := range vec {
 			for j := range vec[b] {
 				vec[b][j] = (total[b] + int64(nj) - 1) / int64(nj)
 			}
@@ -164,131 +161,37 @@ func (rc *runCtx) bucketGroups(rb []map[int]*wiss.File, nb int) [][]int {
 	return groups
 }
 
-// makeFormingFilters builds one bit filter per (bucket, disk site) for the
-// FilterForming extension, or nil when it is disabled.
-func (rc *runCtx) makeFormingFilters(first, n int) []map[int]*bitfilter.Filter {
-	if !rc.spec.BitFilter || !rc.spec.FilterForming {
+// bucketSinks creates the inner and outer bucket-fragment files, one per
+// (bucket, disk site) for buckets [first, n), all inner files before the
+// outer ones. With FilterForming each (bucket, disk site) gets one bit
+// filter, built from the inner fragment and tested on the outer one.
+func (rc *runCtx) bucketSinks(name string, first, n int) (r, s *fileSink, err error) {
+	nf := (n - first) * len(rc.diskSites)
+	r = &fileSink{rc: rc, files: make([]sinkFile, 0, nf), forming: true, building: true}
+	s = &fileSink{rc: rc, files: make([]sinkFile, 0, nf), forming: true}
+	create := func(sink *fileSink, rel string) error {
+		for b := first; b < n; b++ {
+			for _, ds := range rc.diskSites {
+				f, err := rc.newTempFile(fmt.Sprintf("%s.%s.b%d", name, rel, b), ds)
+				if err != nil {
+					return err
+				}
+				sink.add(ds, b, f, nil)
+			}
+		}
 		return nil
 	}
-	ff := make([]map[int]*bitfilter.Filter, n)
-	for b := first; b < n; b++ {
-		ff[b] = make(map[int]*bitfilter.Filter, len(rc.diskSites))
-		for _, ds := range rc.diskSites {
-			ff[b][ds] = bitfilter.New(rc.filterBits)
+	if err := create(r, "r"); err != nil {
+		return nil, nil, err
+	}
+	if err := create(s, "s"); err != nil {
+		return nil, nil, err
+	}
+	if rc.spec.BitFilter && rc.spec.FilterForming {
+		for i := range r.files {
+			flt := bitfilter.New(rc.filterBits)
+			r.files[i].flt, s.files[i].flt = flt, flt
 		}
 	}
-	return ff
-}
-
-// makeBucketFiles creates one temporary bucket-fragment file per (bucket,
-// disk site) for buckets in [first, n).
-func (rc *runCtx) makeBucketFiles(name string, first, n int) ([]map[int]*wiss.File, error) {
-	files := make([]map[int]*wiss.File, n)
-	for b := first; b < n; b++ {
-		files[b] = make(map[int]*wiss.File, len(rc.diskSites))
-		for _, ds := range rc.diskSites {
-			f, err := rc.newTempFile(fmt.Sprintf("%s.b%d", name, b), ds)
-			if err != nil {
-				return nil, err
-			}
-			files[b][ds] = f
-		}
-	}
-	return files, nil
-}
-
-// makePartitionFiles creates one temporary file per dynamic-Hybrid
-// partition, each at the partition's home disk site. Unlike bucket files,
-// a partition is not horizontally fragmented: spills are rare whole-table
-// demotions, so each partition lives on one disk.
-func (rc *runCtx) makePartitionFiles(name string, np int) (map[int]*wiss.File, error) {
-	files := make(map[int]*wiss.File, np)
-	for p := 0; p < np; p++ {
-		f, err := rc.newTempFile(fmt.Sprintf("%s.p%d", name, p), rc.dynHome(p, np))
-		if err != nil {
-			return nil, err
-		}
-		files[p] = f
-	}
-	return files, nil
-}
-
-// bucketSources lists the non-empty fragments of one bucket.
-func (rc *runCtx) bucketSources(files []map[int]*wiss.File, b int) []fileAt {
-	var src []fileAt
-	for _, ds := range rc.diskSites {
-		if f := files[b][ds]; f.Len() > 0 {
-			src = append(src, fileAt{site: ds, f: f})
-		}
-	}
-	return src
-}
-
-// formPhase redistributes a relation into bucket files through a
-// partitioning split table. firstDiskBucket is 0 for Grace; Hybrid callers
-// do not use formPhase (their partitioning overlaps with joining). When
-// forming filters are supplied they are built from the inner relation
-// (building=true) and applied to the outer, dropping non-joining tuples
-// before the disk write.
-func (rc *runCtx) formPhase(name string, rel *gamma.Relation, attr int, p pred.Pred, pt *split.PartTable,
-	buckets []map[int]*wiss.File, firstDiskBucket int,
-	formFilters []map[int]*bitfilter.Filter, building bool) error {
-	ps := phaseSpec{
-		name:    name,
-		end:     gamma.EndOpts{SplitEntries: pt.Entries()},
-		ops:     opLabels{produce: "scan", consume: "bucket write"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-	}
-	seed := rc.spec.HashSeed
-	for _, s := range rel.FragmentSites() {
-		f := rel.Fragments[s]
-		ps.produce[s] = append(ps.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, p, t) {
-					return true
-				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(attr), seed)
-				b, dst := pt.Lookup(h)
-				snd.Send(dst, b, t, h)
-				return true
-			})
-		})
-	}
-	for _, ds := range rc.diskSites {
-		ds := ds
-		ps.consume[ds] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			for _, b := range batches {
-				f := buckets[b.Tag][ds]
-				var flt *bitfilter.Filter
-				if formFilters != nil {
-					flt = formFilters[b.Tag][ds]
-				}
-				if flt == nil {
-					f.AppendBatch(a, b.Tuples)
-				} else {
-					for i := range b.Tuples {
-						a.AddCPU(rc.m.FilterBit)
-						if building {
-							flt.Set(b.Hashes[i])
-						} else if !flt.Test(b.Hashes[i]) {
-							rc.filterDropped.Add(1)
-							continue
-						}
-						f.Append(a, b.Tuples[i])
-					}
-				}
-				if b.Local {
-					rc.mFormLocal.Add(int64(len(b.Tuples)))
-				} else {
-					rc.mFormRemote.Add(int64(len(b.Tuples)))
-				}
-			}
-			for bkt := firstDiskBucket; bkt < len(buckets); bkt++ {
-				buckets[bkt][ds].Flush(a)
-			}
-		}
-	}
-	return rc.runPhase(ps)
+	return r, s, nil
 }

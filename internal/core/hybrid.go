@@ -3,13 +3,7 @@ package core
 import (
 	"fmt"
 
-	"gammajoin/internal/bitfilter"
-	"gammajoin/internal/cost"
-	"gammajoin/internal/gamma"
-	"gammajoin/internal/netsim"
 	"gammajoin/internal/split"
-	"gammajoin/internal/tuple"
-	"gammajoin/internal/wiss"
 )
 
 // runHybrid executes the parallel Hybrid hash-join (Section 3.4). The
@@ -31,301 +25,71 @@ func (rc *runCtx) runHybrid() error {
 	// mirrors); everything it creates — split table, hash tables, filters,
 	// bucket and overflow files (freshly named each attempt via fileSeq) —
 	// is rebuilt inside the closure, over the possibly-shrunken join-site
-	// list. The bucket files that survive the unit feed the later phases.
+	// list. The files of the attempt that completed feed the later phases.
 	var (
-		rb, sb         []map[int]*wiss.File
-		roverF, soverF map[int]*wiss.File
+		rb, sb       *fileSink
+		rover, sover []fileAt
 	)
 	if err := rc.runUnit(func() error {
-		return rc.hybridPartition(nb, seed, &rb, &sb, &roverF, &soverF)
+		var err error
+		rb, sb, rover, sover, err = rc.hybridPartition(nb, seed)
+		return err
 	}); err != nil {
 		return err
 	}
 
 	// ---- phases 3..: join the on-disk buckets ----
 	for b := 1; b < nb; b++ {
-		rsrc := rc.bucketSources(rb, b)
-		ssrc := rc.bucketSources(sb, b)
-		if err := rc.hashJoinStreams(fmt.Sprintf("bucket %d", b+1), b, rsrc, ssrc, seed, 0); err != nil {
+		if err := rc.hashJoinStreams(fmt.Sprintf("bucket %d", b+1), b, rb.sources(b), sb.sources(b), seed, 0, nil, nil); err != nil {
 			return err
 		}
 	}
 
 	// ---- resolve bucket-1 overflow, if any (AllowOverflow mode) ----
-	var rover, sover []fileAt
-	for _, j := range sortedKeys(roverF) {
-		if roverF[j].Len() > 0 {
-			home := rc.c.OverflowDiskSite(j)
-			rover = append(rover, fileAt{site: home, f: roverF[j]})
-			sover = append(sover, fileAt{site: home, f: soverF[j]})
-		}
-	}
 	if len(rover) > 0 {
-		return rc.hashJoinStreams("bucket 1", 0, rover, sover, seed+1, 1)
+		return rc.hashJoinStreams("bucket 1", 0, rover, sover, seed+1, 1, nil, nil)
 	}
 	return nil
 }
 
 // hybridPartition runs Hybrid's overlapped partitioning passes (Section
-// 3.4): partition R building bucket 1 in memory, then partition S probing
-// it on the fly. The output files are handed back through the pointers so
-// runHybrid's bucket-join phases (and the overflow resolution) read the
-// files of the attempt that actually completed.
-func (rc *runCtx) hybridPartition(nb int, seed uint64,
-	rbOut, sbOut *[]map[int]*wiss.File, roverOut, soverOut *map[int]*wiss.File) error {
+// 3.4): a build pass and a probe pass through the Hybrid split table, whose
+// bucket 1 routes to the join sites, while every disk site writes the
+// fragments of buckets 2..N. It returns the bucket files and bucket 1's
+// overflow files.
+func (rc *runCtx) hybridPartition(nb int, seed uint64) (rb, sb *fileSink, rover, sover []fileAt, err error) {
 	pt, err := split.NewHybrid(nb, rc.diskSites, rc.joinSites)
 	if err != nil {
-		return err
+		return nil, nil, nil, nil, err
+	}
+	js, err := rc.newJoinStates("hybrid")
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if rb, sb, err = rc.bucketSinks("hybrid", 1, nb); err != nil {
+		return nil, nil, nil, nil, err
 	}
 
-	tables := make(map[int]*gamma.HashTable, len(rc.joinSites))
-	var filters map[int]*bitfilter.Filter
-	if rc.spec.BitFilter {
-		filters = make(map[int]*bitfilter.Filter, len(rc.joinSites))
-	}
-	roverF := make(map[int]*wiss.File, len(rc.joinSites))
-	soverF := make(map[int]*wiss.File, len(rc.joinSites))
-	for _, j := range rc.joinSites {
-		tables[j] = gamma.NewHashTable(rc.m, rc.tableCap(), rc.spec.RAttr)
-		if filters != nil {
-			filters[j] = bitfilter.New(rc.filterBits)
-		}
-		home := rc.c.OverflowDiskSite(j)
-		if roverF[j], err = rc.newTempFile("hybrid.rover", home); err != nil {
-			return err
-		}
-		if soverF[j], err = rc.newTempFile("hybrid.sover", home); err != nil {
-			return err
-		}
-	}
-	rb, err := rc.makeBucketFiles("hybrid.r", 1, nb)
-	if err != nil {
-		return err
-	}
-	sb, err := rc.makeBucketFiles("hybrid.s", 1, nb)
-	if err != nil {
-		return err
-	}
-	ff := rc.makeFormingFilters(1, nb)
-	*rbOut, *sbOut = rb, sb
-	*roverOut, *soverOut = roverF, soverF
-
-	// ---- phase 1: partition R, building bucket 1 in memory ----
-	partR := phaseSpec{
-		name:      "partition R + build bucket 1",
-		end:       gamma.EndOpts{SplitEntries: pt.Entries()},
-		ops:       opLabels{produce: "scan", consume: "split + build bucket 1", write: "overflow write"},
-		bucket:    0,
-		hasBucket: true,
-		produce:   map[int][]producerFn{},
-		consume:   map[int]consumerFn{},
-		write:     map[int]writerFn{},
-	}
-	for _, s := range rc.spec.R.FragmentSites() {
-		f := rc.spec.R.Fragments[s]
-		partR.produce[s] = append(partR.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, rc.spec.RPred, t) {
-					return true
-				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(rc.spec.RAttr), seed)
-				b, dst := pt.Lookup(h)
-				if b == 0 {
-					snd.Send(dst, tagProbe, t, h)
-				} else {
-					snd.Send(dst, b, t, h)
-				}
-				return true
-			})
-		})
-	}
-	rc.hybridConsumers(partR.consume, func(j int) consumerFn {
-		return func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			tbl := tables[j]
-			var flt *bitfilter.Filter
-			if filters != nil {
-				flt = filters[j]
-			}
-			home := rc.c.OverflowDiskSite(j)
-			for _, b := range batches {
-				if b.Tag != tagProbe {
-					continue
-				}
-				for i := range b.Tuples {
-					h := b.Hashes[i]
-					if flt != nil {
-						a.AddCPU(rc.m.FilterBit)
-						flt.Set(h)
-					}
-					if gamma.AboveCutoff(tbl.Cutoff(), h) {
-						rc.mROver.Add(1)
-						snd.Send(home, tagROverBase+j, &b.Tuples[i], h)
-						continue
-					}
-					evs := tbl.Insert(a, &b.Tuples[i], h)
-					for k := range evs {
-						rc.mROver.Add(1)
-						snd.Send(home, tagROverBase+j, &evs[k], 0)
-					}
-				}
-			}
-			rc.applyMemPressure(a, snd, j, tbl)
-			rc.overflowClears.Add(int64(tbl.Overflows()))
-		}
-	}, rb, ff, true)
-	rc.addOverflowWriters(partR.write, roverF, tagROverBase)
+	// Every disk site runs the bucket writer, even when there are no disk
+	// buckets; at a join site it runs after the build or probe.
+	partR := newPhase("partition R + build bucket 1",
+		opLabels{produce: "scan", consume: "split + build bucket 1", write: "overflow write"}, 0)
+	partR.end.SplitEntries = pt.Entries()
+	rc.scan(&partR, relSources(rc.spec.R), rc.spec.RAttr, rc.spec.RPred, seed, false, partRoute(pt))
+	rc.buildPass(&partR, js)
+	rb.install(partR.consume, rc.diskSites)
 	if err := rc.runPhase(partR); err != nil {
-		return err
+		return nil, nil, nil, nil, err
 	}
 
-	// Dense site-indexed cutoffs: the partition-S scan reads one per tuple.
-	cutoffs := make([]uint64, len(rc.c.Sites))
-	for _, j := range rc.joinSites {
-		cutoffs[j] = tables[j].Cutoff()
-	}
-
-	// ---- phase 2: partition S, probing bucket 1 on the fly ----
-	partS := phaseSpec{
-		name:      "partition S + probe bucket 1",
-		end:       gamma.EndOpts{SplitEntries: pt.Entries()},
-		ops:       opLabels{produce: "scan", consume: "split + probe bucket 1", write: "store"},
-		bucket:    0,
-		hasBucket: true,
-		produce:   map[int][]producerFn{},
-		consume:   map[int]consumerFn{},
-		write:     map[int]writerFn{},
-	}
-	for _, s := range rc.spec.S.FragmentSites() {
-		f := rc.spec.S.Fragments[s]
-		partS.produce[s] = append(partS.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
-			if filters != nil {
-				a.AddCPU(rc.m.PacketProto) // receive the shared filter packet
-			}
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, rc.spec.SPred, t) {
-					return true
-				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(rc.spec.SAttr), seed)
-				b, dst := pt.Lookup(h)
-				if b != 0 {
-					snd.Send(dst, b, t, h)
-					return true
-				}
-				if filters != nil {
-					a.AddCPU(rc.m.FilterBit)
-					if !filters[dst].Test(h) {
-						rc.filterDropped.Add(1)
-						return true
-					}
-				}
-				if gamma.AboveCutoff(cutoffs[dst], h) {
-					rc.mSOver.Add(1)
-					snd.Send(rc.c.OverflowDiskSite(dst), tagSOverBase+dst, t, h)
-					return true
-				}
-				snd.Send(dst, tagProbe, t, h)
-				return true
-			})
-		})
-	}
-	rc.hybridConsumers(partS.consume, func(j int) consumerFn {
-		return func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			tbl := tables[j]
-			em := rc.newEmitter(j, snd)
-			defer em.close()
-			onMatch := func(outer, match *tuple.Tuple) { em.emit(a, match, outer) }
-			for _, b := range batches {
-				if b.Tag != tagProbe {
-					continue
-				}
-				tbl.ProbeBatch(a, b.Tuples, b.Hashes, rc.spec.SAttr, onMatch)
-			}
-			rc.noteChains(j, tbl)
-		}
-	}, sb, ff, false)
-	// Disk-site consumers also append S-overflow batches sent directly by
-	// the producers; fold that into the bucket consumer via tag dispatch.
-	// Stage-2 writers only handle the result store (probe consumers emit
-	// composite tuples to them).
-	rc.addFileAppendConsumers(partS.consume, soverF, tagSOverBase)
-	for _, ds := range rc.diskSites {
-		ds := ds
-		partS.write[ds] = func(a *cost.Acct, batches []*netsim.Batch) {
-			rc.storeWriter(ds, a, batches)
-		}
-	}
+	partS := newPhase("partition S + probe bucket 1",
+		opLabels{produce: "scan", consume: "split + probe bucket 1", write: "store"}, 0)
+	partS.end.SplitEntries = pt.Entries()
+	rc.probePass(&partS, js, relSources(rc.spec.S), rc.spec.SPred, seed, pt)
+	sb.install(partS.consume, rc.diskSites)
 	if err := rc.runPhase(partS); err != nil {
-		return err
+		return nil, nil, nil, nil, err
 	}
-	// Past the probe barrier no worker holds pointers into the bucket-1
-	// tables; recycle their arrays (error paths leave them to the GC).
-	for _, j := range rc.joinSites {
-		tables[j].Release()
-	}
-	return nil
-}
-
-// hybridConsumers installs one consumer per site participating in a Hybrid
-// partitioning phase: join sites get the build/probe behaviour from mk,
-// disk sites append bucket-file batches, and a site playing both roles (the
-// local configuration) dispatches on the stream tag.
-func (rc *runCtx) hybridConsumers(consume map[int]consumerFn, mk func(j int) consumerFn,
-	buckets []map[int]*wiss.File, formFilters []map[int]*bitfilter.Filter, building bool) {
-	isJoin := make(map[int]bool, len(rc.joinSites))
-	for _, j := range rc.joinSites {
-		isJoin[j] = true
-	}
-	bucketFn := func(ds int) consumerFn {
-		return func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			for _, b := range batches {
-				if b.Tag < 1 || b.Tag >= len(buckets) {
-					continue
-				}
-				f := buckets[b.Tag][ds]
-				var flt *bitfilter.Filter
-				if formFilters != nil {
-					flt = formFilters[b.Tag][ds]
-				}
-				if flt == nil {
-					f.AppendBatch(a, b.Tuples)
-				} else {
-					for i := range b.Tuples {
-						a.AddCPU(rc.m.FilterBit)
-						if building {
-							flt.Set(b.Hashes[i])
-						} else if !flt.Test(b.Hashes[i]) {
-							rc.filterDropped.Add(1)
-							continue
-						}
-						f.Append(a, b.Tuples[i])
-					}
-				}
-				if b.Local {
-					rc.mFormLocal.Add(int64(len(b.Tuples)))
-				} else {
-					rc.mFormRemote.Add(int64(len(b.Tuples)))
-				}
-			}
-			for bkt := 1; bkt < len(buckets); bkt++ {
-				buckets[bkt][ds].Flush(a)
-			}
-		}
-	}
-	for _, ds := range rc.diskSites {
-		consume[ds] = bucketFn(ds)
-	}
-	for _, j := range rc.joinSites {
-		join := mk(j)
-		if prev, ok := consume[j]; ok {
-			prev := prev
-			consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-				join(a, snd, batches)
-				prev(a, snd, batches)
-			}
-		} else {
-			consume[j] = join
-		}
-	}
+	rover, sover = rc.endPass(js)
+	return rb, sb, rover, sover, nil
 }

@@ -9,7 +9,6 @@ import (
 	"gammajoin/internal/cost"
 	"gammajoin/internal/gamma"
 	"gammajoin/internal/netsim"
-	"gammajoin/internal/split"
 	"gammajoin/internal/tuple"
 	"gammajoin/internal/wiss"
 	"gammajoin/internal/xrand"
@@ -114,11 +113,13 @@ func (rc *runCtx) runHybridDyn() error {
 	// partition files — freshly named each attempt via fileSeq) is rebuilt
 	// inside the closure over the possibly-shrunken join-site list.
 	var (
-		rFiles, sFiles map[int]*wiss.File
+		rFiles, sFiles []*wiss.File
 		spilled        []bool
 	)
 	if err := rc.runUnit(func() error {
-		return rc.dynBuildProbe(np, seed, &rFiles, &sFiles, &spilled)
+		var err error
+		rFiles, sFiles, spilled, err = rc.dynBuildProbe(np, seed)
+		return err
 	}); err != nil {
 		return err
 	}
@@ -138,19 +139,13 @@ func (rc *runCtx) runHybridDyn() error {
 	}
 	for _, group := range rc.dynJoinGroups(spilledParts, rFiles, np) {
 		var rsrc, ssrc []fileAt
-		label := ""
-		for i, p := range group {
+		for _, p := range group {
 			rsrc = append(rsrc, fileAt{site: rc.dynHome(p, np), f: rFiles[p]})
 			if sFiles[p].Len() > 0 {
 				ssrc = append(ssrc, fileAt{site: rc.dynHome(p, np), f: sFiles[p]})
 			}
-			if i == 0 {
-				label = fmt.Sprintf("partition %d", p+1)
-			} else {
-				label += fmt.Sprintf("+%d", p+1)
-			}
 		}
-		if err := rc.hashJoinStreams(label, group[0], rsrc, ssrc, seed, 0); err != nil {
+		if err := rc.hashJoinStreams(groupLabel("partition", group), group[0], rsrc, ssrc, seed, 0, nil, nil); err != nil {
 			return err
 		}
 	}
@@ -163,7 +158,7 @@ func (rc *runCtx) runHybridDyn() error {
 // load vector against the site's table capacity — exactly bucket tuning's
 // fit rule. A partition too big alone gets its own group; the join's
 // overflow machinery absorbs the excess.
-func (rc *runCtx) dynJoinGroups(parts []int, rFiles map[int]*wiss.File, np int) [][]int {
+func (rc *runCtx) dynJoinGroups(parts []int, rFiles []*wiss.File, np int) [][]int {
 	per := rc.dynPer(np)
 	capBytes := rc.tableCap()
 	nj := len(rc.joinSites)
@@ -231,25 +226,23 @@ func (rc *runCtx) dynPartitions() int {
 }
 
 // dynBuildProbe runs the adaptive build, the barrier-time resurrection, and
-// the overlapped partition-S/probe pass. The partition files and the final
-// spill state are handed back through the pointers so runHybridDyn's
-// disk-join phases read the state of the attempt that actually completed.
-func (rc *runCtx) dynBuildProbe(np int, seed uint64,
-	rOut, sOut *map[int]*wiss.File, spOut *[]bool) error {
-	rFiles, err := rc.makePartitionFiles("hybriddyn.r", np)
+// the overlapped partition-S/probe pass. It returns the partition files and
+// the final spill state, so runHybridDyn's disk-join phases read the state
+// of the attempt that actually completed.
+func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.File, spilled []bool, err error) {
+	rFiles, rSink, err := rc.dynPartitionFiles("hybriddyn.r", np, tagDynRBase)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
-	sFiles, err := rc.makePartitionFiles("hybriddyn.s", np)
+	sFiles, sSink, err := rc.dynPartitionFiles("hybriddyn.s", np, tagDynSBase)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
-	spilled := make([]bool, np)
+	spilled = make([]bool, np)
 	// poisoned marks the (vanishingly rare) partition holding a tuple whose
 	// overflow key saturates the cutoff domain; such a partition must stay
 	// spilled because its tuples cannot re-enter a cutoff-guarded table.
 	poisoned := make([]bool, np)
-	*rOut, *sOut, *spOut = rFiles, sFiles, spilled
 
 	var filters map[int]*bitfilter.Filter
 	if rc.spec.BitFilter {
@@ -278,31 +271,15 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 	// ones included: the owner observes true partition sizes (the whole
 	// point of deferring the spill) and its bit filter covers the entire
 	// inner relation, so filtering spilled outer tuples stays safe.
-	build := phaseSpec{
-		name:    "dyn partition R + build",
-		end:     gamma.EndOpts{SplitEntries: np},
-		ops:     opLabels{produce: "scan", consume: "build + adapt", write: "spill write"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-		write:   map[int]writerFn{},
-	}
-	for _, s := range rc.spec.R.FragmentSites() {
-		f := rc.spec.R.Fragments[s]
-		build.produce[s] = append(build.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, rc.spec.RPred, t) {
-					return true
-				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(rc.spec.RAttr), seed)
-				snd.Send(rc.dynOwner(rc.dynPart(h, np), np), tagProbe, t, h)
-				return true
-			})
+	build := newPhase("dyn partition R + build",
+		opLabels{produce: "scan", consume: "build + adapt", write: "spill write"}, -1)
+	build.end.SplitEntries = np
+	rc.scan(&build, relSources(rc.spec.R), rc.spec.RAttr, rc.spec.RPred, seed, false,
+		func(_ *cost.Acct, h uint64) (int, int, bool) {
+			return rc.dynOwner(rc.dynPart(h, np), np), tagProbe, true
 		})
-	}
 	phaseOrd := len(rc.q.Phases)
 	for _, j := range rc.joinSites {
-		j := j
 		build.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
 			st := states[j]
 			var flt *bitfilter.Filter
@@ -352,9 +329,9 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 			}
 		}
 	}
-	rc.addDynFileWriters(build.write, rFiles, tagDynRBase, np)
+	rSink.install(build.write, nil)
 	if err := rc.runPhase(build); err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 
 	// ---- barrier: resurrect spilled partitions into reclaimed headroom ----
@@ -392,7 +369,7 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 	}
 	if nRes > 0 {
 		if err := rc.dynResurrect(np, seed, states, resurrect, rFiles); err != nil {
-			return err
+			return nil, nil, nil, err
 		}
 		for _, home := range sortedKeys(resurrect) {
 			for _, p := range resurrect[home] {
@@ -402,58 +379,33 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 	}
 
 	// ---- phase: partition S, probing the resident partitions ----
-	probe := phaseSpec{
-		name:    "dyn partition S + probe",
-		end:     gamma.EndOpts{SplitEntries: np},
-		ops:     opLabels{produce: "scan", consume: "split + probe", write: "store"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-		write:   map[int]writerFn{},
-	}
-	for _, s := range rc.spec.S.FragmentSites() {
-		f := rc.spec.S.Fragments[s]
-		probe.produce[s] = append(probe.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
-			if filters != nil {
-				a.AddCPU(rc.m.PacketProto) // receive the shared filter packet
+	probe := newPhase("dyn partition S + probe",
+		opLabels{produce: "scan", consume: "split + probe", write: "store"}, -1)
+	probe.end.SplitEntries = np
+	// Spilled-partition appends run before the probe at a site playing both
+	// roles.
+	sSink.install(probe.consume, nil)
+	rc.scan(&probe, relSources(rc.spec.S), rc.spec.SAttr, rc.spec.SPred, seed, filters != nil,
+		func(a *cost.Acct, h uint64) (int, int, bool) {
+			p := rc.dynPart(h, np)
+			j := rc.dynOwner(p, np)
+			// The owner's filter saw the whole inner, so dropping disk-bound
+			// outer tuples is safe — but like static Hybrid's bucket forming
+			// it is the FilterForming extension, not the base algorithm.
+			if filters != nil && (!spilled[p] || rc.spec.FilterForming) {
+				a.AddCPU(rc.m.FilterBit)
+				if !filters[j].Test(h) {
+					rc.filterDropped.Add(1)
+					return 0, 0, false
+				}
 			}
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, rc.spec.SPred, t) {
-					return true
-				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(rc.spec.SAttr), seed)
-				p := rc.dynPart(h, np)
-				if spilled[p] {
-					// The owner's filter saw the whole inner, so dropping
-					// disk-bound outer tuples is safe — but like static
-					// Hybrid's bucket forming it is the FilterForming
-					// extension, not the base algorithm.
-					if filters != nil && rc.spec.FilterForming {
-						a.AddCPU(rc.m.FilterBit)
-						if !filters[rc.dynOwner(p, np)].Test(h) {
-							rc.filterDropped.Add(1)
-							return true
-						}
-					}
-					snd.Send(rc.dynHome(p, np), tagDynSBase+p, t, h)
-					return true
-				}
-				j := rc.dynOwner(p, np)
-				if filters != nil {
-					a.AddCPU(rc.m.FilterBit)
-					if !filters[j].Test(h) {
-						rc.filterDropped.Add(1)
-						return true
-					}
-				}
-				snd.Send(j, tagProbe, t, h)
-				return true
-			})
+			if spilled[p] {
+				return rc.dynHome(p, np), tagDynSBase + p, true
+			}
+			return j, tagProbe, true
 		})
-	}
 	for _, j := range rc.joinSites {
-		j := j
-		probe.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
+		chain(probe.consume, j, func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
 			st := states[j]
 			em := rc.newEmitter(j, snd)
 			defer em.close()
@@ -478,17 +430,11 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 					rc.noteChains(j, tbl)
 				}
 			}
-		}
+		})
 	}
-	rc.addDynFileConsumers(probe.consume, sFiles, tagDynSBase, np)
-	for _, ds := range rc.diskSites {
-		ds := ds
-		probe.write[ds] = func(a *cost.Acct, batches []*netsim.Batch) {
-			rc.storeWriter(ds, a, batches)
-		}
-	}
+	rc.storeAt(probe.write)
 	if err := rc.runPhase(probe); err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 	// The probe barrier has passed, so no worker still holds pointers into
 	// the per-partition tables; the disk-join phases that follow read only
@@ -499,7 +445,7 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 			tbl.Release()
 		}
 	}
-	return nil
+	return rFiles, sFiles, spilled, nil
 }
 
 // dynInitBudget seeds a site's budget from the fault registry's per-phase
@@ -507,13 +453,7 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64,
 // the nominal lease.
 func (rc *runCtx) dynInitBudget(a *cost.Acct, st *dynSite, phaseOrd int) {
 	base := rc.tableCap()
-	f := rc.c.Faults.MemFactor(phaseOrd)
-	if f < dynMinFactor {
-		f = dynMinFactor
-	}
-	if f > dynMaxFactor {
-		f = dynMaxFactor
-	}
+	f := min(max(rc.c.Faults.MemFactor(phaseOrd), dynMinFactor), dynMaxFactor)
 	st.factor = f
 	st.budget = int64(f * float64(base))
 	switch {
@@ -528,13 +468,7 @@ func (rc *runCtx) dynInitBudget(a *cost.Acct, st *dynSite, phaseOrd int) {
 // dynRebudget compounds a budget-swing factor into the site's running
 // multiplier (clamped) and notes the revocation or re-grant.
 func (rc *runCtx) dynRebudget(a *cost.Acct, st *dynSite, f float64) {
-	nf := st.factor * f
-	if nf < dynMinFactor {
-		nf = dynMinFactor
-	}
-	if nf > dynMaxFactor {
-		nf = dynMaxFactor
-	}
+	nf := min(max(st.factor*f, dynMinFactor), dynMaxFactor)
 	st.factor = nf
 	nb := int64(nf * float64(rc.tableCap()))
 	switch {
@@ -586,29 +520,16 @@ func (rc *runCtx) dynSpill(a *cost.Acct, snd *netsim.Sender, st *dynSite, p, np 
 // dynResurrect re-reads the chosen partitions from their home disks and
 // rebuilds their hash tables at the owning join sites.
 func (rc *runCtx) dynResurrect(np int, seed uint64, states map[int]*dynSite,
-	resurrect map[int][]int, rFiles map[int]*wiss.File) error {
-	res := phaseSpec{
-		name:    "dyn resurrect",
-		ops:     opLabels{produce: "partition scan", consume: "rebuild"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-	}
+	resurrect map[int][]int, rFiles []*wiss.File) error {
+	res := newPhase("dyn resurrect", opLabels{produce: "partition scan", consume: "rebuild"}, -1)
 	for _, ds := range sortedKeys(resurrect) {
 		for _, p := range resurrect[ds] {
-			f := rFiles[p]
 			owner := rc.dynOwner(p, np)
-			res.produce[ds] = append(res.produce[ds], func(a *cost.Acct, snd *netsim.Sender) {
-				f.Scan(a, func(t *tuple.Tuple) bool {
-					a.AddCPU(rc.m.Hash) // recompute the routing hash
-					h := split.Hash(t.Int(rc.spec.RAttr), seed)
-					snd.Send(owner, tagProbe, t, h)
-					return true
-				})
-			})
+			rc.scan(&res, []fileAt{{site: ds, f: rFiles[p]}}, rc.spec.RAttr, nil, seed, false,
+				func(*cost.Acct, uint64) (int, int, bool) { return owner, tagProbe, true })
 		}
 	}
 	for _, j := range rc.joinSites {
-		j := j
 		res.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
 			st := states[j]
 			counts := make(map[int]int64)
@@ -633,75 +554,23 @@ func (rc *runCtx) dynResurrect(np int, seed uint64, states map[int]*dynSite,
 	return rc.runPhase(res)
 }
 
-// dynHomes groups partitions by their home disk site, ascending.
-func (rc *runCtx) dynHomes(np int) map[int][]int {
-	byHome := make(map[int][]int)
-	for p := 0; p < np; p++ {
-		byHome[rc.dynHome(p, np)] = append(byHome[rc.dynHome(p, np)], p)
+// dynPartitionFiles creates one temp file per dynamic-Hybrid partition at
+// the partition's home disk site, and the sink that writes them under tags
+// tagBase+partition. Unlike bucket files, a partition is not horizontally
+// fragmented: spills are rare whole-table demotions, so each partition
+// lives on one disk. Spill writes are forming writes: they count toward the
+// paper's local-write fraction like bucket writes do.
+func (rc *runCtx) dynPartitionFiles(name string, np, tagBase int) ([]*wiss.File, *fileSink, error) {
+	files := make([]*wiss.File, np)
+	sink := &fileSink{rc: rc, files: make([]sinkFile, 0, np), forming: true}
+	for p := range files {
+		home := rc.dynHome(p, np)
+		f, err := rc.newTempFile(fmt.Sprintf("%s.p%d", name, p), home)
+		if err != nil {
+			return nil, nil, err
+		}
+		files[p] = f
+		sink.add(home, tagBase+p, f, nil)
 	}
-	return byHome
-}
-
-// addDynFileWriters installs one stage-2 writer per disk site that appends
-// batches tagged tagBase+partition to that partition's file — the spill
-// path, fed by the build consumers. Spill writes are forming writes: they
-// count toward the paper's local-write fraction like bucket writes do.
-func (rc *runCtx) addDynFileWriters(write map[int]writerFn, files map[int]*wiss.File, tagBase, np int) {
-	byHome := rc.dynHomes(np)
-	for _, ds := range rc.diskSites {
-		homed := byHome[ds]
-		if len(homed) == 0 {
-			continue
-		}
-		write[ds] = func(a *cost.Acct, batches []*netsim.Batch) {
-			for _, b := range batches {
-				if b.Tag < tagBase || b.Tag >= tagBase+np {
-					continue
-				}
-				files[b.Tag-tagBase].AppendBatch(a, b.Tuples)
-				if b.Local {
-					rc.mFormLocal.Add(int64(len(b.Tuples)))
-				} else {
-					rc.mFormRemote.Add(int64(len(b.Tuples)))
-				}
-			}
-			for _, p := range homed {
-				files[p].Flush(a)
-			}
-		}
-	}
-}
-
-// addDynFileConsumers extends (or installs) stage-1 consumers at the disk
-// sites so batches tagged tagBase+partition — sent straight from the
-// producing sites — append to the partition's file. A site that already has
-// a consumer (a join site in the local configuration) dispatches on the tag.
-func (rc *runCtx) addDynFileConsumers(consume map[int]consumerFn, files map[int]*wiss.File, tagBase, np int) {
-	byHome := rc.dynHomes(np)
-	for _, ds := range rc.diskSites {
-		homed := byHome[ds]
-		if len(homed) == 0 {
-			continue
-		}
-		prev := consume[ds]
-		consume[ds] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			for _, b := range batches {
-				if b.Tag < tagBase || b.Tag >= tagBase+np {
-					continue
-				}
-				files[b.Tag-tagBase].AppendBatch(a, b.Tuples)
-				if b.Local {
-					rc.mFormLocal.Add(int64(len(b.Tuples)))
-				} else {
-					rc.mFormRemote.Add(int64(len(b.Tuples)))
-				}
-			}
-			for _, p := range homed {
-				files[p].Flush(a)
-			}
-			if prev != nil {
-				prev(a, snd, batches)
-			}
-		}
-	}
+	return files, sink, nil
 }

@@ -42,7 +42,6 @@ func newBareCtx(c *gamma.Cluster, joinSites []int) *runCtx {
 	if len(joinSites) == 0 {
 		joinSites = c.JoinSites()
 	}
-	applyConfig(c.Net)
 	rc := &runCtx{
 		c:          c,
 		q:          c.NewQuery(),
@@ -117,15 +116,9 @@ func RunSelect(c *gamma.Cluster, s SelectSpec) (*OpReport, []tuple.Tuple, error)
 	var collected []tuple.Tuple
 
 	perPage := rc.m.TuplesPerPage(tuple.Bytes)
-	ps := phaseSpec{
-		name:    "select " + s.Rel.Name,
-		ops:     opLabels{produce: "scan", consume: "store"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-	}
+	ps := newPhase("select "+s.Rel.Name, opLabels{produce: "scan", consume: "store"}, -1)
 	for _, site := range s.Rel.FragmentSites() {
 		f := s.Rel.Fragments[site]
-		site := site
 		ps.produce[site] = append(ps.produce[site], func(a *cost.Acct, snd *netsim.Sender) {
 			rr := site
 			f.Scan(a, func(t *tuple.Tuple) bool {
@@ -152,8 +145,7 @@ func RunSelect(c *gamma.Cluster, s SelectSpec) (*OpReport, []tuple.Tuple, error)
 		})
 	}
 	for _, ds := range rc.diskSites {
-		ds := ds
-		ps.consume[ds] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
+		ps.consume[ds] = func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) {
 			d, err := c.Disk(ds)
 			if err != nil {
 				rc.fail(fmt.Errorf("core: select store: %w", err))
@@ -343,13 +335,9 @@ func RunAggregate(c *gamma.Cluster, s AggSpec) (*OpReport, []AggGroup, error) {
 	var mu sync.Mutex
 	finals := make(map[int32]*partial)
 
-	ps := phaseSpec{
-		name:    fmt.Sprintf("aggregate %s(%s)", s.Fn, tuple.IntAttrNames[s.AggAttr]),
-		end:     gamma.EndOpts{SplitEntries: jt.Entries()},
-		ops:     opLabels{produce: "partial agg", consume: "merge agg"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-	}
+	ps := newPhase(fmt.Sprintf("aggregate %s(%s)", s.Fn, tuple.IntAttrNames[s.AggAttr]),
+		opLabels{produce: "partial agg", consume: "merge agg"}, -1)
+	ps.end.SplitEntries = jt.Entries()
 	for _, site := range s.Rel.FragmentSites() {
 		f := s.Rel.Fragments[site]
 		ps.produce[site] = append(ps.produce[site], func(a *cost.Acct, snd *netsim.Sender) {

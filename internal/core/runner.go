@@ -163,6 +163,13 @@ func newRunCtx(c *gamma.Cluster, spec *Spec, tr *trace.Recorder) (*runCtx, error
 			return nil, fmt.Errorf("core: join site %d out of range", s)
 		}
 	}
+	// A repeated site would build, probe and write its overflow file once
+	// per listing — wrong answers, not just wasted work.
+	for i, s := range spec.JoinSites {
+		if slices.Contains(spec.JoinSites[:i], s) {
+			return nil, fmt.Errorf("core: join site %d listed twice in %v", s, spec.JoinSites)
+		}
+	}
 	if len(c.DiskSites()) == 0 {
 		return nil, fmt.Errorf("core: cluster has no disk sites")
 	}
@@ -183,7 +190,6 @@ func newRunCtx(c *gamma.Cluster, spec *Spec, tr *trace.Recorder) (*runCtx, error
 	if rc.memPerSite < int64(tuple.Bytes) {
 		rc.memPerSite = tuple.Bytes
 	}
-	applyConfig(c.Net)
 	rc.attachTrace(tr)
 	if spec.BitFilter {
 		rc.filterBits = filterBits(c.Model, len(js))
@@ -450,12 +456,10 @@ func (rc *runCtx) cancelErr() error {
 // producerFn produces tuples into the phase's first exchange via snd.
 type producerFn func(a *cost.Acct, snd *netsim.Sender)
 
-// consumerFn consumes the (deterministically ordered) batches addressed to
-// its site and may produce into the phase's second exchange via snd.
-type consumerFn func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch)
-
-// writerFn consumes second-stage batches (overflow files, result store).
-type writerFn func(a *cost.Acct, batches []*netsim.Batch)
+// stageFn consumes the (deterministically ordered) batches addressed to its
+// site. Consumers drain the phase's first exchange and may produce into the
+// second via snd; writers drain the second exchange and get a nil snd.
+type stageFn func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch)
 
 // opLabels names the operator each launch role performs in a phase, for the
 // trace (e.g. produce="scan", consume="build"). Empty labels fall back to
@@ -464,17 +468,17 @@ type opLabels struct {
 	produce, consume, write, solo string
 }
 
-// phaseSpec wires one barrier-synchronized operator phase.
+// phaseSpec wires one barrier-synchronized operator phase; newPhase starts
+// one.
 type phaseSpec struct {
-	name      string
-	end       gamma.EndOpts
-	ops       opLabels
-	bucket    int // 0-based bucket/partition this phase joins; hasBucket gates it
-	hasBucket bool
-	solo      map[int][]func(a *cost.Acct) // site-local work, no communication
-	produce   map[int][]producerFn
-	consume   map[int]consumerFn
-	write     map[int]writerFn
+	name    string
+	end     gamma.EndOpts
+	ops     opLabels
+	bucket  int                          // 0-based bucket/partition this phase joins, or -1
+	solo    map[int][]func(a *cost.Acct) // site-local work, no communication
+	produce map[int][]producerFn
+	consume map[int]stageFn
+	write   map[int]stageFn
 }
 
 // op resolves the trace operator label for a launch role.
@@ -494,14 +498,6 @@ func (ps *phaseSpec) op(role string) string {
 		return role
 	}
 	return label
-}
-
-// traceBucket is the span bucket argument for this phase (-1 when N/A).
-func (ps *phaseSpec) traceBucket() int {
-	if ps.hasBucket {
-		return ps.bucket
-	}
-	return -1
 }
 
 // drainSorted charges receive costs for every batch taken from the phase
@@ -594,7 +590,7 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 	p := rc.q.NewPhase(name)
 	ex1 := rc.c.NewExchange()
 	ex2 := rc.c.NewExchange()
-	bucket := ps.traceBucket()
+	bucket := ps.bucket
 
 	// Phase workers run on the cluster's persistent per-site pool rather
 	// than fresh goroutines: tasks are submitted in sortedKeys order, so
@@ -619,7 +615,7 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 				rc.fail(rc.cancelErr())
 				return
 			}
-			fn(a, batches)
+			fn(a, nil, batches)
 		})
 	}
 
@@ -822,33 +818,5 @@ func (e *resultEmitter) close() {
 		e.rc.resultCount.Add(e.count)
 		e.rc.resultSum.Add(e.sum)
 		e.count, e.sum = 0, 0
-	}
-}
-
-// storeWriter appends result tuples at a disk site, charging tuple copies
-// and page writes for the result relation fragment.
-func (rc *runCtx) storeWriter(site int, a *cost.Acct, batches []*netsim.Batch) {
-	d, err := rc.c.Disk(site)
-	if err != nil {
-		rc.fail(fmt.Errorf("core: store writer: %w", err))
-		return
-	}
-	perPage := rc.m.P.PageBytes / tuple.JoinedBytes
-	if perPage < 1 {
-		perPage = 1
-	}
-	cnt := rc.storeCount[site]
-	resultFileID := int64(-1000 - site) // stable pseudo file id per site
-	for _, b := range batches {
-		if b.Tag != tagStore {
-			continue
-		}
-		for range b.Joined {
-			a.AddCPU(rc.m.WriteTuple)
-			*cnt++
-			if *cnt%int64(perPage) == 0 {
-				d.WritePage(a, resultFileID)
-			}
-		}
 	}
 }

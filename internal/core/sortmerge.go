@@ -6,10 +6,7 @@ import (
 
 	"gammajoin/internal/bitfilter"
 	"gammajoin/internal/cost"
-	"gammajoin/internal/gamma"
 	"gammajoin/internal/netsim"
-	"gammajoin/internal/pred"
-	"gammajoin/internal/split"
 	"gammajoin/internal/tuple"
 	"gammajoin/internal/wiss"
 )
@@ -28,37 +25,40 @@ func (rc *runCtx) runSortMerge() error {
 	// store — its storage role survives on the mirrored disks — but no
 	// longer sorts or merges.
 	sites := rc.joinSites
-	jt := &split.JoinTable{Sites: sites}
+	jt, err := rc.joiningTable(sites)
+	if err != nil {
+		return err
+	}
 	memPerSite := rc.memTotal / int64(len(sites))
 	if memPerSite < int64(rc.m.P.PageBytes) {
 		memPerSite = int64(rc.m.P.PageBytes)
 	}
 
-	tmpR := make(map[int]*wiss.File, len(sites))
-	srtR := make(map[int]*wiss.File, len(sites))
-	tmpS := make(map[int]*wiss.File, len(sites))
-	srtS := make(map[int]*wiss.File, len(sites))
-	var filters map[int]*bitfilter.Filter
-	if rc.spec.BitFilter {
-		filters = make(map[int]*bitfilter.Filter, len(sites))
-	}
-	var err error
-	for _, s := range sites {
-		if tmpR[s], err = rc.newTempFile("sm.tmpR", s); err != nil {
+	// Bit filters are built at each site as R arrives and tested as S
+	// arrives, before the write: eliminated tuples are never stored.
+	n := len(sites)
+	tmpR := &fileSink{rc: rc, files: make([]sinkFile, 0, n), forming: true, building: true}
+	tmpS := &fileSink{rc: rc, files: make([]sinkFile, 0, n), forming: true}
+	tmpRF, srtR, tmpSF, srtS := make([]*wiss.File, n), make([]*wiss.File, n), make([]*wiss.File, n), make([]*wiss.File, n)
+	for i, s := range sites {
+		if tmpRF[i], err = rc.newTempFile("sm.tmpR", s); err != nil {
 			return err
 		}
-		if srtR[s], err = rc.newTempFile("sm.srtR", s); err != nil {
+		if srtR[i], err = rc.newTempFile("sm.srtR", s); err != nil {
 			return err
 		}
-		if tmpS[s], err = rc.newTempFile("sm.tmpS", s); err != nil {
+		if tmpSF[i], err = rc.newTempFile("sm.tmpS", s); err != nil {
 			return err
 		}
-		if srtS[s], err = rc.newTempFile("sm.srtS", s); err != nil {
+		if srtS[i], err = rc.newTempFile("sm.srtS", s); err != nil {
 			return err
 		}
-		if filters != nil {
-			filters[s] = bitfilter.New(rc.filterBits)
+		var flt *bitfilter.Filter
+		if rc.spec.BitFilter {
+			flt = bitfilter.New(rc.filterBits)
 		}
+		tmpR.add(s, tagProbe, tmpRF[i], flt)
+		tmpS.add(s, tagProbe, tmpSF[i], flt)
 	}
 
 	// Each of sort-merge's five phases is its own redo-able unit: every
@@ -69,146 +69,48 @@ func (rc *runCtx) runSortMerge() error {
 	// neighbor and its files served from the mirror. The sort/merge plan
 	// keeps the ORIGINAL site layout: the dead site's partitions stay
 	// where its (mirrored) disk put them, no re-split needed.
-
-	// Partition R across the join sites, building per-site bit filters.
 	if err := rc.runUnit(func() error {
-		return rc.smPartition("partition R", rc.spec.R, rc.spec.RAttr, rc.spec.RPred, jt, tmpR, filters, true)
+		return rc.partitionPhase("partition R", "split write", rc.spec.R, rc.spec.RAttr, rc.spec.RPred, jt, tmpR)
 	}); err != nil {
 		return err
 	}
 	if err := rc.runUnit(func() error {
-		return rc.sortPhase("sort R", tmpR, srtR, rc.spec.RAttr, memPerSite, &rc.sortPassesR)
-	}); err != nil {
-		return err
-	}
-
-	// Partition S; the filter eliminates non-joining tuples before they
-	// are written to disk.
-	if err := rc.runUnit(func() error {
-		return rc.smPartition("partition S", rc.spec.S, rc.spec.SAttr, rc.spec.SPred, jt, tmpS, filters, false)
+		return rc.sortPhase("sort R", sites, tmpRF, srtR, rc.spec.RAttr, memPerSite, &rc.sortPassesR)
 	}); err != nil {
 		return err
 	}
 	if err := rc.runUnit(func() error {
-		return rc.sortPhase("sort S", tmpS, srtS, rc.spec.SAttr, memPerSite, &rc.sortPassesS)
+		return rc.partitionPhase("partition S", "split write", rc.spec.S, rc.spec.SAttr, rc.spec.SPred, jt, tmpS)
+	}); err != nil {
+		return err
+	}
+	if err := rc.runUnit(func() error {
+		return rc.sortPhase("sort S", sites, tmpSF, srtS, rc.spec.SAttr, memPerSite, &rc.sortPassesS)
 	}); err != nil {
 		return err
 	}
 
 	// Local merge join in parallel across the disk sites.
-	merge := phaseSpec{
-		name:    "merge join",
-		ops:     opLabels{produce: "merge join", consume: "store"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-	}
-	for _, s := range sites {
-		s := s
+	merge := newPhase("merge join", opLabels{produce: "merge join", consume: "store"}, -1)
+	for i, s := range sites {
 		merge.produce[s] = append(merge.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
-			rc.mergeJoinSite(s, a, snd, srtR[s], srtS[s])
+			rc.mergeJoinSite(s, a, snd, srtR[i], srtS[i])
 		})
 	}
-	for _, ds := range rc.diskSites {
-		ds := ds
-		merge.consume[ds] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			rc.storeWriter(ds, a, batches)
-		}
-	}
+	rc.storeAt(merge.consume)
 	return rc.runUnit(func() error { return rc.runPhase(merge) })
 }
 
-// smPartition redistributes one relation through the joining split table
-// into per-site temporary files. When building is true the per-site bit
-// filters are populated from the arriving tuples; otherwise arriving tuples
-// are tested against the local filter and dropped on a miss.
-func (rc *runCtx) smPartition(name string, rel *gamma.Relation, attr int, p pred.Pred, jt *split.JoinTable,
-	tmp map[int]*wiss.File, filters map[int]*bitfilter.Filter, building bool) error {
-	ps := phaseSpec{
-		name:    name,
-		end:     gamma.EndOpts{SplitEntries: jt.Entries()},
-		ops:     opLabels{produce: "scan", consume: "split write"},
-		produce: map[int][]producerFn{},
-		consume: map[int]consumerFn{},
-	}
-	for _, s := range rel.FragmentSites() {
-		f := rel.Fragments[s]
-		ps.produce[s] = append(ps.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, p, t) {
-					return true
-				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(attr), rc.spec.HashSeed)
-				snd.Send(jt.Lookup(h), tagProbe, t, h)
-				return true
-			})
-		})
-	}
-	for _, s := range sortedKeys(tmp) {
-		s := s
-		ps.consume[s] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			f := tmp[s]
-			var flt *bitfilter.Filter
-			if filters != nil {
-				flt = filters[s]
-			}
-			var dropped int64
-			for _, b := range batches {
-				if b.Tag != tagProbe {
-					continue
-				}
-				if flt == nil {
-					f.AppendBatch(a, b.Tuples)
-					continue
-				}
-				for i := range b.Tuples {
-					a.AddCPU(rc.m.FilterBit)
-					if building {
-						flt.Set(b.Hashes[i])
-					} else if !flt.Test(b.Hashes[i]) {
-						dropped++
-						continue
-					}
-					f.Append(a, b.Tuples[i])
-				}
-			}
-			if dropped > 0 {
-				rc.filterDropped.Add(dropped)
-			}
-			f.Flush(a)
-			if b := b2Local(batches); b.local+b.remote > 0 {
-				rc.mFormLocal.Add(b.local)
-				rc.mFormRemote.Add(b.remote)
-			}
-		}
-	}
-	return rc.runPhase(ps)
-}
-
-type localRemote struct{ local, remote int64 }
-
-func b2Local(batches []*netsim.Batch) localRemote {
-	var lr localRemote
-	for _, b := range batches {
-		if b.Local {
-			lr.local += int64(len(b.Tuples))
-		} else {
-			lr.remote += int64(len(b.Tuples))
-		}
-	}
-	return lr
-}
-
-// sortPhase sorts every site's temporary file in parallel and records the
-// maximum number of merge passes across the sites.
-func (rc *runCtx) sortPhase(name string, src, dst map[int]*wiss.File, attr int,
+// sortPhase sorts every site's file src[i] into dst[i] in parallel and
+// records the maximum number of merge passes across the sites.
+func (rc *runCtx) sortPhase(name string, sites []int, src, dst []*wiss.File, attr int,
 	memPerSite int64, passes *int) error {
 	var mu sync.Mutex
-	ps := phaseSpec{name: name, ops: opLabels{solo: "sort"}, solo: map[int][]func(a *cost.Acct){}}
-	for _, s := range sortedKeys(src) {
-		s := s
+	ps := newPhase(name, opLabels{solo: "sort"}, -1)
+	ps.solo = map[int][]func(a *cost.Acct){}
+	for i, s := range sites {
 		ps.solo[s] = append(ps.solo[s], func(a *cost.Acct) {
-			st, err := wiss.Sort(a, src[s], dst[s], attr, memPerSite)
+			st, err := wiss.Sort(a, src[i], dst[i], attr, memPerSite)
 			if err != nil {
 				rc.fail(fmt.Errorf("core: %s at site %d: %w", name, s, err))
 				return

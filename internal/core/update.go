@@ -42,11 +42,8 @@ func RunUpdate(c *gamma.Cluster, s UpdateSpec) (*OpReport, error) {
 	}
 
 	counts := make(map[int]*int64, len(s.Rel.Fragments))
-	ps := phaseSpec{
-		name: "update " + s.Rel.Name,
-		ops:  opLabels{solo: "update"},
-		solo: map[int][]func(a *cost.Acct){},
-	}
+	ps := newPhase("update "+s.Rel.Name, opLabels{solo: "update"}, -1)
+	ps.solo = map[int][]func(a *cost.Acct){}
 	for _, site := range s.Rel.FragmentSites() {
 		f := s.Rel.Fragments[site]
 		var n int64
@@ -150,13 +147,9 @@ func RunIndexSelect(c *gamma.Cluster, ix *gamma.Index, p pred.Pred, collect bool
 	var collected []tuple.Tuple
 	collectedBySite := make(map[int]*[]tuple.Tuple)
 
-	ps := phaseSpec{
-		name: "index select " + ix.Rel.Name,
-		ops:  opLabels{solo: "index select"},
-		solo: map[int][]func(a *cost.Acct){},
-	}
+	ps := newPhase("index select "+ix.Rel.Name, opLabels{solo: "index select"}, -1)
+	ps.solo = map[int][]func(a *cost.Acct){}
 	for _, site := range ix.Rel.FragmentSites() {
-		site := site
 		var n int64
 		counts[site] = &n
 		cnt := &n

@@ -1,13 +1,8 @@
 // Package analysis is a small, dependency-free static-analysis framework
-// modelled on golang.org/x/tools/go/analysis, plus the two gammavet
-// analyzers that machine-check the simulator's reproducibility claims:
-//
-//   - determinism: simulator packages must not read wall-clock time, must
-//     not use the global math/rand source, and must not let map iteration
-//     order reach anything observable outside the iterating function;
-//   - costcharge: tuple traffic and page I/O in the execution engine must
-//     flow through the priced primitives of internal/netsim, internal/disk,
-//     and internal/wiss, paired with cost.Model charges.
+// modelled on golang.org/x/tools/go/analysis, plus the gammavet analyzers
+// that machine-check the simulator's reproducibility claims (All lists them;
+// docs/STATIC_ANALYSIS.md describes each). Every analyzer carries its own
+// package scope, which both cmd/gammavet and the live-gate tests read.
 //
 // The framework exists because the repository is stdlib-only by design (see
 // README): analyzers here are built directly on go/ast and go/types, and a
@@ -34,6 +29,23 @@ type Analyzer struct {
 	// Run executes the analyzer against one loaded package, reporting
 	// findings through the pass.
 	Run func(*Pass) error
+	// Scope lists the package path suffixes the analyzer checks; "*"
+	// means every package.
+	Scope []string
+}
+
+// All is the gammavet suite in run order.
+var All = []*Analyzer{Determinism, CostCharge, FaultPoint, UnitFlow, LeakCheck, WallClock}
+
+// Covers reports whether the package at import path is in the analyzer's
+// scope: an entry matches the path itself or any path ending in "/"+entry.
+func (a *Analyzer) Covers(path string) bool {
+	for _, s := range a.Scope {
+		if s == "*" || path == s || strings.HasSuffix(path, "/"+s) {
+			return true
+		}
+	}
+	return false
 }
 
 // Pass carries one type-checked package through one analyzer run.

@@ -30,7 +30,8 @@ var CostCharge = &Analyzer{
 	Name: "costcharge",
 	Doc: "require netsim sends and page operations to be paired with " +
 		"cost.Model charges; forbid traffic that bypasses the priced primitives",
-	Run: runCostCharge,
+	Run:   runCostCharge,
+	Scope: []string{"internal/core"},
 }
 
 func runCostCharge(p *Pass) error {

@@ -9,19 +9,5 @@ func TestCostChargeSeededViolations(t *testing.T) {
 // TestCostChargeCleanOnCore is the live gate the CI driver also runs: the
 // real execution engine must contain no unpriced traffic.
 func TestCostChargeCleanOnCore(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, err := loader.Load(loader.ModRoot() + "/internal/core")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := Run(CostCharge, lp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("unexpected finding: %s", d)
-	}
+	assertClean(t, CostCharge)
 }

@@ -30,6 +30,8 @@ var Determinism = &Analyzer{
 	Doc: "forbid wall-clock reads, global math/rand, and map iteration " +
 		"whose order escapes the function in simulator packages",
 	Run: runDeterminism,
+	Scope: []string{"internal/core", "internal/netsim", "internal/cost", "internal/disk",
+		"internal/fault", "internal/trace"},
 }
 
 func runDeterminism(p *Pass) error {

@@ -25,6 +25,8 @@ var FaultPoint = &Analyzer{
 		"that owns each fault kind, so injection never bypasses the registry's " +
 		"deterministic consumption points",
 	Run: runFaultPoint,
+	Scope: []string{"internal/core", "internal/disk", "internal/netsim", "internal/gamma",
+		"internal/wiss", "internal/experiments"},
 }
 
 // faultPointDirective is the justification comment that suppresses the

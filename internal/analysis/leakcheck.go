@@ -36,7 +36,8 @@ var LeakCheck = &Analyzer{
 	Name: "leakcheck",
 	Doc: "require every goroutine launch to be joined (WaitGroup or channel) " +
 		"on all return paths of the launching function",
-	Run: runLeakCheck,
+	Run:   runLeakCheck,
+	Scope: []string{"internal/core", "internal/sched", "internal/netsim"},
 }
 
 const leakCheckDirective = "gammavet:leakcheck"

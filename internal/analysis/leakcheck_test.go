@@ -9,5 +9,5 @@ func TestLeakCheckSeededViolations(t *testing.T) {
 // TestLeakCheckCleanOnConcurrentPackages is the live gate: every goroutine
 // the engine launches must be visibly joined.
 func TestLeakCheckCleanOnConcurrentPackages(t *testing.T) {
-	assertClean(t, LeakCheck, "internal/core", "internal/sched", "internal/netsim")
+	assertClean(t, LeakCheck)
 }

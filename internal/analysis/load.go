@@ -110,6 +110,90 @@ func (l *Loader) pathForDir(dir string) (string, error) {
 	return l.modPath + "/" + filepath.ToSlash(rel), nil
 }
 
+// Package names one package directory of the module.
+type Package struct {
+	Dir  string
+	Path string // import path
+}
+
+// Packages expands "./..."-style patterns into the module's package
+// directories, in directory order. It skips testdata, hidden and
+// underscore-prefixed directories, and directories without non-test Go
+// files.
+func (l *Loader) Packages(patterns []string) ([]Package, error) {
+	seen := map[string]bool{}
+	var dirs []string
+	add := func(dir string) {
+		if !seen[dir] {
+			seen[dir] = true
+			dirs = append(dirs, dir)
+		}
+	}
+	for _, pat := range patterns {
+		recursive := false
+		if strings.HasSuffix(pat, "/...") {
+			recursive = true
+			pat = strings.TrimSuffix(pat, "/...")
+		}
+		if pat == "" || pat == "." {
+			pat = l.modRoot
+		}
+		root, err := filepath.Abs(pat)
+		if err != nil {
+			return nil, err
+		}
+		if !recursive {
+			add(root)
+			continue
+		}
+		err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if !d.IsDir() {
+				return nil
+			}
+			name := d.Name()
+			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			add(p)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	sort.Strings(dirs)
+	var pkgs []Package
+	for _, dir := range dirs {
+		if !hasNonTestGo(dir) {
+			continue
+		}
+		path, err := l.pathForDir(dir)
+		if err != nil {
+			continue
+		}
+		pkgs = append(pkgs, Package{Dir: dir, Path: path})
+	}
+	return pkgs, nil
+}
+
+// hasNonTestGo reports whether dir holds at least one non-test Go file.
+func hasNonTestGo(dir string) bool {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false
+	}
+	for _, e := range entries {
+		n := e.Name()
+		if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+			return true
+		}
+	}
+	return false
+}
+
 // Load parses and type-checks the package in dir (non-test files only).
 func (l *Loader) Load(dir string) (*LoadedPackage, error) {
 	path, err := l.pathForDir(dir)

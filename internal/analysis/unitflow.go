@@ -38,6 +38,9 @@ var UnitFlow = &Analyzer{
 	Doc: "forbid conversions that launder cost units (SimNs, SimMs, Pages, " +
 		"Tuples, Bytes) into each other or into bare numbers outside internal/cost",
 	Run: runUnitFlow,
+	Scope: []string{"internal/core", "internal/netsim", "internal/disk", "internal/wiss",
+		"internal/gamma", "internal/sched", "internal/trace", "internal/experiments",
+		"internal/profile", "cmd/gammabench", "cmd/gammaprof"},
 }
 
 const unitFlowDirective = "gammavet:unitflow"

@@ -9,22 +9,27 @@ func TestUnitFlowSeededViolations(t *testing.T) {
 // TestUnitFlowCleanOnSimulator is the live gate: the refactored simulator
 // must contain no unit-laundering conversions.
 func TestUnitFlowCleanOnSimulator(t *testing.T) {
-	assertClean(t, UnitFlow,
-		"internal/core", "internal/netsim", "internal/disk", "internal/wiss",
-		"internal/gamma", "internal/sched", "internal/trace", "internal/experiments",
-		"internal/profile", "cmd/gammaprof")
+	assertClean(t, UnitFlow)
 }
 
-// assertClean runs the analyzer over real repository packages and fails on
-// any diagnostic.
-func assertClean(t *testing.T, a *Analyzer, pkgs ...string) {
+// assertClean runs the analyzer over every module package in its Scope —
+// the same set `gammavet ./...` checks — and fails on any diagnostic.
+func assertClean(t *testing.T, a *Analyzer) {
 	t.Helper()
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
+	pkgs, err := loader.Packages([]string{loader.ModRoot() + "/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
 	for _, pkg := range pkgs {
-		lp, err := loader.Load(loader.ModRoot() + "/" + pkg)
+		if !a.Covers(pkg.Path) {
+			continue
+		}
+		lp, err := loader.Load(pkg.Dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,5 +40,9 @@ func assertClean(t *testing.T, a *Analyzer, pkgs ...string) {
 		for _, d := range diags {
 			t.Errorf("unexpected finding: %s", d)
 		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatalf("%s: no module package in scope %v", a.Name, a.Scope)
 	}
 }

@@ -23,7 +23,8 @@ var WallClock = &Analyzer{
 	Name: "wallclock",
 	Doc: "ban time.Now/Since/Until/Sleep/After/Tick/NewTimer/NewTicker " +
 		"everywhere; wall-clock access goes through the internal/walltime shim",
-	Run: runWallClock,
+	Run:   runWallClock,
+	Scope: []string{"*"},
 }
 
 const wallClockDirective = "gammavet:wallclock"

@@ -6,10 +6,8 @@ func TestWallClockSeededViolations(t *testing.T) {
 	RunTest(t, "testdata/wallclock", WallClock)
 }
 
-// TestWallClockCleanRepoWide is the live gate over the packages that
-// historically read the clock, plus the shim whose directives sanction it.
+// TestWallClockCleanRepoWide is the live gate over every package, the
+// shim whose directives sanction the clock included.
 func TestWallClockCleanRepoWide(t *testing.T) {
-	assertClean(t, WallClock,
-		"cmd/gammabench", "internal/walltime", "internal/core", "internal/experiments",
-		"internal/profile", "cmd/gammaprof", "cmd/benchcheck")
+	assertClean(t, WallClock)
 }

@@ -336,10 +336,10 @@ func Run(c *gamma.Cluster, spec Spec) (*Report, error) {
 	var (
 		restarts     int
 		dead         []int
-		wasted       time.Duration
+		wasted       cost.SimNs
 		failedOver   int
 		phasesRedone int
-		detection    time.Duration
+		detection    cost.SimNs
 	)
 	// Queries never overlap on one cluster: the shared counters, fault
 	// coordinates, and host map are scoped per query by snapshot-diffing
@@ -429,10 +429,10 @@ func Run(c *gamma.Cluster, spec Spec) (*Report, error) {
 		rep.RetryBudgetUsed = c.Faults.BudgetUsed()
 		rep.Restarts = restarts
 		rep.DeadSites = dead
-		rep.WastedWork = wasted + rc.wastedRedo
+		rep.WastedWork = (wasted + rc.wastedRedo).Dur()
 		rep.FailedOver = failedOver
 		rep.PhasesRedone = phasesRedone
-		rep.DetectionDelay = detection
+		rep.DetectionDelay = detection.Dur()
 		rep.MirrorReads = c.DiskCounters().Sub(diskStart).MirrorReads
 		// Failures are scoped to the query: hand the cluster back healthy
 		// so a shared harness cluster is not poisoned for the next run.

@@ -42,9 +42,11 @@ func newBareCtx(c *gamma.Cluster, joinSites []int) *runCtx {
 	if len(joinSites) == 0 {
 		joinSites = c.JoinSites()
 	}
+	tr := c.NewTraceRecorder()
+	tr.NewAttempt()
 	rc := &runCtx{
 		c:          c,
-		q:          c.NewQuery(),
+		q:          c.NewQuery(tr),
 		spec:       &Spec{},
 		m:          c.Model,
 		joinSites:  joinSites,
@@ -57,15 +59,13 @@ func newBareCtx(c *gamma.Cluster, joinSites []int) *runCtx {
 		var n int64
 		rc.storeCount[ds] = &n
 	}
-	tr := c.NewTraceRecorder()
-	tr.NewAttempt()
 	rc.attachTrace(tr)
 	return rc
 }
 
 func (rc *runCtx) opReport(rows int64) *OpReport {
 	return &OpReport{
-		Response: rc.q.Response(),
+		Response: rc.q.Response().Dur(),
 		Phases:   rc.q.Phases,
 		Rows:     rows,
 		Net:      rc.c.Net.Counters().Sub(rc.netStart),

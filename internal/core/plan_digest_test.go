@@ -85,11 +85,11 @@ func planDigest(t *testing.T, rep *Report) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func TestPlanDigests(t *testing.T) {
-	got := map[string]string{}
+// forEachPlanCell runs every pinned plan cell and hands its report to visit.
+func forEachPlanCell(t *testing.T, visit func(name string, rep *Report)) {
+	t.Helper()
 	cell := func(name string, f fixture, alg Algorithm, ratio float64, opts func(*Spec)) {
-		rep := runJoin(t, f, alg, ratio, opts)
-		got[name] = planDigest(t, rep)
+		visit(name, runJoin(t, f, alg, ratio, opts))
 	}
 	for _, alg := range allAlgs {
 		f := mkFixture(t, gamma.NewLocal(8, nil), 4000, gamma.HashPart, tuple.Unique1)
@@ -110,6 +110,11 @@ func TestPlanDigests(t *testing.T) {
 	cell("skewed/grace-tuned", f, Grace, 0.13, func(sp *Spec) { opts(sp); sp.BucketTuning = true })
 	f = mkFixture(t, gamma.NewLocal(8, nil), 4000, gamma.HashPart, tuple.Unique1)
 	cell("local-hpja/hybrid-overflow", f, Hybrid, 0.7, func(sp *Spec) { sp.AllowOverflow = true })
+}
+
+func TestPlanDigests(t *testing.T) {
+	got := map[string]string{}
+	forEachPlanCell(t, func(name string, rep *Report) { got[name] = planDigest(t, rep) })
 
 	names := make([]string, 0, len(planDigests))
 	for name := range planDigests {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gammajoin/internal/cost"
 	"gammajoin/internal/disk"
@@ -48,10 +47,9 @@ type runCtx struct {
 	netStart  netsim.Counters
 	diskStart disk.Counters
 
-	// tr records the execution onto the simulated timeline; attempt is
-	// this runCtx's ordinal on the (restart-spanning) recorder.
-	tr      *trace.Recorder
-	attempt int
+	// tr records the execution onto the simulated timeline; it spans
+	// every restart attempt, while q holds only this attempt's phases.
+	tr *trace.Recorder
 
 	// Routing counters live in the trace metrics registry so they are
 	// queryable per phase; the handles below are registered once and the
@@ -107,12 +105,12 @@ type runCtx struct {
 	// Recovery-ladder state for this attempt (docs/FAULTS.md). failover
 	// moves a crashed site's roles to its ring neighbor instead of
 	// abandoning the attempt; runUnit then re-runs only the crashed unit.
-	failedOver     int           // crashes absorbed by mirrored failover
-	deadSites      []int         // sites lost to absorbed crashes, in order
-	phasesRedone   int           // completed phases re-run after a failover
-	wastedRedo     time.Duration // simulated time the redone phases cost
-	detectionDelay time.Duration // heartbeat latency before declaring deaths
-	redoMark       bool          // suffix phase names with " (redo)" until the unit completes
+	failedOver     int        // crashes absorbed by mirrored failover
+	deadSites      []int      // sites lost to absorbed crashes, in order
+	phasesRedone   int        // completed phases re-run after a failover
+	wastedRedo     cost.SimNs // simulated time the redone phases cost
+	detectionDelay cost.SimNs // heartbeat latency before declaring deaths
+	redoMark       bool       // suffix phase names with " (redo)" until the unit completes
 }
 
 // attachTrace wires the recorder into the run: the query drives its phase
@@ -121,8 +119,6 @@ type runCtx struct {
 // this attempt's activity.
 func (rc *runCtx) attachTrace(tr *trace.Recorder) {
 	rc.tr = tr
-	rc.attempt = tr.Attempt()
-	rc.q.Trace = tr
 	mm := tr.Metrics()
 	rc.mFormLocal = mm.Counter("form.tuples.local")
 	rc.mFormRemote = mm.Counter("form.tuples.remote")
@@ -175,7 +171,7 @@ func newRunCtx(c *gamma.Cluster, spec *Spec, tr *trace.Recorder) (*runCtx, error
 	}
 	rc := &runCtx{
 		c:           c,
-		q:           c.NewQuery(),
+		q:           c.NewQuery(tr),
 		spec:        spec,
 		m:           c.Model,
 		joinSites:   js,
@@ -223,9 +219,10 @@ func (rc *runCtx) report() *Report {
 		TuplesLocal:  cost.Tuples(rc.mFormLocal.Value() - rc.formLocalStart),
 		TuplesRemote: cost.Tuples(rc.mFormRemote.Value() - rc.formRemoteStart),
 	}
+	resp := rc.q.Response()
 	r := &Report{
 		Alg:               rc.spec.Alg,
-		Response:          rc.q.Response(),
+		Response:          resp.Dur(),
 		Phases:            rc.q.Phases,
 		ResultCount:       rc.resultCount.Load(),
 		ResultSum:         rc.resultSum.Load(),
@@ -268,13 +265,18 @@ func (rc *runCtx) report() *Report {
 
 	// Utilization: per-site CPU time over the response time, averaged
 	// within each processor class; bottleneck: the busiest site's summed
-	// resource time (CPU + disk + net). Both derive from the trace: every
-	// operator span carries its resource breakdown, so summing this
-	// attempt's spans per site reproduces the per-phase accounting exactly
-	// (the trace *is* the audit trail for the paper's Section 4.5
-	// utilization claims).
-	totals := rc.tr.SiteTotals(rc.attempt)
-	resp := float64(r.Response.Nanoseconds())
+	// resource time (CPU + disk + net). Both sum this attempt's phase
+	// ledger per site. Each PerSite entry is the sum of that phase's worker
+	// spans at the site, so the numbers are the trace's own (the trace *is*
+	// the audit trail for the paper's Section 4.5 utilization claims).
+	totals := make(map[int]cost.Acct)
+	for _, ph := range rc.q.Phases {
+		for site, a := range ph.PerSite { //gammavet:ordered integer sums are order-independent
+			t := totals[site]
+			t.Merge(a)
+			totals[site] = t
+		}
+	}
 	if resp > 0 {
 		var dSum, dn, lSum, ln float64
 		for _, site := range rc.c.DiskSites() {
@@ -285,18 +287,17 @@ func (rc *runCtx) report() *Report {
 			lSum += float64(totals[site].CPU.Nanoseconds())
 			ln++
 		}
+		respNs := float64(resp.Nanoseconds())
 		if dn > 0 {
-			r.UtilDisk = dSum / dn / resp
+			r.UtilDisk = dSum / dn / respNs
 		}
 		if ln > 0 {
-			r.UtilDiskless = lSum / ln / resp
+			r.UtilDiskless = lSum / ln / respNs
 		}
 	}
 	var maxBusy cost.SimNs
 	for _, t := range totals { //gammavet:ordered max fold is order-independent
-		if b := t.Busy(); b > maxBusy {
-			maxBusy = b
-		}
+		maxBusy = max(maxBusy, t.CPU+t.Disk+t.Net)
 	}
 	r.BottleneckBusy = maxBusy.Dur()
 	return r
@@ -523,9 +524,9 @@ func drainSorted(net *netsim.Network, a *cost.Acct, batches []*netsim.Batch) []*
 	return batches
 }
 
-// sortedKeys returns m's keys in ascending site order. Phase goroutines are
-// launched through it so spawn order (and hence Phase.Acct creation order
-// and netsim sequence assignment) never depends on map iteration order.
+// sortedKeys returns m's keys in ascending site order. Phase workers are
+// registered and launched through it so registration order never depends
+// on map iteration order.
 func sortedKeys[V any](m map[int]V) []int {
 	keys := make([]int, 0, len(m))
 	for k := range m {
@@ -545,6 +546,21 @@ func (rc *runCtx) newPhaseSender(a *cost.Acct, site int, deliver func(int, []*ne
 		snd.SetColocated(rc.c.Colocated(site))
 	}
 	return snd
+}
+
+// launch registers one operator process — the role ps assigns to a
+// logical site — and runs body on its executing site's pool worker. The
+// registration happens here, on the coordinator, before submission, so the
+// phase's span order never depends on goroutine scheduling. Both the span
+// and the phase's per-site ledger are keyed by the physical executor.
+func (rc *runCtx) launch(p *gamma.Phase, wg *sync.WaitGroup, ps *phaseSpec, role string, site int, body func(a *cost.Acct)) {
+	exec := rc.c.AliveHost(site)
+	a := p.Worker(exec, ps.op(role), role, ps.bucket)
+	wg.Add(1)
+	rc.c.Go(exec, func() {
+		defer wg.Done()
+		body(a)
+	})
 }
 
 // runPhase executes one phase: solo workers and producers run first-stage,
@@ -590,23 +606,13 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 	p := rc.q.NewPhase(name)
 	ex1 := rc.c.NewExchange()
 	ex2 := rc.c.NewExchange()
-	bucket := ps.bucket
 
-	// Phase workers run on the cluster's persistent per-site pool rather
-	// than fresh goroutines: tasks are submitted in sortedKeys order, so
-	// Phase.Acct creation order and netsim sequence assignment stay exactly
-	// as before; the pool only changes which OS-level goroutine hosts the
-	// work.
+	// Workers are registered and submitted in sortedKeys order; the pool
+	// only changes which OS-level goroutine hosts the work.
 	var writers sync.WaitGroup
 	for _, site := range sortedKeys(ps.write) {
 		fn := ps.write[site]
-		exec := rc.c.AliveHost(site)
-		writers.Add(1)
-		rc.c.Go(exec, func() {
-			defer writers.Done()
-			a := p.Acct(exec)
-			sp := rc.tr.Start(exec, ps.op("write"), "write", bucket)
-			defer sp.Close(a)
+		rc.launch(p, &writers, &ps, "write", site, func(a *cost.Acct) {
 			// Drain unconditionally (upstream must never block on a full
 			// exchange), then skip the work if a cancel fired mid-phase.
 			batches := drainSorted(rc.c.Net, a, ex2.Take(site))
@@ -621,15 +627,8 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 
 	var consumers sync.WaitGroup
 	for _, site := range sortedKeys(ps.consume) {
-		site := site
 		fn := ps.consume[site]
-		exec := rc.c.AliveHost(site)
-		consumers.Add(1)
-		rc.c.Go(exec, func() {
-			defer consumers.Done()
-			a := p.Acct(exec)
-			sp := rc.tr.Start(exec, ps.op("consume"), "consume", bucket)
-			defer sp.Close(a)
+		rc.launch(p, &consumers, &ps, "consume", site, func(a *cost.Acct) {
 			snd := rc.newPhaseSender(a, site, ex2.Deliver)
 			batches := drainSorted(rc.c.Net, a, ex1.Take(site))
 			defer netsim.PutBatches(batches)
@@ -645,15 +644,8 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 
 	var producers sync.WaitGroup
 	for _, site := range sortedKeys(ps.produce) {
-		site := site
 		fns := ps.produce[site]
-		exec := rc.c.AliveHost(site)
-		producers.Add(1)
-		rc.c.Go(exec, func() {
-			defer producers.Done()
-			a := p.Acct(exec)
-			sp := rc.tr.Start(exec, ps.op("produce"), "produce", bucket)
-			defer sp.Close(a)
+		rc.launch(p, &producers, &ps, "produce", site, func(a *cost.Acct) {
 			snd := rc.newPhaseSender(a, site, ex1.Deliver)
 			for _, fn := range fns {
 				// Poll the cancel signal between work items: an external
@@ -672,13 +664,7 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 	var solos sync.WaitGroup
 	for _, site := range sortedKeys(ps.solo) {
 		fns := ps.solo[site]
-		exec := rc.c.AliveHost(site)
-		solos.Add(1)
-		rc.c.Go(exec, func() {
-			defer solos.Done()
-			a := p.Acct(exec)
-			sp := rc.tr.Start(exec, ps.op("solo"), "solo", bucket)
-			defer sp.Close(a)
+		rc.launch(p, &solos, &ps, "solo", site, func(a *cost.Acct) {
 			for _, fn := range fns {
 				if rc.canceled() {
 					rc.fail(rc.cancelErr())
@@ -755,10 +741,10 @@ func (rc *runCtx) failover(sf *SiteFailure) bool {
 	// Both rungs pay detection: the scheduler only learns of the death at
 	// the next heartbeat-grid declaration instant. The delay lands on the
 	// query clock (and the timeline) as a scheduler-only pseudo-phase.
-	delay := c.Net.DetectionDelay(sf.Site, rc.tr.Now()).Dur()
+	delay := c.Net.DetectionDelay(sf.Site, rc.tr.Now())
 	rc.q.AddDetection(fmt.Sprintf("detect site %d failure", sf.Site), delay)
 	rc.detectionDelay += delay
-	rc.tr.Instant(sf.Site, "detect", fmt.Sprintf("declared dead after %v", delay))
+	rc.tr.Instant(sf.Site, "detect", fmt.Sprintf("declared dead after %v", delay.Dur()))
 	if !c.Mirrored() || c.MirrorLost(sf.Site) {
 		return false
 	}

@@ -141,12 +141,17 @@ func TestUtilizationFromTraceMatchesPaper(t *testing.T) {
 	}
 
 	// The report values must be exactly the trace-derived ones: per-site
-	// CPU totals over the successful attempt, averaged and divided by the
-	// response time.
-	totals := local.Trace.SiteTotals(local.Trace.Attempt())
+	// CPU summed over the successful attempt's worker spans, averaged and
+	// divided by the response time.
+	cpu := map[int]cost.SimNs{}
+	for _, sp := range local.Trace.Spans() {
+		if sp.Attempt == local.Trace.Attempt() && sp.Site >= 0 {
+			cpu[sp.Site] += sp.CPU
+		}
+	}
 	var sum float64
 	for _, site := range lc.DiskSites() {
-		sum += float64(totals[site].CPU)
+		sum += float64(cpu[site])
 	}
 	want := sum / float64(len(lc.DiskSites())) / float64(local.Response)
 	if local.UtilDisk != want {

@@ -256,12 +256,12 @@ func (a *Acct) AddDisk(ns SimNs) { a.Disk += ns }
 // AddNet charges simulated network-interface time.
 func (a *Acct) AddNet(ns SimNs) { a.Net += ns }
 
-// Merge adds another account into a, carrying b's events along.
+// Merge adds b's resource times into a. Events stay on the account that
+// noted them: a merged account is a resource total.
 func (a *Acct) Merge(b Acct) {
 	a.CPU += b.CPU
 	a.Disk += b.Disk
 	a.Net += b.Net
-	a.Events = append(a.Events, b.Events...)
 }
 
 // Elapsed is the wall time this account represents assuming perfect overlap

@@ -3,11 +3,11 @@ package gamma
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"gammajoin/internal/cost"
 	"gammajoin/internal/netsim"
 	"gammajoin/internal/split"
+	"gammajoin/internal/trace"
 	"gammajoin/internal/tuple"
 	"gammajoin/internal/wisconsin"
 )
@@ -72,13 +72,21 @@ func TestOverflowDiskSite(t *testing.T) {
 	}
 }
 
+// newTestQuery starts a query on c with a recorder opened on its first
+// attempt, as core.Run does.
+func newTestQuery(c *Cluster) *Query {
+	tr := c.NewTraceRecorder()
+	tr.NewAttempt()
+	return c.NewQuery(tr)
+}
+
 func TestPhaseAccounting(t *testing.T) {
 	c := NewLocal(2, nil)
-	q := c.NewQuery()
+	q := newTestQuery(c)
 	p := q.NewPhase("test")
-	a0 := p.Acct(0)
-	a0b := p.Acct(0)
-	a1 := p.Acct(1)
+	a0 := p.Worker(0, "scan", "produce", -1)
+	a0b := p.Worker(0, "store", "write", -1)
+	a1 := p.Worker(1, "scan", "produce", -1)
 	a0.AddCPU(100)
 	a0b.AddCPU(50)
 	a0b.AddDisk(300) // site 0: cpu 150, disk 300 -> elapsed 300
@@ -91,7 +99,7 @@ func TestPhaseAccounting(t *testing.T) {
 	if st.Work != 300 {
 		t.Fatalf("Work = %v, want 300ns (slowest site)", st.Work)
 	}
-	wantSched := time.Duration(c.Model.PhaseStartup + 2*3*c.Model.ControlMsg)
+	wantSched := c.Model.PhaseStartup + 2*3*c.Model.ControlMsg
 	if st.Sched != wantSched {
 		t.Fatalf("Sched = %v, want %v", st.Sched, wantSched)
 	}
@@ -101,16 +109,26 @@ func TestPhaseAccounting(t *testing.T) {
 	if got := st.PerSite[0]; got.CPU != 150 || got.Disk != 300 {
 		t.Fatalf("site 0 merged acct = %+v", got)
 	}
+	// End closed every worker span from the account it handed out.
+	var store *trace.Span
+	for _, sp := range q.Trace.Spans() {
+		if sp.Op == "store" {
+			store = sp
+		}
+	}
+	if store == nil || store.Site != 0 || store.CPU != 50 || store.Disk != 300 || store.Dur != 300 {
+		t.Fatalf("store span %+v, want site 0 cpu 50 disk 300 dur 300", store)
+	}
 }
 
 func TestPhaseSplitTableDelivery(t *testing.T) {
 	c := NewLocal(8, nil)
-	q := c.NewQuery()
+	q := newTestQuery(c)
 	small := q.NewPhase("small")
-	small.Acct(0)
+	small.Worker(0, "scan", "produce", -1)
 	e1 := small.End(EndOpts{SplitEntries: 48, Producers: 8})
 	big := q.NewPhase("big")
-	big.Acct(0)
+	big.Worker(0, "scan", "produce", -1)
 	e2 := big.End(EndOpts{SplitEntries: 56, Producers: 8})
 	if e2 <= e1 {
 		t.Fatalf("a >2KB split table (%v) must cost more than a 1-packet one (%v)", e2, e1)
@@ -119,7 +137,7 @@ func TestPhaseSplitTableDelivery(t *testing.T) {
 
 func TestPhaseConcurrentWorkers(t *testing.T) {
 	c := NewLocal(4, nil)
-	q := c.NewQuery()
+	q := newTestQuery(c)
 	p := q.NewPhase("conc")
 	var wg sync.WaitGroup
 	for s := 0; s < 4; s++ {
@@ -127,7 +145,7 @@ func TestPhaseConcurrentWorkers(t *testing.T) {
 			wg.Add(1)
 			go func(site int) {
 				defer wg.Done()
-				a := p.Acct(site)
+				a := p.Worker(site, "scan", "produce", -1)
 				for i := 0; i < 1000; i++ {
 					a.AddCPU(1)
 				}

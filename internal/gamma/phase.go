@@ -1,9 +1,7 @@
 package gamma
 
 import (
-	"sort"
 	"sync"
-	"time"
 
 	"gammajoin/internal/cost"
 	"gammajoin/internal/disk"
@@ -15,18 +13,20 @@ import (
 type PhaseStat struct {
 	Name string
 	// Work is the slowest site's overlapped resource time.
-	Work time.Duration
+	Work cost.SimNs
 	// Sched is the scheduling overhead: scheduler latency, control
 	// messages, and split-table delivery packets.
-	Sched time.Duration
-	// PerSite holds each participating site's merged account.
+	Sched cost.SimNs
+	// PerSite holds each participating site's summed CPU, disk and network
+	// time: the sum over the phase's worker spans at that site. Fault
+	// events stay on the spans.
 	PerSite map[int]cost.Acct
 	// Net snapshots network activity during the phase.
 	Net netsim.Counters
 }
 
 // Elapsed is the phase's contribution to query response time.
-func (p PhaseStat) Elapsed() time.Duration { return p.Work + p.Sched }
+func (p PhaseStat) Elapsed() cost.SimNs { return p.Work + p.Sched }
 
 // Query accumulates the phases of one query execution. Response time is the
 // sum of phase elapsed times: Gamma's operator phases for these join
@@ -36,20 +36,20 @@ type Query struct {
 	C      *Cluster
 	Phases []PhaseStat
 
-	// Trace, when non-nil, records every phase onto the simulated-time
-	// timeline: NewPhase/End drive its virtual clock in lockstep with the
-	// response-time accumulation, and End publishes the phase's network and
-	// disk activity as per-phase gauges. A nil recorder disables tracing
-	// with zero effect on the numbers above.
+	// Trace records every phase onto the simulated-time timeline:
+	// NewPhase/End drive its virtual clock in lockstep with the
+	// response-time accumulation, every worker's account lives on its span,
+	// and End publishes the phase's network and disk activity as per-phase
+	// gauges.
 	Trace *trace.Recorder
 }
 
-// NewQuery starts a query on the cluster.
-func (c *Cluster) NewQuery() *Query { return &Query{C: c} }
+// NewQuery starts a query on the cluster, recording onto tr.
+func (c *Cluster) NewQuery(tr *trace.Recorder) *Query { return &Query{C: c, Trace: tr} }
 
 // Response returns the accumulated response time.
-func (q *Query) Response() time.Duration {
-	var total time.Duration
+func (q *Query) Response() cost.SimNs {
+	var total cost.SimNs
 	for _, p := range q.Phases {
 		total += p.Elapsed()
 	}
@@ -61,24 +61,22 @@ func (q *Query) Response() time.Duration {
 // the trace timeline) advances by the heartbeat-grid delay between the
 // crash and the scheduler declaring the site dead. Both recovery rungs —
 // failover and full restart — pay this before reacting.
-func (q *Query) AddDetection(name string, delay time.Duration) {
+func (q *Query) AddDetection(name string, delay cost.SimNs) {
 	q.Phases = append(q.Phases, PhaseStat{Name: name, Sched: delay})
-	if tr := q.Trace; tr.Enabled() {
-		tr.BeginPhase(name)
-		tr.EndPhase(0, cost.DurNs(delay))
-	}
+	q.Trace.BeginPhase(name)
+	q.Trace.EndPhase(0, delay)
 }
 
-// Phase is one barrier-synchronized operator phase. Worker goroutines
-// register per-goroutine accounts against their site; End merges them,
-// takes the slowest site, adds scheduling overhead, and appends a PhaseStat
-// to the query.
+// Phase is one barrier-synchronized operator phase. Each operator process
+// registers once with Worker, which opens its trace span; End closes every
+// span, takes the slowest site, adds scheduling overhead, and appends a
+// PhaseStat to the query.
 type Phase struct {
 	q    *Query
 	name string
 
-	mu    sync.Mutex
-	accts map[int][]*cost.Acct
+	mu      sync.Mutex
+	workers []*trace.Span // in registration order
 
 	netStart  netsim.Counters
 	diskStart disk.Counters
@@ -86,27 +84,25 @@ type Phase struct {
 
 // NewPhase begins a phase.
 func (q *Query) NewPhase(name string) *Phase {
-	p := &Phase{
-		q:        q,
-		name:     name,
-		accts:    make(map[int][]*cost.Acct),
-		netStart: q.C.Net.Counters(),
+	q.Trace.BeginPhase(name)
+	return &Phase{
+		q:         q,
+		name:      name,
+		netStart:  q.C.Net.Counters(),
+		diskStart: q.C.DiskCounters(),
 	}
-	if q.Trace.Enabled() {
-		p.diskStart = q.C.DiskCounters()
-		q.Trace.BeginPhase(name)
-	}
-	return p
 }
 
-// Acct registers and returns a fresh account for one worker goroutine
-// running at the given site. Each goroutine must use its own account.
-func (p *Phase) Acct(site int) *cost.Acct {
-	a := &cost.Acct{}
+// Worker registers one operator process running at site: it opens the
+// process's trace span and returns the account the span carries. The
+// process must charge only that account; End reads it at the barrier.
+// bucket is the bucket/partition the operator works on, or -1.
+func (p *Phase) Worker(site int, op, role string, bucket int) *cost.Acct {
+	sp := p.q.Trace.Start(site, op, role, bucket)
 	p.mu.Lock()
-	p.accts[site] = append(p.accts[site], a)
+	p.workers = append(p.workers, sp)
 	p.mu.Unlock()
-	return a
+	return sp.Acct()
 }
 
 // EndOpts describes the scheduling work of a phase.
@@ -117,85 +113,67 @@ type EndOpts struct {
 	SplitEntries int
 	// Producers is the number of processes that receive the split table.
 	Producers int
-	// ExtraSched adds algorithm-specific scheduling time.
-	ExtraSched time.Duration
 }
 
-// End closes the phase: all worker goroutines must have finished. It
-// returns the phase's elapsed simulated time.
-func (p *Phase) End(opts EndOpts) time.Duration {
+// End closes the phase: all worker processes must have finished. It closes
+// their spans, sums them per site, and returns the phase's elapsed
+// simulated time.
+func (p *Phase) End(opts EndOpts) cost.SimNs {
 	m := p.q.C.Model
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	perSite := make(map[int]cost.Acct, len(p.accts))
+	perSite := make(map[int]cost.Acct)
+	for _, sp := range p.workers {
+		sp.Close()
+		a := perSite[sp.Site]
+		a.Merge(*sp.Acct())
+		perSite[sp.Site] = a
+	}
 	var work cost.SimNs
-	for site, list := range p.accts {
-		var merged cost.Acct
-		for _, a := range list {
-			merged.Merge(*a)
-		}
-		// The per-site account list is in Acct-registration order, which
-		// depends on goroutine scheduling; resource totals are commutative
-		// but the merged event list is not. Impose a canonical time order
-		// so reports stay byte-identical across runs.
-		sort.Slice(merged.Events, func(i, j int) bool {
-			ei, ej := merged.Events[i], merged.Events[j]
-			if ei.At != ej.At {
-				return ei.At < ej.At
-			}
-			if ei.Kind != ej.Kind {
-				return ei.Kind < ej.Kind
-			}
-			return ei.Detail < ej.Detail
-		})
-		perSite[site] = merged
-		if e := merged.Elapsed(); e > work {
-			work = e
-		}
+	for _, a := range perSite {
+		work = max(work, a.Elapsed())
 	}
 
 	// Scheduling: fixed scheduler latency, three control messages per
 	// participating process (initiate, ready, done), and split-table
 	// delivery packets to each producer, all serialized at the scheduler.
-	sched := m.PhaseStartup + cost.ScaleNs(len(p.accts)*3, m.ControlMsg)
+	sched := m.PhaseStartup + cost.ScaleNs(len(perSite)*3, m.ControlMsg)
 	if opts.SplitEntries > 0 && opts.Producers > 0 {
 		pkts := m.SplitTablePackets(opts.SplitEntries)
 		sched += cost.ScaleNs(pkts*opts.Producers, m.PacketProto+m.PacketWire)
 	}
-	sched += cost.DurNs(opts.ExtraSched)
 
 	stat := PhaseStat{
 		Name:    p.name,
-		Work:    work.Dur(),
-		Sched:   sched.Dur(),
+		Work:    work,
+		Sched:   sched,
 		PerSite: perSite,
 		Net:     p.q.C.Net.Counters().Sub(p.netStart),
 	}
 	p.q.Phases = append(p.q.Phases, stat)
 
-	if tr := p.q.Trace; tr.Enabled() {
-		// Publish the phase's cluster-wide activity as per-phase gauges,
-		// then advance the virtual clock by the phase's elapsed time. The
-		// gauges read the same counters the PhaseStat snapshots — tracing
-		// observes the cost model, it never feeds back into it.
-		mm := tr.Metrics()
-		mm.Gauge("net.tuples.local").Set(stat.Net.TuplesLocal.Count())
-		mm.Gauge("net.tuples.remote").Set(stat.Net.TuplesRemote.Count())
-		mm.Gauge("net.packets.local").Set(stat.Net.PacketsLocal)
-		mm.Gauge("net.packets.remote").Set(stat.Net.PacketsRemote)
-		mm.Gauge("net.bytes.wire").Set(stat.Net.BytesOnWire.Count())
-		mm.Gauge("net.packets.retransmitted").Set(stat.Net.PacketsRetransmitted)
-		mm.Gauge("net.packets.duplicated").Set(stat.Net.PacketsDuplicated)
-		dd := p.q.C.DiskCounters().Sub(p.diskStart)
-		mm.Gauge("disk.pages.read").Set(dd.PagesRead.Count())
-		mm.Gauge("disk.pages.written").Set(dd.PagesWritten.Count())
-		mm.Gauge("disk.read.retries").Set(dd.ReadRetries)
-		mm.Gauge("disk.file.switches").Set(dd.FileSwitches)
-		mm.Gauge("disk.mirror.reads").Set(dd.MirrorReads.Count())
-		mm.Gauge("disk.mirror.writes").Set(dd.MirrorWrites.Count())
-		tr.EndPhase(work, sched)
-	}
+	// Publish the phase's cluster-wide activity as per-phase gauges, then
+	// advance the virtual clock by the phase's elapsed time. The gauges
+	// read the same counters the PhaseStat snapshots — tracing observes the
+	// cost model, it never feeds back into it.
+	tr := p.q.Trace
+	mm := tr.Metrics()
+	mm.Gauge("net.tuples.local").Set(stat.Net.TuplesLocal.Count())
+	mm.Gauge("net.tuples.remote").Set(stat.Net.TuplesRemote.Count())
+	mm.Gauge("net.packets.local").Set(stat.Net.PacketsLocal)
+	mm.Gauge("net.packets.remote").Set(stat.Net.PacketsRemote)
+	mm.Gauge("net.bytes.wire").Set(stat.Net.BytesOnWire.Count())
+	mm.Gauge("net.packets.retransmitted").Set(stat.Net.PacketsRetransmitted)
+	mm.Gauge("net.packets.duplicated").Set(stat.Net.PacketsDuplicated)
+	dd := p.q.C.DiskCounters().Sub(p.diskStart)
+	mm.Gauge("disk.pages.read").Set(dd.PagesRead.Count())
+	mm.Gauge("disk.pages.written").Set(dd.PagesWritten.Count())
+	mm.Gauge("disk.read.retries").Set(dd.ReadRetries)
+	mm.Gauge("disk.file.switches").Set(dd.FileSwitches)
+	mm.Gauge("disk.mirror.reads").Set(dd.MirrorReads.Count())
+	mm.Gauge("disk.mirror.writes").Set(dd.MirrorWrites.Count())
+	tr.EndPhase(work, sched)
 	return stat.Elapsed()
 }
 

@@ -287,20 +287,12 @@ type phaseAgg struct {
 	sites map[int]*siteAgg
 }
 
-// FromRecorder profiles an in-process trace recorder.
-func FromRecorder(rec *trace.Recorder, m *cost.Model) (*Profile, error) {
-	if !rec.Enabled() {
-		return nil, fmt.Errorf("profile: trace recorder disabled")
-	}
-	return FromSpans(rec.QueryID(), rec.Spans(), m)
-}
-
-// FromReport profiles a finished run and enforces the accounting identity
-// against its reported response: a mismatch means the trace no longer
-// mirrors the response-time arithmetic and is returned as an error rather
-// than a silently wrong report.
+// FromReport profiles a finished run's trace and enforces the accounting
+// identity against its reported response: a mismatch means the trace no
+// longer mirrors the response-time arithmetic and is returned as an error
+// rather than a silently wrong report.
 func FromReport(rep *core.Report, m *cost.Model) (*Profile, error) {
-	p, err := FromRecorder(rep.Trace, m)
+	p, err := FromSpans(rep.Trace.QueryID(), rep.Trace.Spans(), m)
 	if err != nil {
 		return nil, err
 	}

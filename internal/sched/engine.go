@@ -126,7 +126,7 @@ func newRunq(q *Query, rep *core.Report, grant int64, admitNs cost.SimNs) *runq 
 	for _, ps := range rep.Phases {
 		ph := &phaseSched{
 			name:  ps.Name,
-			sched: cost.DurNs(ps.Sched),
+			sched: ps.Sched,
 			rem:   make(map[int]cost.SimNs, len(ps.PerSite)),
 		}
 		for site, a := range ps.PerSite {

@@ -23,8 +23,8 @@ func synthExec(schedNs, workNs int64, phases int) Exec {
 			a.AddCPU(cost.Ns(workNs))
 			rep.Phases = append(rep.Phases, gamma.PhaseStat{
 				Name:    "synthetic",
-				Work:    time.Duration(workNs),
-				Sched:   time.Duration(schedNs),
+				Work:    cost.Ns(workNs),
+				Sched:   cost.Ns(schedNs),
 				PerSite: map[int]cost.Acct{0: a},
 			})
 			total += workNs + schedNs

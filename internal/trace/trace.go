@@ -5,19 +5,19 @@
 // the phase's simulated elapsed time (work + scheduling), exactly mirroring
 // how gamma.Query accumulates response time. Every operator process
 // (selection, split, build, probe, sort, merge — one goroutine per site per
-// role per phase) opens a span at the phase's virtual start; closing the
-// span against the goroutine's cost.Acct stamps the span with its overlapped
-// duration and CPU/disk/net breakdown, and lifts the account's fault events
-// (disk retries, retransmits, memory pressure) onto the span at absolute
-// simulated time.
+// role per phase) opens a span at the phase's virtual start. The span carries
+// the process's cost.Acct — the one account the process charges — and
+// closing it at the barrier stamps the span with its overlapped duration and
+// CPU/disk/net breakdown, and lifts the account's fault events (disk
+// retries, retransmits, memory pressure) onto the span at absolute simulated
+// time. gamma.Phase opens and closes every worker span, so the spans are
+// the phase ledger itself, not a copy of it.
 //
-// Because spans only read the accountants and the clock only follows the
-// cost model, tracing is zero-cost-model-impact: enabling or disabling it
-// cannot change a single reported nanosecond. All methods are nil-receiver
-// safe, so a disabled recorder is a true no-op. Exports (Chrome trace_event
-// JSON, TSV, folded stacks) emit in a canonical sort order, making trace
-// files byte-identical across runs of the same spec — they live under the
-// same determinism gate as the reports themselves.
+// Spans only read the accounts and the clock only follows the cost model:
+// recording never changes a reported nanosecond. Exports (Chrome
+// trace_event JSON, TSV, folded stacks) emit in a canonical sort order,
+// making trace files byte-identical across runs of the same spec — they live
+// under the same determinism gate as the reports themselves.
 package trace
 
 import (
@@ -45,6 +45,8 @@ type Span struct {
 	CPU, Disk, Net cost.SimNs // resource breakdown from the cost model
 
 	Events []Event // fault events at absolute simulated time
+
+	acct cost.Acct // the operator process's account, read by Close
 }
 
 // End returns the span's simulated end time.
@@ -69,18 +71,10 @@ type Instant struct {
 	At      cost.SimNs // absolute simulated time
 }
 
-// Totals is a per-site resource sum over spans.
-type Totals struct {
-	CPU, Disk, Net cost.SimNs
-}
-
-// Busy is the summed resource time (the bottleneck metric's numerator).
-func (t Totals) Busy() cost.SimNs { return t.CPU + t.Disk + t.Net }
-
 // Recorder collects spans, instants, and metrics for one query execution.
 // Start may be called from any number of worker goroutines; clock methods
 // (NewAttempt, BeginPhase, EndPhase) must be called by the coordinator at
-// phase barriers. A nil *Recorder is a valid disabled recorder.
+// phase barriers.
 type Recorder struct {
 	labels []string // per-site track labels, index = site id
 
@@ -105,12 +99,9 @@ func NewRecorder(siteLabels []string) *Recorder {
 		labels:  append([]string(nil), siteLabels...),
 		attempt: -1,
 		phase:   -1,
-		metrics: newMetrics(),
+		metrics: NewMetrics(),
 	}
 }
-
-// Enabled reports whether the recorder actually records.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // SetQuery stamps the recorder with a workload query id. The id is a whole
 // extra span dimension for multi-query runs (internal/sched): exporters key
@@ -118,41 +109,26 @@ func (r *Recorder) Enabled() bool { return r != nil }
 // process tracks while site/phase/attempt semantics stay unchanged. Call
 // before the first phase; id 0 (the default) means a standalone query.
 func (r *Recorder) SetQuery(id int) {
-	if r == nil {
-		return
-	}
 	r.queryID = id
 }
 
 // QueryID returns the workload query id set by SetQuery (0 when unset).
 func (r *Recorder) QueryID() int {
-	if r == nil {
-		return 0
-	}
 	return r.queryID
 }
 
 // SiteLabels returns the per-site track labels.
 func (r *Recorder) SiteLabels() []string {
-	if r == nil {
-		return nil
-	}
 	return r.labels
 }
 
-// Metrics returns the recorder's metrics registry (nil when disabled).
+// Metrics returns the recorder's metrics registry.
 func (r *Recorder) Metrics() *Metrics {
-	if r == nil {
-		return nil
-	}
 	return r.metrics
 }
 
 // Now returns the virtual clock in simulated nanoseconds.
 func (r *Recorder) Now() cost.SimNs {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.now
@@ -162,9 +138,6 @@ func (r *Recorder) Now() cost.SimNs {
 // restart) and returns its ordinal. The clock keeps running: an abandoned
 // attempt's phases remain on the timeline as wasted work.
 func (r *Recorder) NewAttempt() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.attempt++
@@ -175,9 +148,6 @@ func (r *Recorder) NewAttempt() int {
 
 // Attempt returns the current attempt ordinal.
 func (r *Recorder) Attempt() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.attempt
@@ -186,9 +156,6 @@ func (r *Recorder) Attempt() int {
 // BeginPhase marks the start of a barrier-synchronized phase. Spans started
 // until EndPhase inherit the phase ordinal, name, and virtual start time.
 func (r *Recorder) BeginPhase(name string) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.phase++
@@ -200,9 +167,6 @@ func (r *Recorder) BeginPhase(name string) {
 // advances the virtual clock by work+sched — the phase's contribution to
 // response time.
 func (r *Recorder) EndPhase(work, sched cost.SimNs) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.spans = append(r.spans, &Span{
@@ -218,17 +182,14 @@ func (r *Recorder) EndPhase(work, sched cost.SimNs) {
 		CPU:       sched,
 	})
 	r.now += work + sched
-	r.metrics.sample(r.attempt, r.phase, r.phaseName, r.now.Nanoseconds())
+	r.metrics.Sample(r.attempt, r.phase, r.phaseName, r.now.Nanoseconds())
 }
 
-// Start opens a span for one operator goroutine at site. bucket is the
-// bucket/partition the operator works on, or -1. The returned span must be
-// closed (usually deferred) against the goroutine's own account. Start on a
-// nil recorder returns a nil span; Close on a nil span is a no-op.
+// Start opens a span for one operator process at site. bucket is the
+// bucket/partition the operator works on, or -1. The process charges the
+// span's account (Acct); Close stamps the span from it once the process has
+// finished.
 func (r *Recorder) Start(site int, op, role string, bucket int) *Span {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := &Span{
@@ -245,13 +206,15 @@ func (r *Recorder) Start(site int, op, role string, bucket int) *Span {
 	return s
 }
 
-// Close stamps the span from the goroutine's finished account: overlapped
-// duration, resource breakdown, and the account's events shifted to
-// absolute simulated time. Close reads the account and never charges it.
-func (s *Span) Close(a *cost.Acct) {
-	if s == nil {
-		return
-	}
+// Acct returns the account the span carries. Each operator process charges
+// its own span's account; it is not safe for concurrent use.
+func (s *Span) Acct() *cost.Acct { return &s.acct }
+
+// Close stamps the span from its finished account: overlapped duration,
+// resource breakdown, and the account's events shifted to absolute
+// simulated time. Close reads the account and never charges it.
+func (s *Span) Close() {
+	a := &s.acct
 	s.CPU, s.Disk, s.Net = a.CPU, a.Disk, a.Net
 	s.Dur = a.Elapsed()
 	for _, ev := range a.Events {
@@ -263,9 +226,6 @@ func (s *Span) Close(a *cost.Acct) {
 // time — used for faults that belong to the run, not to one operator
 // account (site crashes, query restarts).
 func (r *Recorder) Instant(site int, kind, detail string) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.instants = append(r.instants, Instant{
@@ -283,9 +243,6 @@ func (r *Recorder) Instant(site int, kind, detail string) {
 // append spans in goroutine-scheduling order; the canonical sort is what
 // makes every export byte-identical across runs.
 func (r *Recorder) Spans() []*Span {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	spans := append([]*Span(nil), r.spans...)
 	r.mu.Unlock()
@@ -357,9 +314,6 @@ func lessEvents(a, b []Event) bool {
 
 // Instants returns the recorded instants (already in coordinator order).
 func (r *Recorder) Instants() []Instant {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Instant(nil), r.instants...)
@@ -388,28 +342,4 @@ func roleRank(role string) int {
 	default:
 		return 5
 	}
-}
-
-// SiteTotals sums span resource breakdowns per site for one attempt.
-// Integer sums are order-independent, so iterating the raw span slice is
-// deterministic. report() derives UtilDisk/UtilDiskless/BottleneckBusy
-// from this — utilization falls out of the trace, not parallel bookkeeping.
-func (r *Recorder) SiteTotals(attempt int) map[int]Totals {
-	out := make(map[int]Totals)
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.spans {
-		if s.Attempt != attempt || s.Site < 0 {
-			continue
-		}
-		t := out[s.Site]
-		t.CPU += s.CPU
-		t.Disk += s.Disk
-		t.Net += s.Net
-		out[s.Site] = t
-	}
-	return out
 }

@@ -8,6 +8,14 @@ import (
 	"gammajoin/internal/cost"
 )
 
+// closeWith charges a span's account as its operator process would, then
+// closes the span.
+func closeWith(sp *Span, a cost.Acct) *Span {
+	*sp.Acct() = a
+	sp.Close()
+	return sp
+}
+
 func TestVirtualClockAdvancesAtBarriers(t *testing.T) {
 	r := NewRecorder([]string{"site 0", "site 1"})
 	r.NewAttempt()
@@ -17,8 +25,7 @@ func TestVirtualClockAdvancesAtBarriers(t *testing.T) {
 	if sp.Start != 0 {
 		t.Fatalf("first phase span starts at %d, want 0", sp.Start)
 	}
-	a := &cost.Acct{CPU: 100, Disk: 40}
-	sp.Close(a)
+	closeWith(sp, cost.Acct{CPU: 100, Disk: 40})
 	if sp.Dur != 100 || sp.CPU != 100 || sp.Disk != 40 {
 		t.Fatalf("span close stamped %+v", sp)
 	}
@@ -60,10 +67,10 @@ func TestSpanEventsShiftToAbsoluteTime(t *testing.T) {
 	r.EndPhase(1000, 0)
 	r.BeginPhase("p1")
 	sp := r.Start(0, "scan", "produce", -1)
-	a := &cost.Acct{}
+	a := sp.Acct()
 	a.AddDisk(30)
 	a.Note("disk.retry", 42)
-	sp.Close(a)
+	sp.Close()
 	if len(sp.Events) != 1 {
 		t.Fatalf("got %d events, want 1", len(sp.Events))
 	}
@@ -80,7 +87,7 @@ func TestCanonicalSpanOrderIgnoresAppendOrder(t *testing.T) {
 		r.NewAttempt()
 		r.BeginPhase("p")
 		for _, site := range order {
-			r.Start(site, "scan", "produce", -1).Close(&cost.Acct{CPU: 1})
+			closeWith(r.Start(site, "scan", "produce", -1), cost.Acct{CPU: 1})
 		}
 		r.EndPhase(1, 1)
 		return r.Spans()
@@ -94,28 +101,6 @@ func TestCanonicalSpanOrderIgnoresAppendOrder(t *testing.T) {
 		if a[i].Site != b[i].Site || a[i].Op != b[i].Op || a[i].Role != b[i].Role {
 			t.Fatalf("canonical order differs at %d: %+v vs %+v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestNilRecorderIsNoOp(t *testing.T) {
-	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
-	r.NewAttempt()
-	r.BeginPhase("p")
-	sp := r.Start(0, "scan", "produce", -1)
-	sp.Close(&cost.Acct{CPU: 1}) // nil span: must not panic
-	r.EndPhase(1, 1)
-	r.Instant(0, "crash", "x")
-	if r.Now() != 0 || len(r.Spans()) != 0 || len(r.Instants()) != 0 {
-		t.Fatal("nil recorder recorded something")
-	}
-	m := r.Metrics()
-	m.Counter("x").Add(1) // nil metrics: no-op handles
-	m.Gauge("y").Set(2)
-	if m.Counter("x").Value() != 0 || m.Gauge("y").Value() != 0 {
-		t.Fatal("nil metrics registry retained values")
 	}
 }
 
@@ -161,10 +146,10 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 	r.NewAttempt()
 	r.BeginPhase("build")
 	sp := r.Start(0, "build", "consume", 2)
-	a := &cost.Acct{}
+	a := sp.Acct()
 	a.AddCPU(50)
 	a.Note("net.retransmit", 1)
-	sp.Close(a)
+	sp.Close()
 	r.Instant(1, "crash", "build")
 	r.EndPhase(50, 5)
 
@@ -203,7 +188,7 @@ func TestTSVAndFoldedExports(t *testing.T) {
 	r := NewRecorder([]string{"s0"})
 	r.NewAttempt()
 	r.BeginPhase("sort")
-	r.Start(0, "sort", "solo", -1).Close(&cost.Acct{CPU: 33})
+	closeWith(r.Start(0, "sort", "solo", -1), cost.Acct{CPU: 33})
 	r.Metrics().Counter("pages").Add(4)
 	r.EndPhase(33, 1)
 
@@ -236,7 +221,7 @@ func TestFoldedQueryRoot(t *testing.T) {
 	r.SetQuery(3)
 	r.NewAttempt()
 	r.BeginPhase("sort")
-	r.Start(0, "sort", "solo", -1).Close(&cost.Acct{CPU: 33})
+	closeWith(r.Start(0, "sort", "solo", -1), cost.Acct{CPU: 33})
 	r.EndPhase(33, 1)
 
 	var folded strings.Builder
@@ -245,30 +230,5 @@ func TestFoldedQueryRoot(t *testing.T) {
 	}
 	if got, want := strings.TrimRight(folded.String(), "\n"), "q3;s0;sort;sort 33"; got != want {
 		t.Errorf("folded stack %q, want %q", got, want)
-	}
-}
-
-func TestSiteTotals(t *testing.T) {
-	r := NewRecorder([]string{"s0", "s1"})
-	r.NewAttempt()
-	r.BeginPhase("p")
-	r.Start(0, "scan", "produce", -1).Close(&cost.Acct{CPU: 10, Disk: 5})
-	r.Start(0, "store", "write", -1).Close(&cost.Acct{CPU: 3, Net: 2})
-	r.Start(1, "scan", "produce", -1).Close(&cost.Acct{CPU: 8})
-	r.EndPhase(10, 1)
-
-	tot := r.SiteTotals(0)
-	if got := (Totals{CPU: 13, Disk: 5, Net: 2}); tot[0] != got {
-		t.Errorf("site 0 totals %+v, want %+v", tot[0], got)
-	}
-	if tot[0].Busy() != 20 {
-		t.Errorf("site 0 busy %d, want 20", tot[0].Busy())
-	}
-	if got := (Totals{CPU: 8}); tot[1] != got {
-		t.Errorf("site 1 totals %+v, want %+v", tot[1], got)
-	}
-	// The scheduler span (site -1) never contributes to site totals.
-	if _, ok := tot[-1]; ok {
-		t.Error("scheduler pseudo-site leaked into totals")
 	}
 }

@@ -65,10 +65,10 @@ func (c Counters) LocalFraction() float64 {
 }
 
 // DefaultRunLength is the delivery-run size (in packets) used by networks
-// that have not been tuned with SetRunLength. Thirty-two packets is sixteen
-// disk pages of tuple payload — long enough to amortize the per-delivery
-// channel operation into noise, short enough that a run is a few tens of
-// kilobytes.
+// that have not been tuned with SetRunLength. Thirty-two 2 KB packets are
+// eight 8 KB disk pages of bytes (288 Wisconsin tuples, about 7.4 pages of
+// 39) — long enough to amortize the per-delivery channel operation into
+// noise, short enough that a run is a few tens of kilobytes.
 const DefaultRunLength = 32
 
 // Network carries packets between sites and accounts for them.
@@ -154,9 +154,11 @@ func (n *Network) Counters() Counters {
 }
 
 // Batch is one packet's worth of tuples addressed to one operator stream.
-// Exactly one of the embedded tuple run or Joined is populated. Batches are
-// recycled through a package arena: receivers hand processed batches back
-// via PutBatches, so steady-state packet traffic allocates nothing.
+// Exactly one of the embedded tuple run or Joined is populated. A Sender
+// carves every packet from a slab it owns (see slab); receivers hand
+// processed packets back via PutBatches, and a slab is reused once every
+// packet carved from it is back, so steady-state packet traffic allocates
+// nothing.
 type Batch struct {
 	Src   int   // producing site
 	Dst   int   // destination site
@@ -171,42 +173,78 @@ type Batch struct {
 	// (faulted) network delivered; the receiver charges protocol CPU to
 	// detect and discard each one.
 	Dups int
+
+	slab *slab // the slab this packet was carved from; nil if built by hand
 }
 
 // Len returns the number of tuples in the batch.
 func (b *Batch) Len() int { return len(b.Tuples) + len(b.Joined) }
 
-// reset empties the batch for reuse, keeping the backing arrays.
-func (b *Batch) reset() {
-	b.Batch.Reset()
-	b.Joined = b.Joined[:0]
-	b.Dups = 0
-	b.Seq = 0
+// slabPackets is how many packets a sender carves from one slab.
+const slabPackets = 64
+
+// slab is one contiguous block of packets: slabPackets headers plus their
+// tuple, hash and joined-tuple arrays, in which packet i owns the i-th
+// packet-sized window. A sender carves packets from its current slab in
+// order, so its outgoing tuples land in consecutive memory instead of in
+// scattered recycled buffers last touched by some other consumer.
+//
+// refs is packets carved minus packets put back, except that the carving
+// sender adds its carve count only when it moves on to another slab
+// (retire). Until then puts can only drive it below zero; afterwards it
+// falls monotonically, and whichever of the retire or the last PutBatch
+// brings it to zero recycles the slab — exactly once.
+type slab struct {
+	refs       atomic.Int32
+	next       int // packets carved so far; only the owning sender touches it
+	capT, capJ int // per-packet window sizes of the arrays below
+	tuples     []tuple.Tuple
+	hashes     []uint64
+	joined     []tuple.Joined
+	pkts       [slabPackets]Batch
 }
 
-// batchPool recycles packet batches across senders, phases, and queries.
-// Buffer capacities are sized lazily by the senders (capT plain tuples or
-// capJ joined tuples), so a recycled batch's arrays are already full-size.
-var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+// slabPool recycles slabs across senders, phases and queries.
+var slabPool = sync.Pool{New: func() any { return new(slab) }}
 
-// GetBatch returns an empty batch from the package arena. Senders call this
-// internally; it is exported for tests and for code that fabricates batches
-// outside a Sender (which should be rare — see the costcharge analyzer).
-func GetBatch() *Batch {
-	b := batchPool.Get().(*Batch)
-	b.reset()
-	return b
+// slabsOut counts slabs handed to senders and not yet recycled, so tests
+// can check that every exit path returns the slabs it touched.
+var slabsOut atomic.Int64
+
+// getSlab returns an uncarved slab whose packets hold capT plain or capJ
+// joined tuples.
+func getSlab(capT, capJ int) *slab {
+	sl := slabPool.Get().(*slab)
+	if sl.capT != capT || sl.capJ != capJ {
+		sl.capT, sl.capJ = capT, capJ
+		sl.tuples = make([]tuple.Tuple, slabPackets*capT)
+		sl.hashes = make([]uint64, slabPackets*capT)
+		sl.joined = make([]tuple.Joined, slabPackets*capJ)
+	}
+	sl.next = 0
+	slabsOut.Add(1)
+	return sl
 }
 
-// PutBatch recycles one batch. The caller must not touch it afterwards.
-func PutBatch(b *Batch) {
-	if b != nil {
-		batchPool.Put(b)
+// release adds n to the slab's reference count and recycles the slab when
+// the count reaches zero (see slab).
+func (sl *slab) release(n int32) {
+	if sl.refs.Add(n) == 0 {
+		slabsOut.Add(-1)
+		slabPool.Put(sl)
 	}
 }
 
-// PutBatches recycles every batch in the slice. Receivers call it after the
-// tuples have been copied out (consumed batches must never be retained).
+// PutBatch hands one packet back to its slab. The caller must not touch it
+// afterwards. A batch built by hand has no slab and is left alone.
+func PutBatch(b *Batch) {
+	if b != nil && b.slab != nil {
+		b.slab.release(-1)
+	}
+}
+
+// PutBatches hands back every packet in the slice. Receivers call it after
+// the tuples have been copied out (consumed batches must never be retained).
 func PutBatches(bs []*Batch) {
 	for _, b := range bs {
 		PutBatch(b)
@@ -248,10 +286,17 @@ type streamKey struct {
 	ti  int
 }
 
-// tagBufs is one tag's destination-indexed packet buffers.
+// stream is one output stream's slot: the packet under construction, and
+// whether the stream is already recorded in the sender's first-write order.
+type stream struct {
+	pkt    *Batch
+	listed bool
+}
+
+// tagBufs is one tag's destination-indexed stream slots.
 type tagBufs struct {
 	tag  int
-	bufs []*Batch
+	bufs []stream
 }
 
 // tally is a sender's private network accounting, published to the
@@ -285,10 +330,11 @@ type Sender struct {
 	wtNs   cost.SimNs // cached model.WriteTuple (hot: charged once per tuple sent)
 	runLen int        // packets per delivery run
 	seq    int64
+	slab   *slab // slab the next packet is carved from; nil until the first
 
 	curTag  int
 	curIdx  int         // index of curTag in tags
-	cur     []*Batch    // destination-indexed buffers for curTag (aliases tags[curIdx].bufs)
+	cur     []stream    // destination-indexed slots for curTag (aliases tags[curIdx].bufs)
 	tags    []tagBufs   // tag directory, in first-use order
 	order   []streamKey // stream first-write order, for deterministic FlushAll
 	pending [][]*Batch  // destination-indexed delivery runs being filled
@@ -345,27 +391,28 @@ func (n *Network) NewSender(a *cost.Acct, src int, deliver func(dst int, run []*
 	return s
 }
 
-// Release recycles the sender. Call only after FlushAll, when no packet can
-// still be buffered; any stragglers (a cancelled worker's partial buffers)
-// are recycled, not delivered, and any unpublished counters are published.
-// The caller must not use the sender again.
+// Release recycles the sender and retires its slab. Call only after
+// FlushAll, when no packet can still be buffered; any stragglers (a
+// cancelled worker's partial buffers and undelivered runs) are recycled, not
+// delivered, and any unpublished counters are published. The caller must not
+// use the sender again.
 func (s *Sender) Release() {
 	s.publish()
 	for _, tb := range s.tags {
-		for i, b := range tb.bufs {
-			if b != nil {
-				PutBatch(b)
-				tb.bufs[i] = nil
-			}
+		for i := range tb.bufs {
+			PutBatch(tb.bufs[i].pkt)
+			tb.bufs[i] = stream{}
 		}
 	}
 	for _, dst := range s.pdsts {
-		if s.pending[dst] != nil {
-			PutRun(s.pending[dst])
+		if run := s.pending[dst]; run != nil {
+			PutBatches(run)
+			PutRun(run)
 			s.pending[dst] = nil
 		}
 		s.pseen[dst] = false
 	}
+	s.retire()
 	s.tags = s.tags[:0]
 	s.order = s.order[:0]
 	s.pdsts = s.pdsts[:0]
@@ -412,25 +459,61 @@ func (s *Sender) selectTag(tag int) {
 }
 
 // buffer returns the packet under construction for stream (dst, tag),
-// creating (and recording in first-write order) an empty one if needed.
+// carving an empty one if needed and recording the stream in first-write
+// order on its first write.
 func (s *Sender) buffer(dst, tag int) *Batch {
 	if tag != s.curTag {
 		s.selectTag(tag)
 	}
 	if dst >= len(s.cur) {
-		grown := make([]*Batch, dst+1)
+		grown := make([]stream, dst+1)
 		copy(grown, s.cur)
 		s.cur = grown
 		s.tags[s.curIdx].bufs = grown
 	}
-	b := s.cur[dst]
-	if b == nil {
-		b = GetBatch()
-		b.Src, b.Dst, b.Local, b.Tag = s.src, dst, s.local(dst), tag
-		s.cur[dst] = b
-		s.order = append(s.order, streamKey{dst, s.curIdx})
+	st := &s.cur[dst]
+	if st.pkt == nil {
+		st.pkt = s.carve(dst, tag)
+		if !st.listed {
+			st.listed = true
+			s.order = append(s.order, streamKey{dst, s.curIdx})
+		}
+	}
+	return st.pkt
+}
+
+// carve cuts the next empty packet for stream (dst, tag) from the sender's
+// slab, taking a fresh slab first if it has none.
+func (s *Sender) carve(dst, tag int) *Batch {
+	sl := s.slab
+	if sl == nil {
+		sl = getSlab(s.capT, s.capJ)
+		s.slab = sl
+	}
+	i := sl.next
+	sl.next++
+	t, tEnd := i*sl.capT, (i+1)*sl.capT
+	j, jEnd := i*sl.capJ, (i+1)*sl.capJ
+	b := &sl.pkts[i]
+	*b = Batch{
+		Src: s.src, Dst: dst, Local: s.local(dst), Tag: tag,
+		Batch:  tuple.Batch{Tuples: sl.tuples[t:t:tEnd], Hashes: sl.hashes[t:t:tEnd]},
+		Joined: sl.joined[j:j:jEnd],
+		slab:   sl,
+	}
+	if sl.next == slabPackets {
+		s.retire()
 	}
 	return b
+}
+
+// retire lets go of the sender's slab, adding its carve count to the slab's
+// references so the slab is recycled once every carved packet is back.
+func (s *Sender) retire() {
+	if sl := s.slab; sl != nil {
+		s.slab = nil
+		sl.release(int32(sl.next))
+	}
 }
 
 // Send routes one tuple (with its precomputed join-attribute hash) to the
@@ -440,13 +523,9 @@ func (s *Sender) buffer(dst, tag int) *Batch {
 func (s *Sender) Send(dst, tag int, t *tuple.Tuple, h uint64) {
 	s.a.AddCPU(s.wtNs)
 	b := s.buffer(dst, tag)
-	if cap(b.Tuples) == 0 {
-		b.Tuples = make([]tuple.Tuple, 0, s.capT)
-		b.Hashes = make([]uint64, 0, s.capT)
-	}
 	b.Append(t, h)
 	if len(b.Tuples) >= s.capT {
-		s.cur[dst] = nil
+		s.cur[dst].pkt = nil
 		s.flush(b)
 	}
 }
@@ -455,12 +534,9 @@ func (s *Sender) Send(dst, tag int, t *tuple.Tuple, h uint64) {
 func (s *Sender) SendJoined(dst, tag int, j *tuple.Joined) {
 	s.a.AddCPU(s.wtNs)
 	b := s.buffer(dst, tag)
-	if cap(b.Joined) == 0 {
-		b.Joined = make([]tuple.Joined, 0, s.capJ)
-	}
 	b.Joined = append(b.Joined, *j)
 	if len(b.Joined) >= s.capJ {
-		s.cur[dst] = nil
+		s.cur[dst].pkt = nil
 		s.flush(b)
 	}
 }
@@ -472,15 +548,12 @@ func (s *Sender) SendJoined(dst, tag int, j *tuple.Joined) {
 func (s *Sender) SendJoinedPair(dst, tag int, inner, outer *tuple.Tuple) {
 	s.a.AddCPU(s.wtNs)
 	b := s.buffer(dst, tag)
-	if cap(b.Joined) == 0 {
-		b.Joined = make([]tuple.Joined, 0, s.capJ)
-	}
 	n := len(b.Joined)
 	b.Joined = b.Joined[:n+1]
 	b.Joined[n].Inner = *inner
 	b.Joined[n].Outer = *outer
 	if len(b.Joined) >= s.capJ {
-		s.cur[dst] = nil
+		s.cur[dst].pkt = nil
 		s.flush(b)
 	}
 }
@@ -563,14 +636,11 @@ func (s *Sender) flush(b *Batch) {
 // producer's input stream ends (Gamma's end-of-stream close).
 func (s *Sender) FlushAll() {
 	for _, k := range s.order {
-		bufs := s.tags[k.ti].bufs
-		if b := bufs[k.dst]; b != nil {
-			bufs[k.dst] = nil
-			if b.Len() > 0 {
-				s.flush(b)
-			} else {
-				PutBatch(b)
-			}
+		st := &s.tags[k.ti].bufs[k.dst]
+		b := st.pkt
+		*st = stream{}
+		if b != nil {
+			s.flush(b)
 		}
 	}
 	s.order = s.order[:0]

@@ -197,6 +197,45 @@ func TestStreamsSeparateByTag(t *testing.T) {
 	}
 }
 
+// TestOrderListsEachStreamOnce checks that FlushAll's first-write order
+// holds one entry per stream, however many packets the stream opened, and
+// that a stream written again after FlushAll is listed again.
+func TestOrderListsEachStreamOnce(t *testing.T) {
+	n := New(cost.Default())
+	var a cost.Acct
+	var got []*Batch
+	s := n.NewSender(&a, 0, collectInto(&got))
+	streams := map[[2]int]bool{}
+	src := xrand.New(3)
+	for i := 0; i < 1000; i++ {
+		dst, tag := src.Intn(5), 7+src.Intn(3)
+		streams[[2]int{dst, tag}] = true
+		tp := mkTuple(int32(i))
+		s.Send(dst, tag, &tp, uint64(i))
+	}
+	if len(s.order) != len(streams) {
+		t.Fatalf("order has %d entries for %d streams", len(s.order), len(streams))
+	}
+	s.FlushAll()
+	if len(s.order) != 0 {
+		t.Fatalf("order not cleared by FlushAll: %d entries", len(s.order))
+	}
+	tp := mkTuple(1000)
+	s.Send(0, 7, &tp, 1000)
+	if len(s.order) != 1 {
+		t.Fatalf("stream written after FlushAll listed %d times, want 1", len(s.order))
+	}
+	s.FlushAll()
+	total := 0
+	for _, b := range got {
+		total += b.Len()
+	}
+	if total != 1001 {
+		t.Fatalf("delivered %d tuples, want 1001", total)
+	}
+	s.Release()
+}
+
 func TestRecvCharges(t *testing.T) {
 	m := cost.Default()
 	n := New(m)

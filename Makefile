@@ -173,7 +173,7 @@ avail:
 # under the race detector with byte-identical output required — and the
 # dynamic join's p95 over the sweep must beat the static one's.
 DEGRADE_FLAGS = -exp degrade -outer 20000 -inner 2000 \
-	-fault-seed 77 -fault-mem-pressure 0.5 -fault-swing 0.5
+	-fault-seed 77 -fault-mem 0.5 -fault-swing 0.5
 degrade:
 	$(GO) run -race ./cmd/gammabench $(DEGRADE_FLAGS) > /tmp/gammajoin-degrade-1.txt
 	$(GO) run -race ./cmd/gammabench $(DEGRADE_FLAGS) > /tmp/gammajoin-degrade-2.txt

@@ -62,14 +62,13 @@ func main() {
 		profOut    = flag.String("prof", "", "with -alg: write the run's gammaprof report to this file (text; *.tsv gets the machine-readable profile)")
 		profDir    = flag.String("prof-dir", "", "write every run's gammaprof profile (<slug>.prof.txt + .prof.tsv; with -mpl, q<id>.prof.*) into this directory")
 
-		faultSeed     = flag.Uint64("fault-seed", 0, "fault-schedule seed (enables fault injection with any -fault-* rate)")
-		faultDisk     = flag.Float64("fault-disk", 0, "transient disk read-error probability per page read")
-		faultNet      = flag.Float64("fault-net", 0, "network packet drop probability per remote packet")
-		faultDup      = flag.Float64("fault-dup", 0, "network packet duplication probability per remote packet")
-		faultMem      = flag.Float64("fault-mem", 0, "per-phase probability of a memory-budget change at the join sites")
-		faultMemAlias = flag.Float64("fault-mem-pressure", 0, "alias for -fault-mem")
-		faultSwing    = flag.Float64("fault-swing", 0, "per-batch probability of a budget swing (downward revoke or upward re-grant) during a dynamic-Hybrid build")
-		faultCrash    = flag.Float64("fault-crash", 0, "per-phase per-site crash probability (recovered by failover or query restart)")
+		faultSeed  = flag.Uint64("fault-seed", 0, "fault-schedule seed (enables fault injection with any -fault-* rate)")
+		faultDisk  = flag.Float64("fault-disk", 0, "transient disk read-error probability per page read")
+		faultNet   = flag.Float64("fault-net", 0, "network packet drop probability per remote packet")
+		faultDup   = flag.Float64("fault-dup", 0, "network packet duplication probability per remote packet")
+		faultMem   = flag.Float64("fault-mem", 0, "per-phase probability of a memory-budget change at the join sites")
+		faultSwing = flag.Float64("fault-swing", 0, "per-batch probability of a budget swing (downward revoke or upward re-grant) during a dynamic-Hybrid build")
+		faultCrash = flag.Float64("fault-crash", 0, "per-phase per-site crash probability (recovered by failover or query restart)")
 
 		mirror        = flag.Bool("mirror", false, "chained-declustered mirrors: back each disk site's fragments up on its ring neighbor so a single crash fails over instead of restarting")
 		detectTimeout = flag.Float64("detect-timeout", 0, "failure-detection heartbeat period in simulated ms (0 keeps the cost model's default period and miss count)")
@@ -120,9 +119,6 @@ func main() {
 	if cfg.InnerN > cfg.OuterN {
 		fmt.Fprintln(os.Stderr, "gammabench: -inner must not exceed -outer")
 		os.Exit(2)
-	}
-	if *faultMemAlias > *faultMem {
-		*faultMem = *faultMemAlias
 	}
 	if *faultDisk > 0 || *faultNet > 0 || *faultDup > 0 || *faultMem > 0 || *faultSwing > 0 || *faultCrash > 0 ||
 		*retryBudget > 0 || *retryBackoff > 0 {
@@ -319,37 +315,10 @@ func runWorkload(h *experiments.Harness, mpl int, policyName string, queries int
 		return err
 	}
 	if ov.metricsOut != "" {
-		f, err := os.Create(ov.metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := res.Metrics.WriteTSV(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing workload metrics: %w", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := experiments.WriteFile(ov.metricsOut, res.Metrics.WriteTSV); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "workload metrics written to %s\n", ov.metricsOut)
-	}
-	writeAll := func(outs []struct {
-		path string
-		emit func(w io.Writer) error
-	}) error {
-		for _, out := range outs {
-			f, err := os.Create(out.path)
-			if err != nil {
-				return err
-			}
-			if err := out.emit(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	if traceDir != "" {
 		if err := os.MkdirAll(traceDir, 0o755); err != nil {
@@ -359,14 +328,11 @@ func runWorkload(h *experiments.Harness, mpl int, policyName string, queries int
 			if q.Report == nil {
 				continue // shed before admission: no execution, no timeline
 			}
-			rec := q.Report.Trace
-			if err := writeAll([]struct {
-				path string
-				emit func(w io.Writer) error
-			}{
-				{filepath.Join(traceDir, fmt.Sprintf("q%d.trace.json", q.ID)), rec.WriteChrome},
-				{filepath.Join(traceDir, fmt.Sprintf("q%d.spans.tsv", q.ID)), rec.WriteSpansTSV},
-			}); err != nil {
+			base := filepath.Join(traceDir, fmt.Sprintf("q%d", q.ID))
+			if err := experiments.WriteFile(base+".trace.json", q.Report.Trace.WriteChrome); err != nil {
+				return err
+			}
+			if err := experiments.WriteFile(base+".spans.tsv", q.Report.Trace.WriteSpansTSV); err != nil {
 				return err
 			}
 		}
@@ -384,13 +350,11 @@ func runWorkload(h *experiments.Harness, mpl int, policyName string, queries int
 			if err != nil {
 				return fmt.Errorf("profiling q%d: %w", q.ID, err)
 			}
-			if err := writeAll([]struct {
-				path string
-				emit func(w io.Writer) error
-			}{
-				{filepath.Join(profDir, fmt.Sprintf("q%d.prof.txt", q.ID)), p.WriteText},
-				{filepath.Join(profDir, fmt.Sprintf("q%d.prof.tsv", q.ID)), p.WriteTSV},
-			}); err != nil {
+			base := filepath.Join(profDir, fmt.Sprintf("q%d", q.ID))
+			if err := experiments.WriteFile(base+".prof.txt", p.WriteText); err != nil {
+				return err
+			}
+			if err := experiments.WriteFile(base+".prof.tsv", p.WriteTSV); err != nil {
 				return err
 			}
 		}
@@ -424,15 +388,7 @@ func runSingle(h *experiments.Harness, algName string, ratio float64, traceOut, 
 			rep.Restarts, rep.DeadSites, rep.WastedWork.Seconds())
 	}
 	write := func(path, kind string, emit func(w io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s: %w", kind, err)
-		}
-		if err := f.Close(); err != nil {
+		if err := experiments.WriteFile(path, emit); err != nil {
 			return err
 		}
 		fmt.Printf("%s written to %s\n", kind, path)

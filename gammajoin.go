@@ -180,7 +180,9 @@ type JoinOptions struct {
 	// StoreResult materializes the result relation round-robin across the
 	// disks (on by default in the paper's benchmark; set via NoStore).
 	NoStore bool
-	// CollectResults returns the joined tuples in Report.Results.
+	// CollectResults returns the joined tuples in Report.Results. They are
+	// grouped by the site that produced them, in ascending site order, and
+	// keep that site's processing order within a site.
 	CollectResults bool
 }
 

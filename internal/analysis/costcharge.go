@@ -12,7 +12,7 @@ import (
 //
 // Within each function (function literals are separate functions):
 //
-//  1. calls to (*netsim.Sender).Send / SendJoined must be paired with a
+//  1. calls to (*netsim.Sender).Send / SendJoinedPair must be paired with a
 //     cost charge in the same function — either an explicit
 //     (*cost.Acct).AddCPU/AddDisk/AddNet call, or a call that passes a
 //     *cost.Acct to a priced primitive (delegation);
@@ -57,7 +57,7 @@ type costUnit struct {
 	p        *Pass
 	inNetsim bool
 
-	sends      []ast.Node // Sender.Send / SendJoined call sites
+	sends      []ast.Node // Sender.Send / SendJoinedPair call sites
 	batchLoops []ast.Node // ranges over chan *netsim.Batch
 	charged    bool       // explicit Acct.Add* call present
 	delegated  bool       // a *cost.Acct is passed onward to a callee
@@ -124,7 +124,7 @@ func (u *costUnit) checkCall(call *ast.CallExpr) {
 	switch {
 	case isAcct(recv) && (name == "AddCPU" || name == "AddDisk" || name == "AddNet"):
 		u.charged = true
-	case isPkgNamed(recv, "internal/netsim", "Sender") && (name == "Send" || name == "SendJoined"):
+	case isPkgNamed(recv, "internal/netsim", "Sender") && (name == "Send" || name == "SendJoinedPair"):
 		u.sends = append(u.sends, call)
 	case isPkgNamed(recv, "internal/netsim", "Network") && name == "Recv":
 		u.recvCalled = true

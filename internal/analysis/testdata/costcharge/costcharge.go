@@ -30,8 +30,12 @@ func pricedHelper(a *cost.Acct, m *cost.Model) { a.AddCPU(m.ReadTuple) }
 // by delegation.
 func delegatedSend(a *cost.Acct, m *cost.Model, snd *netsim.Sender, t tuple.Tuple) {
 	pricedHelper(a, m)
-	j := tuple.Joined{Inner: t, Outer: t}
-	snd.SendJoined(0, 0, &j)
+	snd.SendJoinedPair(0, 0, &t, &t)
+}
+
+// unpricedResult ships a join result without charging the result cost.
+func unpricedResult(snd *netsim.Sender, inner, outer *tuple.Tuple) {
+	snd.SendJoinedPair(0, 0, inner, outer) // want `netsim send without a cost.Model charge`
 }
 
 // directDeliver bypasses the sender entirely.

@@ -106,13 +106,11 @@ type Spec struct {
 	// Sections 4.2/4.4 predict "would significantly increase the
 	// performance of these algorithms". Requires BitFilter.
 	FilterForming bool
-	// BucketTuning enables the Grace bucket tuning of [KITS83]: many
-	// small buckets are formed and then combined into memory-sized join
-	// groups by measured size, absorbing skew without overflow.
+	// BucketTuning enables the Grace bucket tuning of [KITS83]: three
+	// times more buckets than optimal are formed and then combined into
+	// memory-sized join groups by measured size, absorbing skew without
+	// overflow.
 	BucketTuning bool
-	// TuneFactor is how many times more buckets than optimal BucketTuning
-	// forms (default 3).
-	TuneFactor int
 
 	// InnerSizeHint tells the optimizer the expected inner size in bytes
 	// after RPred's selection (Gamma's optimizer estimates selectivities
@@ -144,11 +142,6 @@ type Spec struct {
 	// CollectResults additionally gathers the joined tuples into the
 	// report (tests and small examples only).
 	CollectResults bool
-
-	// HashSeed is the base hash-function seed; 0 is the system-wide
-	// function used when relations were loaded, so joins on a
-	// hash-partitioning attribute short-circuit the network.
-	HashSeed uint64
 
 	// QueryID tags this execution with a workload query id (internal/sched).
 	// It flows into the trace (one process track per query) and prefixes
@@ -195,10 +188,13 @@ type Report struct {
 	Phases   []gamma.PhaseStat
 
 	ResultCount int64
-	Results     []tuple.Joined // only when Spec.CollectResults
+	// Results holds the joined tuples, only when Spec.CollectResults. They
+	// are grouped by the site that produced them, in ascending site order,
+	// and keep that site's processing order within a site.
+	Results []tuple.Joined
 
 	// ResultSum is the order-independent checksum of the result set: the
-	// wrapping uint64 sum of tuple.Joined.Checksum over every emitted
+	// wrapping uint64 sum of tuple.PairChecksum over every emitted
 	// result. Two executions of the same join — serial or interleaved,
 	// different algorithms, different memory grants — must agree on it,
 	// which is what the workload engine's equivalence tests assert.

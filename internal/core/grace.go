@@ -17,14 +17,10 @@ import (
 func (rc *runCtx) runGrace() error {
 	nb := rc.optimizerBuckets(false)
 	if rc.spec.BucketTuning {
-		// Bucket tuning [KITS83]: form several times more buckets than
+		// Bucket tuning [KITS83]: form three times more buckets than
 		// memory strictly requires, then combine them into memory-sized
 		// join groups by their measured sizes.
-		tune := rc.spec.TuneFactor
-		if tune < 2 {
-			tune = 3
-		}
-		nb *= tune
+		nb *= 3
 		if !rc.spec.SkipAnalyzer {
 			nb = split.AnalyzeBuckets(false, len(rc.diskSites), len(rc.joinSites), nb)
 		}
@@ -61,7 +57,7 @@ func (rc *runCtx) runGrace() error {
 			rsrc = append(rsrc, rb.sources(b)...)
 			ssrc = append(ssrc, sb.sources(b)...)
 		}
-		if err := rc.hashJoinStreams(groupLabel("bucket", group), group[0], rsrc, ssrc, rc.spec.HashSeed, 0, nil, nil); err != nil {
+		if err := rc.hashJoinStreams(groupLabel("bucket", group), group[0], rsrc, ssrc, 0, 0, nil, nil); err != nil {
 			return err
 		}
 	}

@@ -16,7 +16,6 @@ import (
 func (rc *runCtx) runHybrid() error {
 	nb := rc.optimizerBuckets(true)
 	rc.buckets = nb
-	seed := rc.spec.HashSeed
 
 	// The two partitioning phases are ONE redo-able unit: bucket 1 lives
 	// only in the join sites' memories between them, so a crash before the
@@ -32,7 +31,7 @@ func (rc *runCtx) runHybrid() error {
 	)
 	if err := rc.runUnit(func() error {
 		var err error
-		rb, sb, rover, sover, err = rc.hybridPartition(nb, seed)
+		rb, sb, rover, sover, err = rc.hybridPartition(nb)
 		return err
 	}); err != nil {
 		return err
@@ -40,14 +39,14 @@ func (rc *runCtx) runHybrid() error {
 
 	// ---- phases 3..: join the on-disk buckets ----
 	for b := 1; b < nb; b++ {
-		if err := rc.hashJoinStreams(fmt.Sprintf("bucket %d", b+1), b, rb.sources(b), sb.sources(b), seed, 0, nil, nil); err != nil {
+		if err := rc.hashJoinStreams(fmt.Sprintf("bucket %d", b+1), b, rb.sources(b), sb.sources(b), 0, 0, nil, nil); err != nil {
 			return err
 		}
 	}
 
 	// ---- resolve bucket-1 overflow, if any (AllowOverflow mode) ----
 	if len(rover) > 0 {
-		return rc.hashJoinStreams("bucket 1", 0, rover, sover, seed+1, 1, nil, nil)
+		return rc.hashJoinStreams("bucket 1", 0, rover, sover, 1, 1, nil, nil)
 	}
 	return nil
 }
@@ -57,7 +56,7 @@ func (rc *runCtx) runHybrid() error {
 // bucket 1 routes to the join sites, while every disk site writes the
 // fragments of buckets 2..N. It returns the bucket files and bucket 1's
 // overflow files.
-func (rc *runCtx) hybridPartition(nb int, seed uint64) (rb, sb *fileSink, rover, sover []fileAt, err error) {
+func (rc *runCtx) hybridPartition(nb int) (rb, sb *fileSink, rover, sover []fileAt, err error) {
 	pt, err := split.NewHybrid(nb, rc.diskSites, rc.joinSites)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -75,7 +74,7 @@ func (rc *runCtx) hybridPartition(nb int, seed uint64) (rb, sb *fileSink, rover,
 	partR := newPhase("partition R + build bucket 1",
 		opLabels{produce: "scan", consume: "split + build bucket 1", write: "overflow write"}, 0)
 	partR.end.SplitEntries = pt.Entries()
-	rc.scan(&partR, relSources(rc.spec.R), rc.spec.RAttr, rc.spec.RPred, seed, false, partRoute(pt))
+	rc.scan(&partR, relSources(rc.spec.R), rc.spec.RAttr, rc.spec.RPred, 0, false, partRoute(pt))
 	rc.buildPass(&partR, js)
 	rb.install(partR.consume, rc.diskSites)
 	if err := rc.runPhase(partR); err != nil {
@@ -85,7 +84,7 @@ func (rc *runCtx) hybridPartition(nb int, seed uint64) (rb, sb *fileSink, rover,
 	partS := newPhase("partition S + probe bucket 1",
 		opLabels{produce: "scan", consume: "split + probe bucket 1", write: "store"}, 0)
 	partS.end.SplitEntries = pt.Entries()
-	rc.probePass(&partS, js, relSources(rc.spec.S), rc.spec.SPred, seed, pt)
+	rc.probePass(&partS, js, relSources(rc.spec.S), rc.spec.SPred, 0, pt)
 	sb.install(partS.consume, rc.diskSites)
 	if err := rc.runPhase(partS); err != nil {
 		return nil, nil, nil, nil, err

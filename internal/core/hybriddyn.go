@@ -72,16 +72,17 @@ const (
 )
 
 // dynSite is one join site's adaptation state during the dynamic build:
-// the partitions it owns, their resident hash tables, and the site's
-// current share of the (fluctuating) aggregate memory budget. It is only
-// ever touched by the owning site's worker goroutine during a phase and by
-// the coordinator at phase barriers.
+// the partitions it owns, their resident hash tables, its bit filter, and
+// the site's current share of the (fluctuating) aggregate memory budget. It
+// is only ever touched by the owning site's worker goroutine during a phase
+// and by the coordinator at phase barriers.
 type dynSite struct {
-	parts  []int                    // owned partitions, ascending
-	tables map[int]*gamma.HashTable // one table per owned partition
-	budget int64                    // current resident-byte budget
-	factor float64                  // cumulative budget multiplier, clamped
-	epoch  int                      // batch ordinal driving BudgetSwing rolls
+	parts  []int              // owned partitions, ascending
+	tables []*gamma.HashTable // every partition's table; the site uses only its parts'
+	flt    *bitfilter.Filter  // covers every inner tuple the site owns; nil without BitFilter
+	budget int64              // current resident-byte budget
+	factor float64            // cumulative budget multiplier, clamped
+	epoch  int                // batch ordinal driving BudgetSwing rolls
 }
 
 // residentBytes is the site's current resident payload (spilled partitions'
@@ -104,7 +105,6 @@ func (st *dynSite) residentBytes() int64 {
 func (rc *runCtx) runHybridDyn() error {
 	np := rc.dynPartitions()
 	rc.buckets = np
-	seed := rc.spec.HashSeed
 
 	// Build + resurrect + probe are ONE redo-able unit: the resident
 	// partitions live only in the join sites' memories between the phases,
@@ -118,7 +118,7 @@ func (rc *runCtx) runHybridDyn() error {
 	)
 	if err := rc.runUnit(func() error {
 		var err error
-		rFiles, sFiles, spilled, err = rc.dynBuildProbe(np, seed)
+		rFiles, sFiles, spilled, err = rc.dynBuildProbe(np)
 		return err
 	}); err != nil {
 		return err
@@ -145,7 +145,7 @@ func (rc *runCtx) runHybridDyn() error {
 				ssrc = append(ssrc, fileAt{site: rc.dynHome(p, np), f: sFiles[p]})
 			}
 		}
-		if err := rc.hashJoinStreams(groupLabel("partition", group), group[0], rsrc, ssrc, seed, 0, nil, nil); err != nil {
+		if err := rc.hashJoinStreams(groupLabel("partition", group), group[0], rsrc, ssrc, 0, 0, nil, nil); err != nil {
 			return err
 		}
 	}
@@ -229,7 +229,7 @@ func (rc *runCtx) dynPartitions() int {
 // the overlapped partition-S/probe pass. It returns the partition files and
 // the final spill state, so runHybridDyn's disk-join phases read the state
 // of the attempt that actually completed.
-func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.File, spilled []bool, err error) {
+func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []bool, err error) {
 	rFiles, rSink, err := rc.dynPartitionFiles("hybriddyn.r", np, tagDynRBase)
 	if err != nil {
 		return nil, nil, nil, err
@@ -244,26 +244,26 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.Fil
 	// spilled because its tuples cannot re-enter a cutoff-guarded table.
 	poisoned := make([]bool, np)
 
-	var filters map[int]*bitfilter.Filter
-	if rc.spec.BitFilter {
-		filters = make(map[int]*bitfilter.Filter, len(rc.joinSites))
+	// states is indexed by site. Every site starts at the nominal lease; its
+	// build applies the phase's memory pressure before the first tuple.
+	states := make([]dynSite, len(rc.c.Sites))
+	tables := make([]*gamma.HashTable, np)
+	for _, j := range rc.joinSites {
+		st := &states[j]
+		st.tables, st.budget, st.factor = tables, rc.tableCap(), 1
+		if rc.spec.BitFilter {
+			st.flt = bitfilter.New(rc.filterBits)
+		}
 	}
-	states := make(map[int]*dynSite, len(rc.joinSites))
 	// Tables are allocated generously — the largest budget a swing can ever
 	// grant, plus slack — so the histogram/cutoff eviction machinery never
 	// fires inside a "resident" partition; partitions move to disk whole or
 	// not at all, which is the invariant the probe relies on.
 	gencap := int64(dynMaxFactor*float64(rc.tableCap())) + 64*tuple.Bytes
-	for _, j := range rc.joinSites {
-		states[j] = &dynSite{tables: make(map[int]*gamma.HashTable)}
-		if filters != nil {
-			filters[j] = bitfilter.New(rc.filterBits)
-		}
-	}
-	for p := 0; p < np; p++ {
-		st := states[rc.dynOwner(p, np)]
+	for p := range tables {
+		st := &states[rc.dynOwner(p, np)]
 		st.parts = append(st.parts, p)
-		st.tables[p] = gamma.NewHashTable(rc.m, gencap, rc.spec.RAttr)
+		tables[p] = gamma.NewHashTable(rc.m, gencap, rc.spec.RAttr)
 	}
 
 	// ---- phase 1: partition R — every partition starts resident ----
@@ -274,31 +274,28 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.Fil
 	build := newPhase("dyn partition R + build",
 		opLabels{produce: "scan", consume: "build + adapt", write: "spill write"}, -1)
 	build.end.SplitEntries = np
-	rc.scan(&build, relSources(rc.spec.R), rc.spec.RAttr, rc.spec.RPred, seed, false,
+	rc.scan(&build, relSources(rc.spec.R), rc.spec.RAttr, rc.spec.RPred, 0, false,
 		func(_ *cost.Acct, h uint64) (int, int, bool) {
 			return rc.dynOwner(rc.dynPart(h, np), np), tagProbe, true
 		})
 	phaseOrd := len(rc.q.Phases)
 	for _, j := range rc.joinSites {
 		build.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			st := states[j]
-			var flt *bitfilter.Filter
-			if filters != nil {
-				flt = filters[j]
-			}
+			st := &states[j]
 			// The admission-time lease may already be under pressure: the
-			// registry's per-phase factor seeds the budget, so a shrink is
-			// a revocation the build absorbs from the first tuple on.
-			rc.dynInitBudget(a, st, phaseOrd)
+			// registry's per-phase factor rescales the nominal lease, so a
+			// shrink is a revocation the build absorbs from the first tuple
+			// on.
+			rc.dynRebudget(a, st, rc.c.Faults.MemFactor(phaseOrd))
 			for _, b := range batches {
 				if b.Tag != tagProbe {
 					continue
 				}
 				for i := range b.Tuples {
 					h := b.Hashes[i]
-					if flt != nil {
+					if st.flt != nil {
 						a.AddCPU(rc.m.FilterBit)
-						flt.Set(h)
+						st.flt.Set(h)
 					}
 					p := rc.dynPart(h, np)
 					if spilled[p] {
@@ -339,10 +336,10 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.Fil
 	// while it fits — the mirror image of the spill policy, so a budget
 	// that swung down and back up converges on the same resident set an
 	// untouched build would have kept.
-	resurrect := make(map[int][]int) // home disk site -> partitions, ascending
+	resurrect := make([][]int, len(rc.c.Sites)) // by home disk site: partitions, ascending
 	var nRes int
 	for _, j := range rc.joinSites {
-		st := states[j]
+		st := &states[j]
 		headroom := st.budget - st.residentBytes()
 		var cands []int
 		for _, p := range st.parts {
@@ -368,11 +365,11 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.Fil
 		sort.Ints(parts)
 	}
 	if nRes > 0 {
-		if err := rc.dynResurrect(np, seed, states, resurrect, rFiles); err != nil {
+		if err := rc.dynResurrect(np, states, resurrect, rFiles); err != nil {
 			return nil, nil, nil, err
 		}
-		for _, home := range sortedKeys(resurrect) {
-			for _, p := range resurrect[home] {
+		for _, parts := range resurrect {
+			for _, p := range parts {
 				spilled[p] = false
 			}
 		}
@@ -385,16 +382,16 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.Fil
 	// Spilled-partition appends run before the probe at a site playing both
 	// roles.
 	sSink.install(probe.consume, nil)
-	rc.scan(&probe, relSources(rc.spec.S), rc.spec.SAttr, rc.spec.SPred, seed, filters != nil,
+	rc.scan(&probe, relSources(rc.spec.S), rc.spec.SAttr, rc.spec.SPred, 0, rc.spec.BitFilter,
 		func(a *cost.Acct, h uint64) (int, int, bool) {
 			p := rc.dynPart(h, np)
 			j := rc.dynOwner(p, np)
 			// The owner's filter saw the whole inner, so dropping disk-bound
 			// outer tuples is safe — but like static Hybrid's bucket forming
 			// it is the FilterForming extension, not the base algorithm.
-			if filters != nil && (!spilled[p] || rc.spec.FilterForming) {
+			if flt := states[j].flt; flt != nil && (!spilled[p] || rc.spec.FilterForming) {
 				a.AddCPU(rc.m.FilterBit)
-				if !filters[j].Test(h) {
+				if !flt.Test(h) {
 					rc.filterDropped.Add(1)
 					return 0, 0, false
 				}
@@ -406,7 +403,7 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.Fil
 		})
 	for _, j := range rc.joinSites {
 		chain(probe.consume, j, func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			st := states[j]
+			st := &states[j]
 			em := rc.newEmitter(j, snd)
 			defer em.close()
 			// One match callback for the whole drain; outer is rebound per
@@ -440,29 +437,10 @@ func (rc *runCtx) dynBuildProbe(np int, seed uint64) (rFiles, sFiles []*wiss.Fil
 	// the per-partition tables; the disk-join phases that follow read only
 	// the partition files. Recycle the table arrays (error paths leave them
 	// to the GC — the redo machinery rebuilds fresh state).
-	for _, j := range rc.joinSites {
-		for _, tbl := range states[j].tables {
-			tbl.Release()
-		}
+	for _, tbl := range tables {
+		tbl.Release()
 	}
 	return rFiles, sFiles, spilled, nil
-}
-
-// dynInitBudget seeds a site's budget from the fault registry's per-phase
-// memory-pressure factor, noting the initial revocation or re-grant against
-// the nominal lease.
-func (rc *runCtx) dynInitBudget(a *cost.Acct, st *dynSite, phaseOrd int) {
-	base := rc.tableCap()
-	f := min(max(rc.c.Faults.MemFactor(phaseOrd), dynMinFactor), dynMaxFactor)
-	st.factor = f
-	st.budget = int64(f * float64(base))
-	switch {
-	case st.budget < base:
-		a.Note("mem.revoke", base-st.budget)
-		rc.revokedBytes.Add(base - st.budget)
-	case st.budget > base:
-		a.Note("mem.regrant", st.budget-base)
-	}
 }
 
 // dynRebudget compounds a budget-swing factor into the site's running
@@ -519,20 +497,19 @@ func (rc *runCtx) dynSpill(a *cost.Acct, snd *netsim.Sender, st *dynSite, p, np 
 
 // dynResurrect re-reads the chosen partitions from their home disks and
 // rebuilds their hash tables at the owning join sites.
-func (rc *runCtx) dynResurrect(np int, seed uint64, states map[int]*dynSite,
-	resurrect map[int][]int, rFiles []*wiss.File) error {
+func (rc *runCtx) dynResurrect(np int, states []dynSite, resurrect [][]int, rFiles []*wiss.File) error {
 	res := newPhase("dyn resurrect", opLabels{produce: "partition scan", consume: "rebuild"}, -1)
-	for _, ds := range sortedKeys(resurrect) {
-		for _, p := range resurrect[ds] {
+	for ds, parts := range resurrect {
+		for _, p := range parts {
 			owner := rc.dynOwner(p, np)
-			rc.scan(&res, []fileAt{{site: ds, f: rFiles[p]}}, rc.spec.RAttr, nil, seed, false,
+			rc.scan(&res, []fileAt{{site: ds, f: rFiles[p]}}, rc.spec.RAttr, nil, 0, false,
 				func(*cost.Acct, uint64) (int, int, bool) { return owner, tagProbe, true })
 		}
 	}
 	for _, j := range rc.joinSites {
 		res.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-			st := states[j]
-			counts := make(map[int]int64)
+			st := &states[j]
+			counts := make([]int64, np)
 			for _, b := range batches {
 				if b.Tag != tagProbe {
 					continue
@@ -544,10 +521,12 @@ func (rc *runCtx) dynResurrect(np int, seed uint64, states map[int]*dynSite,
 					counts[p]++
 				}
 			}
-			for _, p := range sortedKeys(counts) {
-				a.AddCPU(rc.m.ResurrectDecide)
-				a.Note("part.resurrect", counts[p])
-				rc.resurrections.Add(1)
+			for _, p := range st.parts {
+				if n := counts[p]; n > 0 {
+					a.AddCPU(rc.m.ResurrectDecide)
+					a.Note("part.resurrect", n)
+					rc.resurrections.Add(1)
+				}
 			}
 		}
 	}

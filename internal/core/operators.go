@@ -22,13 +22,14 @@ import (
 // the split tables they route through, the files they partition into, and
 // what they do with the overflow.
 
-// newPhase starts a phase with empty produce, consume and write roles.
+// newPhase starts a phase with empty solo, produce, consume and write roles.
 // bucket is the 0-based bucket or partition the phase joins, or -1.
 func newPhase(name string, ops opLabels, bucket int) phaseSpec {
 	return phaseSpec{
 		name:    name,
 		ops:     ops,
 		bucket:  bucket,
+		solo:    map[int][]func(a *cost.Acct){},
 		produce: map[int][]producerFn{},
 		consume: map[int]stageFn{},
 		write:   map[int]stageFn{},
@@ -111,7 +112,7 @@ func (rc *runCtx) partitionPhase(name, op string, rel *gamma.Relation, attr int,
 	pt *split.PartTable, sink *fileSink) error {
 	ps := newPhase(name, opLabels{produce: "scan", consume: op}, -1)
 	ps.end.SplitEntries = pt.Entries()
-	rc.scan(&ps, relSources(rel), attr, p, rc.spec.HashSeed, false, partRoute(pt))
+	rc.scan(&ps, relSources(rel), attr, p, 0, false, partRoute(pt))
 	sink.install(ps.consume, nil)
 	return rc.runPhase(ps)
 }
@@ -264,11 +265,12 @@ func findFile(files []sinkFile, tag int) *sinkFile {
 
 // storeAt installs the result-store operator at every disk site: it
 // appends the result tuples to the site's fragment of the result relation,
-// charging tuple copies and page writes.
+// charging tuple copies and page writes. The site's slot counts the stored
+// tuples across phases; the last partial page is never written.
 func (rc *runCtx) storeAt(m map[int]stageFn) {
 	perPage := int64(max(rc.m.P.PageBytes/tuple.JoinedBytes, 1))
 	for _, ds := range rc.diskSites {
-		cnt := rc.storeCount[ds]
+		out := &rc.slots[ds]
 		resultFileID := int64(-1000 - ds) // stable pseudo file id per site
 		chain(m, ds, func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) {
 			d, err := rc.c.Disk(ds)
@@ -282,8 +284,8 @@ func (rc *runCtx) storeAt(m map[int]stageFn) {
 				}
 				for range b.Joined {
 					a.AddCPU(rc.m.WriteTuple)
-					*cnt++
-					if *cnt%perPage == 0 {
+					out.stored++
+					if out.stored%perPage == 0 {
 						d.WritePage(a, resultFileID)
 					}
 				}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"gammajoin/internal/cost"
@@ -44,23 +43,7 @@ func newBareCtx(c *gamma.Cluster, joinSites []int) *runCtx {
 	}
 	tr := c.NewTraceRecorder()
 	tr.NewAttempt()
-	rc := &runCtx{
-		c:          c,
-		q:          c.NewQuery(tr),
-		spec:       &Spec{},
-		m:          c.Model,
-		joinSites:  joinSites,
-		diskSites:  c.DiskSites(),
-		netStart:   c.Net.Counters(),
-		diskStart:  c.DiskCounters(),
-		storeCount: make(map[int]*int64),
-	}
-	for _, ds := range rc.diskSites {
-		var n int64
-		rc.storeCount[ds] = &n
-	}
-	rc.attachTrace(tr)
-	return rc
+	return newCtx(c, &Spec{}, joinSites, tr)
 }
 
 func (rc *runCtx) opReport(rows int64) *OpReport {
@@ -87,7 +70,10 @@ type SelectSpec struct {
 	// the disks; otherwise they are only counted (and collected if
 	// Collect is set).
 	StoreResult bool
-	Collect     bool
+	// Collect returns the qualifying tuples. They are grouped by the site
+	// that scanned them, in ascending site order, and keep that site's scan
+	// order within a site.
+	Collect bool
 }
 
 // RunSelect executes a parallel selection: every fragment is scanned at its
@@ -111,34 +97,29 @@ func RunSelect(c *gamma.Cluster, s SelectSpec) (*OpReport, []tuple.Tuple, error)
 		p = pred.True{}
 	}
 
-	var mu sync.Mutex
-	var total int64
-	var collected []tuple.Tuple
-
 	perPage := rc.m.TuplesPerPage(tuple.Bytes)
 	ps := newPhase("select "+s.Rel.Name, opLabels{produce: "scan", consume: "store"}, -1)
 	for _, site := range s.Rel.FragmentSites() {
 		f := s.Rel.Fragments[site]
 		ps.produce[site] = append(ps.produce[site], func(a *cost.Acct, snd *netsim.Sender) {
 			rr := site
+			sl := &rc.slots[site]
 			f.Scan(a, func(t *tuple.Tuple) bool {
 				if !rc.scanPred(a, p, t) {
 					return true
 				}
-				out := *t
+				row := *t
 				if s.Project != nil {
 					a.AddCPU(cost.ScaleNs(len(s.Project), rc.m.WriteTuple).Div(tuple.NumInts))
-					out = projectTuple(t, s.Project)
+					row = projectTuple(t, s.Project)
 				}
-				mu.Lock()
-				total++
+				sl.n++
 				if s.Collect {
-					collected = append(collected, out)
+					sl.rows = append(sl.rows, row)
 				}
-				mu.Unlock()
 				if s.StoreResult {
 					rr++
-					snd.Send(rc.diskSites[rr%len(rc.diskSites)], tagStore, &out, 0)
+					snd.Send(rc.diskSites[rr%len(rc.diskSites)], tagStore, &row, 0)
 				}
 				return true
 			})
@@ -172,7 +153,8 @@ func RunSelect(c *gamma.Cluster, s SelectSpec) (*OpReport, []tuple.Tuple, error)
 	if err := rc.runPhase(ps); err != nil {
 		return nil, nil, err
 	}
-	return rc.opReport(total), collected, nil
+	total, rows := rc.gatherRows()
+	return rc.opReport(total), rows, nil
 }
 
 // projectTuple zeroes every attribute outside the projection list.
@@ -332,9 +314,6 @@ func RunAggregate(c *gamma.Cluster, s AggSpec) (*OpReport, []AggGroup, error) {
 	rc := newBareCtx(c, s.JoinSites)
 	jt := &split.JoinTable{Sites: rc.joinSites}
 
-	var mu sync.Mutex
-	finals := make(map[int32]*partial)
-
 	ps := newPhase(fmt.Sprintf("aggregate %s(%s)", s.Fn, tuple.IntAttrNames[s.AggAttr]),
 		opLabels{produce: "partial agg", consume: "merge agg"}, -1)
 	ps.end.SplitEntries = jt.Entries()
@@ -387,24 +366,19 @@ func RunAggregate(c *gamma.Cluster, s AggSpec) (*OpReport, []AggGroup, error) {
 					}
 				}
 			}
-			mu.Lock()
-			for g, p := range siteFinals {
-				if q := finals[g]; q != nil {
-					q.merge(p) // only possible across phases, not sites
-				} else {
-					finals[g] = p
-				}
-			}
-			mu.Unlock()
+			rc.slots[j].groups = siteFinals
 		}
 	}
 	if err := rc.runPhase(ps); err != nil {
 		return nil, nil, err
 	}
 
-	groups := make([]AggGroup, 0, len(finals))
-	for g, p := range finals {
-		groups = append(groups, AggGroup{Group: g, Value: p.value(s.Fn)})
+	// A group hashes to one join site, so the sites' groups are disjoint.
+	groups := []AggGroup{}
+	for i := range rc.slots {
+		for g, p := range rc.slots[i].groups {
+			groups = append(groups, AggGroup{Group: g, Value: p.value(s.Fn)})
+		}
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Group < groups[j].Group })
 	return rc.opReport(int64(len(groups))), groups, nil

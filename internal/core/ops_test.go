@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"reflect"
+	"slices"
 	"testing"
 
 	"gammajoin/internal/gamma"
@@ -65,6 +68,9 @@ func TestRunSelectCollectAndProject(t *testing.T) {
 	}
 }
 
+// TestRunSelectNilPredSelectsAll also pins the order of collected rows:
+// grouped by fragment site in ascending site order, within a site in scan
+// order (RunSelect) or index order (RunIndexSelect), on every run.
 func TestRunSelectNilPredSelectsAll(t *testing.T) {
 	c, rel, _ := opsFixture(t)
 	rep, _, err := RunSelect(c, SelectSpec{Rel: rel})
@@ -73,6 +79,49 @@ func TestRunSelectNilPredSelectsAll(t *testing.T) {
 	}
 	if rep.Rows != 2000 {
 		t.Fatalf("rows = %d", rep.Rows)
+	}
+
+	ix, err := gamma.BuildIndex(c, rel, tuple.Unique1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scanOrder, indexOrder []tuple.Tuple
+	for _, site := range rel.FragmentSites() {
+		f := rel.Fragments[site]
+		var frag []tuple.Tuple
+		for pos := int64(0); pos < f.Len(); pos++ {
+			tp, _ := f.At(pos)
+			frag = append(frag, *tp)
+		}
+		scanOrder = append(scanOrder, frag...)
+		slices.SortFunc(frag, func(x, y tuple.Tuple) int {
+			return cmp.Compare(x.Int(tuple.Unique1), y.Int(tuple.Unique1))
+		})
+		indexOrder = append(indexOrder, frag...)
+	}
+	for _, tc := range []struct {
+		name    string
+		want    []tuple.Tuple
+		collect func() ([]tuple.Tuple, error)
+	}{
+		{"select", scanOrder, func() ([]tuple.Tuple, error) {
+			_, rows, err := RunSelect(c, SelectSpec{Rel: rel, Collect: true})
+			return rows, err
+		}},
+		{"index select", indexOrder, func() ([]tuple.Tuple, error) {
+			_, rows, err := RunIndexSelect(c, ix, pred.Range(tuple.Unique1, 0, 2000), true)
+			return rows, err
+		}},
+	} {
+		for run := 1; run <= 2; run++ {
+			rows, err := tc.collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rows, tc.want) {
+				t.Fatalf("%s run %d: %d collected rows not in site order", tc.name, run, len(rows))
+			}
+		}
 	}
 }
 

@@ -78,18 +78,16 @@ type runCtx struct {
 	sortPassesS    int
 	filterBits     int
 
-	chainMu     sync.Mutex
-	chainBySite map[int]chainStat
+	// slots holds each logical site's results, indexed by site. During a
+	// phase a slot field is written only by the one process at that site
+	// that produces it; the coordinator reads the slots in site order after
+	// the barrier, so no result depends on goroutine scheduling.
+	slots []siteSlot
 
 	errMu    sync.Mutex
 	firstErr error
 
-	resMu   sync.Mutex
-	results []tuple.Joined
-
-	// result store state per disk site
-	storeCount map[int]*int64
-	fileSeq    int
+	fileSeq int
 
 	// tempFiles lists the temp wiss files this attempt created (by their
 	// registered name), so every Run exit path — success, restart, cancel
@@ -111,24 +109,6 @@ type runCtx struct {
 	wastedRedo     cost.SimNs // simulated time the redone phases cost
 	detectionDelay cost.SimNs // heartbeat latency before declaring deaths
 	redoMark       bool       // suffix phase names with " (redo)" until the unit completes
-}
-
-// attachTrace wires the recorder into the run: the query drives its phase
-// clock, and the routing counters register their metric handles. Snapshots
-// of the (cumulative, restart-spanning) counters let report() expose only
-// this attempt's activity.
-func (rc *runCtx) attachTrace(tr *trace.Recorder) {
-	rc.tr = tr
-	mm := tr.Metrics()
-	rc.mFormLocal = mm.Counter("form.tuples.local")
-	rc.mFormRemote = mm.Counter("form.tuples.remote")
-	rc.mROver = mm.Counter("overflow.r.tuples")
-	rc.mSOver = mm.Counter("overflow.s.tuples")
-	rc.mChainMax = mm.Gauge("hash.chain.max")
-	rc.formLocalStart = rc.mFormLocal.Value()
-	rc.formRemoteStart = rc.mFormRemote.Value()
-	rc.rOverStart = rc.mROver.Value()
-	rc.sOverStart = rc.mSOver.Value()
 }
 
 func newRunCtx(c *gamma.Cluster, spec *Spec, tr *trace.Recorder) (*runCtx, error) {
@@ -169,32 +149,46 @@ func newRunCtx(c *gamma.Cluster, spec *Spec, tr *trace.Recorder) (*runCtx, error
 	if len(c.DiskSites()) == 0 {
 		return nil, fmt.Errorf("core: cluster has no disk sites")
 	}
-	rc := &runCtx{
-		c:           c,
-		q:           c.NewQuery(tr),
-		spec:        spec,
-		m:           c.Model,
-		joinSites:   js,
-		diskSites:   c.DiskSites(),
-		memTotal:    mem,
-		memPerSite:  mem / int64(len(js)),
-		netStart:    c.Net.Counters(),
-		diskStart:   c.DiskCounters(),
-		storeCount:  make(map[int]*int64),
-		chainBySite: make(map[int]chainStat),
-	}
+	rc := newCtx(c, spec, js, tr)
+	rc.memTotal = mem
+	rc.memPerSite = mem / int64(len(js))
 	if rc.memPerSite < int64(tuple.Bytes) {
 		rc.memPerSite = tuple.Bytes
 	}
-	rc.attachTrace(tr)
 	if spec.BitFilter {
 		rc.filterBits = filterBits(c.Model, len(js))
 	}
-	for _, ds := range rc.diskSites {
-		var n int64
-		rc.storeCount[ds] = &n
-	}
 	return rc, nil
+}
+
+// newCtx builds the state every operator's runCtx shares. The query drives
+// its phase clock through tr, and the routing counters register their
+// metric handles; snapshots of the (cumulative, restart-spanning) counters
+// let report() expose only this attempt's activity.
+func newCtx(c *gamma.Cluster, spec *Spec, joinSites []int, tr *trace.Recorder) *runCtx {
+	rc := &runCtx{
+		c:         c,
+		q:         c.NewQuery(tr),
+		spec:      spec,
+		m:         c.Model,
+		joinSites: joinSites,
+		diskSites: c.DiskSites(),
+		netStart:  c.Net.Counters(),
+		diskStart: c.DiskCounters(),
+		tr:        tr,
+		slots:     make([]siteSlot, len(c.Sites)),
+	}
+	mm := tr.Metrics()
+	rc.mFormLocal = mm.Counter("form.tuples.local")
+	rc.mFormRemote = mm.Counter("form.tuples.remote")
+	rc.mROver = mm.Counter("overflow.r.tuples")
+	rc.mSOver = mm.Counter("overflow.s.tuples")
+	rc.mChainMax = mm.Gauge("hash.chain.max")
+	rc.formLocalStart = rc.mFormLocal.Value()
+	rc.formRemoteStart = rc.mFormRemote.Value()
+	rc.rOverStart = rc.mROver.Value()
+	rc.sOverStart = rc.mSOver.Value()
+	return rc
 }
 
 // tableCap is the per-site hash-table capacity: the per-site share of the
@@ -226,7 +220,6 @@ func (rc *runCtx) report() *Report {
 		Phases:            rc.q.Phases,
 		ResultCount:       rc.resultCount.Load(),
 		ResultSum:         rc.resultSum.Load(),
-		Results:           rc.results,
 		Buckets:           rc.buckets,
 		OverflowLevels:    rc.overflowLevels,
 		OverflowClears:    rc.overflowClears.Load(),
@@ -244,21 +237,18 @@ func (rc *runCtx) report() *Report {
 		SortPassesS:       rc.sortPassesS,
 		Trace:             rc.tr,
 	}
-	// Chain stats are folded in sorted site order: float addition is not
+	// Chain stats are folded in site order: float addition is not
 	// associative, so summing in goroutine-completion order would make
 	// AvgChain run-dependent.
-	rc.chainMu.Lock()
 	var chainSum float64
 	var chainSites int
-	for _, site := range sortedKeys(rc.chainBySite) {
-		st := rc.chainBySite[site]
-		chainSum += st.sum
-		chainSites += st.n
-		if st.max > r.MaxChain {
-			r.MaxChain = st.max
-		}
+	for i := range rc.slots {
+		sl := &rc.slots[i]
+		r.Results = append(r.Results, sl.results...)
+		chainSum += sl.chain.sum
+		chainSites += sl.chain.n
+		r.MaxChain = max(r.MaxChain, sl.chain.max)
 	}
-	rc.chainMu.Unlock()
 	if chainSites > 0 {
 		r.AvgChain = chainSum / float64(chainSites)
 	}
@@ -312,6 +302,26 @@ func (rc *runCtx) bytesToPages(n int64) cost.Pages {
 	return cost.Pages((n + pageB - 1) / pageB)
 }
 
+// siteSlot is one logical site's share of an operator's results.
+type siteSlot struct {
+	results []tuple.Joined // collected join results (Spec.CollectResults), in emit order
+	chain   chainStat      // hash-chain statistics of the site's probed tables
+	stored  int64          // result tuples the site's store operator wrote
+
+	rows   []tuple.Tuple      // collected selection rows, in the site's order
+	n      int64              // rows a selection or update qualified
+	groups map[int32]*partial // aggregate groups merged at the site
+}
+
+// gatherRows folds the selection and update slots in site order.
+func (rc *runCtx) gatherRows() (total int64, rows []tuple.Tuple) {
+	for i := range rc.slots {
+		total += rc.slots[i].n
+		rows = append(rows, rc.slots[i].rows...)
+	}
+	return total, rows
+}
+
 // chainStat accumulates hash-chain statistics for one join site so they can
 // be merged in a fixed order at report time.
 type chainStat struct {
@@ -320,20 +330,17 @@ type chainStat struct {
 	max int
 }
 
+// noteChains records a probed table's chain statistics in site's slot; only
+// the site's probe process calls it.
 func (rc *runCtx) noteChains(site int, ht *gamma.HashTable) {
 	avg, maxLen := ht.ChainStats()
 	rc.mChainMax.Max(int64(maxLen))
-	rc.chainMu.Lock()
-	st := rc.chainBySite[site]
+	st := &rc.slots[site].chain
 	if avg > 0 {
 		st.sum += avg
 		st.n++
 	}
-	if maxLen > st.max {
-		st.max = maxLen
-	}
-	rc.chainBySite[site] = st
-	rc.chainMu.Unlock()
+	st.max = max(st.max, maxLen)
 }
 
 // fail records the first error raised by a phase worker; runPhase returns
@@ -762,21 +769,23 @@ func (rc *runCtx) failover(sf *SiteFailure) bool {
 }
 
 // emitResult counts, optionally collects, and optionally routes one result
-// tuple to the store operator at a disk site chosen round-robin. Counts and
-// checksums accumulate locally and land on the shared atomics once, in
-// close() — both are commutative sums, so batching the atomic traffic
-// cannot change the reported values. Every newEmitter caller must
-// `defer em.close()`.
+// tuple to the store operator at a disk site chosen round-robin. Collected
+// results go to the emitting site's slot. Counts and checksums accumulate
+// locally and land on the shared atomics once, in close() — both are
+// commutative sums, so batching the atomic traffic cannot change the
+// reported values. Every newEmitter caller must `defer em.close()`.
 type resultEmitter struct {
 	rc    *runCtx
+	out   *siteSlot
 	rr    int // round-robin cursor over disk sites
 	snd   *netsim.Sender
 	count int64
 	sum   uint64
 }
 
-func (rc *runCtx) newEmitter(joinSite int, snd *netsim.Sender) *resultEmitter {
-	return &resultEmitter{rc: rc, rr: joinSite, snd: snd}
+// newEmitter returns the emitter of the process at site.
+func (rc *runCtx) newEmitter(site int, snd *netsim.Sender) *resultEmitter {
+	return &resultEmitter{rc: rc, out: &rc.slots[site], rr: site, snd: snd}
 }
 
 func (e *resultEmitter) emit(a *cost.Acct, inner, outer *tuple.Tuple) {
@@ -787,9 +796,7 @@ func (e *resultEmitter) emit(a *cost.Acct, inner, outer *tuple.Tuple) {
 	// worker goroutines in scheduling order is still deterministic.
 	e.sum += tuple.PairChecksum(inner, outer)
 	if rc.spec.CollectResults {
-		rc.resMu.Lock()
-		rc.results = append(rc.results, tuple.Joined{Inner: *inner, Outer: *outer})
-		rc.resMu.Unlock()
+		e.out.results = append(e.out.results, tuple.Joined{Inner: *inner, Outer: *outer})
 	}
 	if rc.spec.StoreResult {
 		e.rr++

@@ -6,6 +6,6 @@ package core
 // histogram/cutoff mechanism, and the overflow partitions are joined
 // recursively with a new hash function per level.
 func (rc *runCtx) runSimple() error {
-	return rc.hashJoinStreams("simple", -1, relSources(rc.spec.R), relSources(rc.spec.S), rc.spec.HashSeed, 0,
+	return rc.hashJoinStreams("simple", -1, relSources(rc.spec.R), relSources(rc.spec.S), 0, 0,
 		rc.spec.RPred, rc.spec.SPred)
 }

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // intersectSites filters base to the sites also present in allowed,
 // preserving base's order. An empty intersection falls back to base: the
 // callers use allowed as a *restriction* (a recovery path excluding dead
@@ -9,13 +11,9 @@ func intersectSites(base, allowed []int) []int {
 	if len(allowed) == 0 {
 		return base
 	}
-	ok := make(map[int]bool, len(allowed))
-	for _, s := range allowed {
-		ok[s] = true
-	}
 	var kept []int
 	for _, s := range base {
-		if ok[s] {
+		if slices.Contains(allowed, s) {
 			kept = append(kept, s)
 		}
 	}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"gammajoin/internal/bitfilter"
 	"gammajoin/internal/cost"
@@ -104,10 +104,9 @@ func (rc *runCtx) runSortMerge() error {
 // sortPhase sorts every site's file src[i] into dst[i] in parallel and
 // records the maximum number of merge passes across the sites.
 func (rc *runCtx) sortPhase(name string, sites []int, src, dst []*wiss.File, attr int,
-	memPerSite int64, passes *int) error {
-	var mu sync.Mutex
+	memPerSite int64, maxPasses *int) error {
+	passes := make([]int, len(rc.c.Sites))
 	ps := newPhase(name, opLabels{solo: "sort"}, -1)
-	ps.solo = map[int][]func(a *cost.Acct){}
 	for i, s := range sites {
 		ps.solo[s] = append(ps.solo[s], func(a *cost.Acct) {
 			st, err := wiss.Sort(a, src[i], dst[i], attr, memPerSite)
@@ -115,14 +114,14 @@ func (rc *runCtx) sortPhase(name string, sites []int, src, dst []*wiss.File, att
 				rc.fail(fmt.Errorf("core: %s at site %d: %w", name, s, err))
 				return
 			}
-			mu.Lock()
-			if st.MergePasses > *passes {
-				*passes = st.MergePasses
-			}
-			mu.Unlock()
+			passes[s] = st.MergePasses
 		})
 	}
-	return rc.runPhase(ps)
+	if err := rc.runPhase(ps); err != nil {
+		return err
+	}
+	*maxPasses = max(*maxPasses, slices.Max(passes))
+	return nil
 }
 
 // mergeJoinSite merge-joins the two sorted local files, grouping duplicate

@@ -41,16 +41,11 @@ func RunUpdate(c *gamma.Cluster, s UpdateSpec) (*OpReport, error) {
 		p = pred.True{}
 	}
 
-	counts := make(map[int]*int64, len(s.Rel.Fragments))
 	ps := newPhase("update "+s.Rel.Name, opLabels{solo: "update"}, -1)
-	ps.solo = map[int][]func(a *cost.Acct){}
 	for _, site := range s.Rel.FragmentSites() {
 		f := s.Rel.Fragments[site]
-		var n int64
-		counts[site] = &n
-		cnt := &n
 		ps.solo[site] = append(ps.solo[site], func(a *cost.Acct) {
-			*cnt = f.UpdateWhere(a,
+			rc.slots[site].n = f.UpdateWhere(a,
 				func(t *tuple.Tuple) bool { return rc.scanPred(a, p, t) },
 				func(t *tuple.Tuple) { t.SetInt(s.SetAttr, s.SetVal) })
 		})
@@ -58,10 +53,7 @@ func RunUpdate(c *gamma.Cluster, s UpdateSpec) (*OpReport, error) {
 	if err := rc.runPhase(ps); err != nil {
 		return nil, err
 	}
-	var total int64
-	for _, n := range counts {
-		total += *n
-	}
+	total, _ := rc.gatherRows()
 	return rc.opReport(total), nil
 }
 
@@ -143,28 +135,19 @@ func RunIndexSelect(c *gamma.Cluster, ix *gamma.Index, p pred.Pred, collect bool
 	c.AcquireRun()
 	defer c.ReleaseRun()
 	rc := newBareCtx(c, nil)
-	counts := make(map[int]*int64, len(ix.Rel.Fragments))
-	var collected []tuple.Tuple
-	collectedBySite := make(map[int]*[]tuple.Tuple)
-
 	ps := newPhase("index select "+ix.Rel.Name, opLabels{solo: "index select"}, -1)
-	ps.solo = map[int][]func(a *cost.Acct){}
 	for _, site := range ix.Rel.FragmentSites() {
-		var n int64
-		counts[site] = &n
-		cnt := &n
-		var rows []tuple.Tuple
-		collectedBySite[site] = &rows
 		ps.solo[site] = append(ps.solo[site], func(a *cost.Acct) {
+			sl := &rc.slots[site]
 			err := ix.LookupRange(c, site, a, lo, hi, func(t *tuple.Tuple) bool {
 				// The residual predicate still runs (it may constrain
 				// more tightly than the extracted range, e.g. EQ).
 				if !rc.scanPred(a, p, t) {
 					return true
 				}
-				*cnt++
+				sl.n++
 				if collect {
-					rows = append(rows, *t)
+					sl.rows = append(sl.rows, *t)
 				}
 				return true
 			})
@@ -177,12 +160,6 @@ func RunIndexSelect(c *gamma.Cluster, ix *gamma.Index, p pred.Pred, collect bool
 	if err := rc.runPhase(ps); err != nil {
 		return nil, nil, err
 	}
-	var total int64
-	for _, site := range ix.Rel.FragmentSites() {
-		total += *counts[site]
-		if collect {
-			collected = append(collected, *collectedBySite[site]...)
-		}
-	}
-	return rc.opReport(total), collected, nil
+	total, rows := rc.gatherRows()
+	return rc.opReport(total), rows, nil
 }

@@ -56,29 +56,33 @@ func (k RunKey) Slug() string {
 	return b.String()
 }
 
+// WriteFile creates the file at path, writes it with emit and closes it.
+// Every trace, metrics, spans and profile export goes through it.
+func WriteFile(path string, emit func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := emit(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return f.Close()
+}
+
 // writeTraceFiles exports one run's timeline and metric samples.
 func writeTraceFiles(dir, slug string, rep *core.Report) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiments: trace dir: %w", err)
 	}
-	write := func(name string, emit func(w io.Writer) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("experiments: trace export: %w", err)
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("experiments: trace export %s: %w", name, err)
-		}
-		return f.Close()
-	}
-	if err := write(slug+".trace.json", rep.Trace.WriteChrome); err != nil {
+	base := filepath.Join(dir, slug)
+	if err := WriteFile(base+".trace.json", rep.Trace.WriteChrome); err != nil {
 		return err
 	}
-	if err := write(slug+".metrics.tsv", rep.Trace.WriteMetricsTSV); err != nil {
+	if err := WriteFile(base+".metrics.tsv", rep.Trace.WriteMetricsTSV); err != nil {
 		return err
 	}
-	return write(slug+".spans.tsv", rep.Trace.WriteSpansTSV)
+	return WriteFile(base+".spans.tsv", rep.Trace.WriteSpansTSV)
 }
 
 // writeProfFiles profiles one run (Config.ProfDir) into the human-readable
@@ -93,21 +97,16 @@ func writeProfFiles(dir, slug string, rep *core.Report, m *cost.Model) error {
 	if err != nil {
 		return fmt.Errorf("experiments: profile %s: %w", slug, err)
 	}
-	write := func(name string, emit func(w io.Writer) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("experiments: prof export: %w", err)
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return fmt.Errorf("experiments: prof export %s: %w", name, err)
-		}
-		return f.Close()
-	}
-	if err := write(slug+".prof.txt", p.WriteText); err != nil {
+	return writeProfile(filepath.Join(dir, slug), p)
+}
+
+// writeProfile writes a profile's text report and TSV to base.prof.txt and
+// base.prof.tsv.
+func writeProfile(base string, p *profile.Profile) error {
+	if err := WriteFile(base+".prof.txt", p.WriteText); err != nil {
 		return err
 	}
-	return write(slug+".prof.tsv", p.WriteTSV)
+	return WriteFile(base+".prof.tsv", p.WriteTSV)
 }
 
 // writeWorkloadProfFiles profiles every query of one workload run
@@ -123,22 +122,7 @@ func writeWorkloadProfFiles(dir, prefix string, res *sched.Result, m *cost.Model
 		if err != nil {
 			return fmt.Errorf("experiments: profile %s q%d: %w", prefix, qr.ID, err)
 		}
-		slug := fmt.Sprintf("%s_q%d", prefix, qr.ID)
-		write := func(name string, emit func(w io.Writer) error) error {
-			f, err := os.Create(filepath.Join(dir, name))
-			if err != nil {
-				return fmt.Errorf("experiments: prof export: %w", err)
-			}
-			if err := emit(f); err != nil {
-				f.Close()
-				return fmt.Errorf("experiments: prof export %s: %w", name, err)
-			}
-			return f.Close()
-		}
-		if err := write(slug+".prof.txt", p.WriteText); err != nil {
-			return err
-		}
-		if err := write(slug+".prof.tsv", p.WriteTSV); err != nil {
+		if err := writeProfile(filepath.Join(dir, fmt.Sprintf("%s_q%d", prefix, qr.ID)), p); err != nil {
 			return err
 		}
 	}

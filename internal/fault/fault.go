@@ -89,11 +89,9 @@ type Spec struct {
 	// revoke/re-grant path. Unlike MemPressureRate's one-shot per-phase
 	// roll, swings are rolled once per batch epoch within a phase, so a
 	// single build can shrink, recover, and shrink again. When a swing
-	// fires, a second roll picks downward (BudgetSwingShrink, default 0.7)
-	// or upward (BudgetSwingGrow, default 1.4) with equal probability.
-	BudgetSwingRate   float64
-	BudgetSwingShrink float64
-	BudgetSwingGrow   float64
+	// fires, a second roll picks downward (budgetSwingShrink) or upward
+	// (budgetSwingGrow) with equal probability.
+	BudgetSwingRate float64
 
 	// CrashRate is the per-phase, per-site probability that a join site
 	// crashes at the start of a phase, aborting the query attempt; the
@@ -168,12 +166,6 @@ func NewRegistry(spec Spec) *Registry {
 	}
 	if spec.MemGrowFactor <= 0 {
 		spec.MemGrowFactor = 1.5
-	}
-	if spec.BudgetSwingShrink <= 0 {
-		spec.BudgetSwingShrink = 0.7
-	}
-	if spec.BudgetSwingGrow <= 0 {
-		spec.BudgetSwingGrow = 1.4
 	}
 	if spec.MaxCrashes <= 0 {
 		spec.MaxCrashes = 1
@@ -341,9 +333,15 @@ func (r *Registry) MemFactor(phase int) float64 {
 	return r.spec.MemGrowFactor
 }
 
+// The budget multipliers of a downward and an upward swing.
+const (
+	budgetSwingShrink = 0.7
+	budgetSwingGrow   = 1.4
+)
+
 // BudgetSwing reports the multiplier applied to the join-memory budget at
 // the given batch epoch of the given phase: 1 when no swing fires,
-// otherwise the spec's downward or upward swing factor. Pure function of
+// otherwise the downward or upward swing factor. Pure function of
 // (phase, epoch), so the same build observes the same budget trajectory in
 // every run. Consecutive multipliers compound — the consumer clamps the
 // running product.
@@ -355,9 +353,9 @@ func (r *Registry) BudgetSwing(phase, epoch int) float64 {
 		return 1
 	}
 	if r.roll(kindSwingDir, uint64(phase), uint64(epoch), 0, 0) < 0.5 {
-		return r.spec.BudgetSwingShrink
+		return budgetSwingShrink
 	}
-	return r.spec.BudgetSwingGrow
+	return budgetSwingGrow
 }
 
 // CrashSiteAt reports whether a site crashes at the start of the given

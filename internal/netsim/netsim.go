@@ -530,21 +530,9 @@ func (s *Sender) Send(dst, tag int, t *tuple.Tuple, h uint64) {
 	}
 }
 
-// SendJoined routes one composite result tuple to the stream (dst, tag).
-func (s *Sender) SendJoined(dst, tag int, j *tuple.Joined) {
-	s.a.AddCPU(s.wtNs)
-	b := s.buffer(dst, tag)
-	b.Joined = append(b.Joined, *j)
-	if len(b.Joined) >= s.capJ {
-		s.cur[dst].pkt = nil
-		s.flush(b)
-	}
-}
-
-// SendJoinedPair is SendJoined for a match still held as two halves: the
-// composite is assembled directly in the outgoing packet slot, skipping the
-// caller-side 2x tuple copy. Charges and flush behaviour are identical to
-// SendJoined.
+// SendJoinedPair routes one composite result tuple, a match still held as
+// two halves, to the stream (dst, tag). The composite is assembled directly
+// in the outgoing packet slot, skipping a caller-side 2x tuple copy.
 func (s *Sender) SendJoinedPair(dst, tag int, inner, outer *tuple.Tuple) {
 	s.a.AddCPU(s.wtNs)
 	b := s.buffer(dst, tag)

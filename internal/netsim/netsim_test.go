@@ -170,9 +170,9 @@ func TestJoinedBatching(t *testing.T) {
 	var got []*Batch
 	s := n.NewSender(&a, 0, collectInto(&got))
 	// 416-byte result tuples: 4 per packet.
+	var half tuple.Tuple
 	for i := 0; i < 4; i++ {
-		j := tuple.Joined{}
-		s.SendJoined(1, 0, &j)
+		s.SendJoinedPair(1, 0, &half, &half)
 	}
 	if len(got) != 1 || got[0].Len() != 4 {
 		t.Fatalf("joined batching wrong: %d batches", len(got))
@@ -347,8 +347,8 @@ func TestSerialRunEquivalence(t *testing.T) {
 			dst := src.Intn(6)
 			tag := src.Intn(4)
 			if i%17 == 0 {
-				j := tuple.Joined{}
-				s.SendJoined(dst, 99, &j)
+				var half tuple.Tuple
+				s.SendJoinedPair(dst, 99, &half, &half)
 				continue
 			}
 			tp := mkTuple(int32(i))

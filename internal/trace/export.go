@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"gammajoin/internal/cost"
 )
@@ -198,40 +197,6 @@ func (m *Metrics) WriteTSV(w io.Writer) error {
 			fmt.Fprintf(bw, "%d\t%d\t%s\t%d\t%s\t%d\t%d\n",
 				smp.Attempt, smp.Phase, smp.PhaseName, smp.At, kv.Name, kv.V, delta)
 		}
-	}
-	return bw.Flush()
-}
-
-// WriteFolded emits collapsed stacks ("site;phase;op value" with the value
-// in CPU nanoseconds), the input format of flamegraph.pl and speedscope.
-// Workload queries (QueryID != 0) get a "q<id>" root frame so that folded
-// files from an MPL sweep can be concatenated into one flamegraph without
-// the queries' identically-named sites merging into a single tower.
-func (r *Recorder) WriteFolded(w io.Writer) error {
-	root := ""
-	if qid := r.QueryID(); qid != 0 {
-		root = fmt.Sprintf("q%d;", qid)
-	}
-	labels := r.SiteLabels()
-	agg := make(map[string]cost.SimNs)
-	for _, s := range r.Spans() {
-		if s.Site < 0 || s.CPU == 0 {
-			continue
-		}
-		label := fmt.Sprintf("site %d", s.Site)
-		if s.Site < len(labels) {
-			label = labels[s.Site]
-		}
-		agg[root+label+";"+s.PhaseName+";"+s.Op] += s.CPU
-	}
-	stacks := make([]string, 0, len(agg))
-	for k := range agg {
-		stacks = append(stacks, k)
-	}
-	sort.Strings(stacks)
-	bw := bufio.NewWriter(w)
-	for _, k := range stacks {
-		fmt.Fprintf(bw, "%s %d\n", k, agg[k])
 	}
 	return bw.Flush()
 }

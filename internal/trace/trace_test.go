@@ -192,14 +192,11 @@ func TestTSVAndFoldedExports(t *testing.T) {
 	r.Metrics().Counter("pages").Add(4)
 	r.EndPhase(33, 1)
 
-	var spans, metrics, folded strings.Builder
+	var spans, metrics strings.Builder
 	if err := r.WriteSpansTSV(&spans); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.WriteMetricsTSV(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteFolded(&folded); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(spans.String(), "sort") {
@@ -207,28 +204,5 @@ func TestTSVAndFoldedExports(t *testing.T) {
 	}
 	if !strings.Contains(metrics.String(), "pages\t4\t4") {
 		t.Errorf("metrics TSV missing the pages sample:\n%s", metrics.String())
-	}
-	if !strings.Contains(folded.String(), "s0;sort;sort 33") {
-		t.Errorf("folded stacks missing the sort frame:\n%s", folded.String())
-	}
-}
-
-// TestFoldedQueryRoot: workload queries fold under a q<id> root frame so an
-// MPL sweep's folded files concatenate into one flamegraph without the
-// queries' site frames merging; standalone runs (query 0) stay rootless.
-func TestFoldedQueryRoot(t *testing.T) {
-	r := NewRecorder([]string{"s0"})
-	r.SetQuery(3)
-	r.NewAttempt()
-	r.BeginPhase("sort")
-	closeWith(r.Start(0, "sort", "solo", -1), cost.Acct{CPU: 33})
-	r.EndPhase(33, 1)
-
-	var folded strings.Builder
-	if err := r.WriteFolded(&folded); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.TrimRight(folded.String(), "\n"), "q3;s0;sort;sort 33"; got != want {
-		t.Errorf("folded stack %q, want %q", got, want)
 	}
 }

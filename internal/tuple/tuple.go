@@ -170,18 +170,14 @@ type Joined struct {
 	Outer Tuple
 }
 
-// Checksum folds the joined pair's integer attributes into a 64-bit value.
-// The per-tuple hashes are combined with a mixing chain, so two different
-// result tuples almost never collide, while summing checksums over a result
-// set is order-independent — which is what lets concurrent and serial
-// executions of the same query be compared tuple-for-tuple without
-// collecting either result set (see Report.ResultSum in internal/core).
-func (j *Joined) Checksum() uint64 {
-	return PairChecksum(&j.Inner, &j.Outer)
-}
-
-// PairChecksum is Joined.Checksum computed from the two sides in place, so
-// emitters can checksum a match without materializing the composite tuple.
+// PairChecksum folds a joined pair's integer attributes into a 64-bit
+// value, computed from the two sides in place so emitters can checksum a
+// match without materializing the composite tuple. The per-tuple hashes are
+// combined with a mixing chain, so two different result tuples almost never
+// collide, while summing checksums over a result set is order-independent —
+// which is what lets concurrent and serial executions of the same query be
+// compared tuple-for-tuple without collecting either result set (see
+// Report.ResultSum in internal/core).
 func PairChecksum(inner, outer *Tuple) uint64 {
 	h := uint64(0x9E3779B97F4A7C15)
 	fold := func(t *Tuple) {

@@ -59,7 +59,9 @@ type SelectOptions struct {
 	Project []string
 	// Store materializes the result round-robin across the disks.
 	Store bool
-	// Collect returns the qualifying tuples.
+	// Collect returns the qualifying tuples. They are grouped by the site
+	// that scanned them, in ascending site order, and keep that site's scan
+	// order within a site.
 	Collect bool
 }
 

@@ -41,63 +41,75 @@ import (
 	"gammajoin/internal/walltime"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is gammabench with its arguments and output streams made explicit: it
+// writes the report to stdout, status and errors to stderr, and returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gammabench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list    = flag.Bool("list", false, "list available experiments and exit")
-		exp     = flag.String("exp", "all", "comma-separated experiment names, or 'all'")
-		outer   = flag.Int("outer", 0, "override outer relation cardinality (default 100000)")
-		inner   = flag.Int("inner", 0, "override inner relation cardinality (default 10000)")
-		disks   = flag.Int("disks", 0, "override number of disk sites (default 8)")
-		remote  = flag.Int("remote", 0, "override number of diskless join sites (default 8)")
-		seed    = flag.Uint64("seed", 0, "override workload seed (default 1989)")
-		timings = flag.Bool("t", false, "print wall-clock time per experiment")
-		plot    = flag.Bool("plot", false, "also render figure results as ASCII charts")
+		list    = fs.Bool("list", false, "list available experiments and exit")
+		exp     = fs.String("exp", "all", "comma-separated experiment names, or 'all'")
+		outer   = fs.Int("outer", 0, "override outer relation cardinality (default 100000)")
+		inner   = fs.Int("inner", 0, "override inner relation cardinality (default 10000)")
+		disks   = fs.Int("disks", 0, "override number of disk sites (default 8)")
+		remote  = fs.Int("remote", 0, "override number of diskless join sites (default 8)")
+		seed    = fs.Uint64("seed", 0, "override workload seed (default 1989)")
+		timings = fs.Bool("t", false, "print wall-clock time per experiment")
+		plot    = fs.Bool("plot", false, "also render figure results as ASCII charts")
 
-		alg        = flag.String("alg", "", "run one joinABprime join with this algorithm (sort-merge|simple|grace|hybrid|hybrid-dyn) instead of -exp")
-		ratio      = flag.Float64("ratio", 0.5, "memory ratio for the -alg run")
-		estError   = flag.Float64("est-error", 0, "corrupt the optimizer's inner-size estimate by this factor (0 or 1 = exact; see docs/SCHEDULER.md, Dynamic Hybrid)")
-		traceOut   = flag.String("trace", "", "with -alg: write the run's Chrome trace_event JSON to this file")
-		metricsOut = flag.String("metrics", "", "with -alg or -mpl: write the run's metrics TSV to this file")
-		traceDir   = flag.String("trace-dir", "", "export every experiment run's trace JSON + metrics/spans TSV into this directory")
-		profOut    = flag.String("prof", "", "with -alg: write the run's gammaprof report to this file (text; *.tsv gets the machine-readable profile)")
-		profDir    = flag.String("prof-dir", "", "write every run's gammaprof profile (<slug>.prof.txt + .prof.tsv; with -mpl, q<id>.prof.*) into this directory")
+		alg        = fs.String("alg", "", "run one joinABprime join with this algorithm (sort-merge|simple|grace|hybrid|hybrid-dyn) instead of -exp")
+		ratio      = fs.Float64("ratio", 0.5, "memory ratio for the -alg run")
+		estError   = fs.Float64("est-error", 0, "corrupt the optimizer's inner-size estimate by this factor (0 or 1 = exact; see docs/SCHEDULER.md, Dynamic Hybrid)")
+		traceOut   = fs.String("trace", "", "with -alg: write the run's Chrome trace_event JSON to this file")
+		metricsOut = fs.String("metrics", "", "with -alg or -mpl: write the run's metrics TSV to this file")
+		traceDir   = fs.String("trace-dir", "", "export every experiment run's trace JSON + metrics/spans TSV into this directory")
+		profOut    = fs.String("prof", "", "with -alg: write the run's gammaprof report to this file (text; *.tsv gets the machine-readable profile)")
+		profDir    = fs.String("prof-dir", "", "write every run's gammaprof profile (<slug>.prof.txt + .prof.tsv; with -mpl, q<id>.prof.*) into this directory")
 
-		faultSeed  = flag.Uint64("fault-seed", 0, "fault-schedule seed (enables fault injection with any -fault-* rate)")
-		faultDisk  = flag.Float64("fault-disk", 0, "transient disk read-error probability per page read")
-		faultNet   = flag.Float64("fault-net", 0, "network packet drop probability per remote packet")
-		faultDup   = flag.Float64("fault-dup", 0, "network packet duplication probability per remote packet")
-		faultMem   = flag.Float64("fault-mem", 0, "per-phase probability of a memory-budget change at the join sites")
-		faultSwing = flag.Float64("fault-swing", 0, "per-batch probability of a budget swing (downward revoke or upward re-grant) during a dynamic-Hybrid build")
-		faultCrash = flag.Float64("fault-crash", 0, "per-phase per-site crash probability (recovered by failover or query restart)")
+		faultSeed  = fs.Uint64("fault-seed", 0, "fault-schedule seed (enables fault injection with any -fault-* rate)")
+		faultDisk  = fs.Float64("fault-disk", 0, "transient disk read-error probability per page read")
+		faultNet   = fs.Float64("fault-net", 0, "network packet drop probability per remote packet")
+		faultDup   = fs.Float64("fault-dup", 0, "network packet duplication probability per remote packet")
+		faultMem   = fs.Float64("fault-mem", 0, "per-phase probability of a memory-budget change at the join sites")
+		faultSwing = fs.Float64("fault-swing", 0, "per-batch probability of a budget swing (downward revoke or upward re-grant) during a dynamic-Hybrid build")
+		faultCrash = fs.Float64("fault-crash", 0, "per-phase per-site crash probability (recovered by failover or query restart)")
 
-		mirror        = flag.Bool("mirror", false, "chained-declustered mirrors: back each disk site's fragments up on its ring neighbor so a single crash fails over instead of restarting")
-		detectTimeout = flag.Float64("detect-timeout", 0, "failure-detection heartbeat period in simulated ms (0 keeps the cost model's default period and miss count)")
+		mirror        = fs.Bool("mirror", false, "chained-declustered mirrors: back each disk site's fragments up on its ring neighbor so a single crash fails over instead of restarting")
+		detectTimeout = fs.Float64("detect-timeout", 0, "failure-detection heartbeat period in simulated ms (0 keeps the cost model's default period and miss count)")
 
-		mpl         = flag.Int("mpl", 0, "run a multi-query workload at this multiprogramming level instead of -exp/-alg (see docs/SCHEDULER.md)")
-		policy      = flag.String("policy", "fifo", "with -mpl: admission policy (fifo|fair|shrink|revoke)")
-		queries     = flag.Int("queries", 8, "with -mpl: number of workload queries")
-		arrivalSeed = flag.Uint64("arrival-seed", 0, "with -mpl: arrival-schedule seed (default: the workload seed)")
-		gapMs       = flag.Float64("gap", 2000, "with -mpl: mean inter-arrival gap in simulated ms")
-		poolMB      = flag.Float64("pool", 0, "with -mpl: join-memory pool in MB (default: 2x the inner relation)")
+		mpl         = fs.Int("mpl", 0, "run a multi-query workload at this multiprogramming level instead of -exp/-alg (see docs/SCHEDULER.md)")
+		policy      = fs.String("policy", "fifo", "with -mpl: admission policy (fifo|fair|shrink|revoke)")
+		queries     = fs.Int("queries", 8, "with -mpl: number of workload queries")
+		arrivalSeed = fs.Uint64("arrival-seed", 0, "with -mpl: arrival-schedule seed (default: the workload seed)")
+		gapMs       = fs.Float64("gap", 2000, "with -mpl: mean inter-arrival gap in simulated ms")
+		poolMB      = fs.Float64("pool", 0, "with -mpl: join-memory pool in MB (default: 2x the inner relation)")
 
-		deadlineMs  = flag.Float64("deadline", 0, "with -mpl: per-query relative deadline in simulated ms (0 = none; see docs/SCHEDULER.md, Overload and shedding)")
-		shedPolicy  = flag.String("shed-policy", "none", "with -mpl: load-shedding policy (none|reject|largest|brownout)")
-		queueCap    = flag.Int("queue-cap", 0, "with -mpl: bound the admission queue at this many waiters (0 = unbounded; needs -shed-policy)")
-		offeredLoad = flag.Float64("offered-load", 0, "with -mpl: divide the mean arrival gap by this load factor (2 = twice the arrival rate)")
-		shedSeed    = flag.Uint64("shed-seed", 0, "with -mpl: shed-victim tie-break salt")
-		burst       = flag.Float64("burst", 0, "with -mpl: per-arrival probability of a zero-gap arrival burst")
-		burstLen    = flag.Int("burst-len", 0, "with -mpl: arrivals per burst (default 4)")
+		deadlineMs  = fs.Float64("deadline", 0, "with -mpl: per-query relative deadline in simulated ms (0 = none; see docs/SCHEDULER.md, Overload and shedding)")
+		shedPolicy  = fs.String("shed-policy", "none", "with -mpl: load-shedding policy (none|reject|largest|brownout)")
+		queueCap    = fs.Int("queue-cap", 0, "with -mpl: bound the admission queue at this many waiters (0 = unbounded; needs -shed-policy)")
+		offeredLoad = fs.Float64("offered-load", 0, "with -mpl: divide the mean arrival gap by this load factor (2 = twice the arrival rate)")
+		shedSeed    = fs.Uint64("shed-seed", 0, "with -mpl: shed-victim tie-break salt")
+		burst       = fs.Float64("burst", 0, "with -mpl: per-arrival probability of a zero-gap arrival burst")
+		burstLen    = fs.Int("burst-len", 0, "with -mpl: arrivals per burst (default 4)")
 
-		retryBudget  = flag.Int64("retry-budget", 0, "per-query fault-retry budget: disk retries and crash restarts consume it; exhausted queries are shed (0 = unlimited)")
-		retryBackoff = flag.Float64("retry-backoff", 0, "base disk-retry backoff in simulated ms, doubled per retry and charged to the paying span")
+		retryBudget  = fs.Int64("retry-budget", 0, "per-query fault-retry budget: disk retries and crash restarts consume it; exhausted queries are shed (0 = unlimited)")
+		retryBackoff = fs.Float64("retry-backoff", 0, "base disk-retry backoff in simulated ms, doubled per retry and charged to the paying span")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, e := range experiments.Catalog {
-			fmt.Println(e.Name)
+			fmt.Fprintln(stdout, e.Name)
 		}
-		return
+		return 0
 	}
 
 	cfg := experiments.DefaultConfig()
@@ -117,8 +129,8 @@ func main() {
 		cfg.Seed = *seed
 	}
 	if cfg.InnerN > cfg.OuterN {
-		fmt.Fprintln(os.Stderr, "gammabench: -inner must not exceed -outer")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "gammabench: -inner must not exceed -outer")
+		return 2
 	}
 	if *faultDisk > 0 || *faultNet > 0 || *faultDup > 0 || *faultMem > 0 || *faultSwing > 0 || *faultCrash > 0 ||
 		*retryBudget > 0 || *retryBackoff > 0 {
@@ -150,23 +162,23 @@ func main() {
 	cfg.ProfDir = *profDir
 
 	h := experiments.NewHarness(cfg)
-	fmt.Printf("joinABprime: %d-tuple outer ⋈ %d-tuple inner, %d disk sites",
+	fmt.Fprintf(stdout, "joinABprime: %d-tuple outer ⋈ %d-tuple inner, %d disk sites",
 		cfg.OuterN, cfg.InnerN, cfg.Disks)
 	if cfg.Remote > 0 {
-		fmt.Printf(" (+%d diskless for remote runs)", cfg.Remote)
+		fmt.Fprintf(stdout, " (+%d diskless for remote runs)", cfg.Remote)
 	}
-	fmt.Printf(", seed %d\n", cfg.Seed)
+	fmt.Fprintf(stdout, ", seed %d\n", cfg.Seed)
 	if f := cfg.Faults; f != nil {
-		fmt.Printf("faults: seed %d disk %.3g drop %.3g dup %.3g mem %.3g swing %.3g crash %.3g\n",
+		fmt.Fprintf(stdout, "faults: seed %d disk %.3g drop %.3g dup %.3g mem %.3g swing %.3g crash %.3g\n",
 			f.Seed, f.DiskReadRate, f.NetDropRate, f.NetDupRate, f.MemPressureRate, f.BudgetSwingRate, f.CrashRate)
 	}
 	if cfg.EstError > 0 && cfg.EstError != 1 {
-		fmt.Printf("optimizer: inner-size estimate corrupted by factor %.4g\n", cfg.EstError)
+		fmt.Fprintf(stdout, "optimizer: inner-size estimate corrupted by factor %.4g\n", cfg.EstError)
 	}
 	if cfg.Mirror {
-		fmt.Println("mirrors: chained declustering on (each disk site backed up by its ring neighbor)")
+		fmt.Fprintln(stdout, "mirrors: chained declustering on (each disk site backed up by its ring neighbor)")
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	if *mpl > 0 {
 		ov := overloadFlags{
@@ -179,19 +191,19 @@ func main() {
 			burstLen:    *burstLen,
 			metricsOut:  *metricsOut,
 		}
-		if err := runWorkload(h, *mpl, *policy, *queries, *arrivalSeed, *gapMs, *poolMB, *traceDir, *profDir, ov); err != nil {
-			fmt.Fprintln(os.Stderr, "gammabench:", err)
-			os.Exit(1)
+		if err := runWorkload(stdout, stderr, h, *mpl, *policy, *queries, *arrivalSeed, *gapMs, *poolMB, *traceDir, *profDir, ov); err != nil {
+			fmt.Fprintln(stderr, "gammabench:", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *alg != "" {
-		if err := runSingle(h, *alg, *ratio, *traceOut, *metricsOut, *profOut); err != nil {
-			fmt.Fprintln(os.Stderr, "gammabench:", err)
-			os.Exit(1)
+		if err := runSingle(stdout, stderr, h, *alg, *ratio, *traceOut, *metricsOut, *profOut); err != nil {
+			fmt.Fprintln(stderr, "gammabench:", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	var entries []experiments.Entry
@@ -201,8 +213,8 @@ func main() {
 		for _, name := range strings.Split(*exp, ",") {
 			e, err := experiments.Find(strings.TrimSpace(name))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "gammabench:", err)
-				os.Exit(2)
+				fmt.Fprintln(stderr, "gammabench:", err)
+				return 2
 			}
 			entries = append(entries, e)
 		}
@@ -212,32 +224,33 @@ func main() {
 		start := walltime.Now()
 		results, err := e.Run(h)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gammabench: %s: %v\n", e.Name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "gammabench: %s: %v\n", e.Name, err)
+			return 1
 		}
 		for _, r := range results {
-			fmt.Println(r.Format())
+			fmt.Fprintln(stdout, r.Format())
 			if *plot {
 				if chart := r.Plot(64, 16); chart != "" {
-					fmt.Println(chart)
+					fmt.Fprintln(stdout, chart)
 				}
 			}
 		}
 		if *timings {
-			fmt.Printf("[%s took %v]\n\n", e.Name, walltime.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stdout, "[%s took %v]\n\n", e.Name, walltime.Since(start).Round(time.Millisecond))
 		}
 	}
-	printRecovery(h)
+	printRecovery(stdout, h)
+	return 0
 }
 
 // printRecovery summarizes the recovery ladder's work across every faulted
 // run: one line, only when fault injection was on.
-func printRecovery(h *experiments.Harness) {
+func printRecovery(w io.Writer, h *experiments.Harness) {
 	if h.Config().Faults == nil {
 		return
 	}
 	r := h.Recovery()
-	fmt.Printf("recovery: %d runs, %d restarts, %d failed over, %d phases redone, %.2fs wasted, %.2fs detecting, %d mirror page reads\n",
+	fmt.Fprintf(w, "recovery: %d runs, %d restarts, %d failed over, %d phases redone, %.2fs wasted, %.2fs detecting, %d mirror page reads\n",
 		r.Runs, r.Restarts, r.FailedOver, r.PhasesRedone,
 		r.WastedWork.Seconds(), r.DetectionDelay.Seconds(), r.MirrorReads)
 }
@@ -278,7 +291,7 @@ type overloadFlags struct {
 // tracks merge in Perfetto into one multi-query timeline. With -metrics, the
 // engine's admission metrics (sched.shed, sched.timeout, sched.queue.depth)
 // are exported in the same TSV schema as the per-query recovery metrics.
-func runWorkload(h *experiments.Harness, mpl int, policyName string, queries int, arrivalSeed uint64, gapMs, poolMB float64, traceDir, profDir string, ov overloadFlags) error {
+func runWorkload(stdout, stderr io.Writer, h *experiments.Harness, mpl int, policyName string, queries int, arrivalSeed uint64, gapMs, poolMB float64, traceDir, profDir string, ov overloadFlags) error {
 	pol, err := sched.ParsePolicy(policyName)
 	if err != nil {
 		return err
@@ -311,14 +324,14 @@ func runWorkload(h *experiments.Harness, mpl int, policyName string, queries int
 	if err != nil {
 		return err
 	}
-	if err := res.WriteText(os.Stdout); err != nil {
+	if err := res.WriteText(stdout); err != nil {
 		return err
 	}
 	if ov.metricsOut != "" {
 		if err := experiments.WriteFile(ov.metricsOut, res.Metrics.WriteTSV); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "workload metrics written to %s\n", ov.metricsOut)
+		fmt.Fprintf(stderr, "workload metrics written to %s\n", ov.metricsOut)
 	}
 	if traceDir != "" {
 		if err := os.MkdirAll(traceDir, 0o755); err != nil {
@@ -336,9 +349,9 @@ func runWorkload(h *experiments.Harness, mpl int, policyName string, queries int
 				return err
 			}
 		}
-		// Status goes to stderr: stdout is the deterministic report the `make
-		// mpl` gate compares byte-for-byte, and the directory path varies.
-		fmt.Fprintf(os.Stderr, "per-query traces written to %s\n", traceDir)
+		// Status goes to stderr: stdout is the deterministic report
+		// TestGolden pins, and the directory path varies.
+		fmt.Fprintf(stderr, "per-query traces written to %s\n", traceDir)
 	}
 	if profDir != "" {
 		if err := os.MkdirAll(profDir, 0o755); err != nil {
@@ -358,14 +371,14 @@ func runWorkload(h *experiments.Harness, mpl int, policyName string, queries int
 				return err
 			}
 		}
-		fmt.Fprintf(os.Stderr, "per-query profiles written to %s\n", profDir)
+		fmt.Fprintf(stderr, "per-query profiles written to %s\n", profDir)
 	}
 	return nil
 }
 
 // runSingle executes one joinABprime join on the local configuration and
 // optionally exports its timeline, metric samples, and gammaprof profile.
-func runSingle(h *experiments.Harness, algName string, ratio float64, traceOut, metricsOut, profOut string) error {
+func runSingle(stdout, stderr io.Writer, h *experiments.Harness, algName string, ratio float64, traceOut, metricsOut, profOut string) error {
 	a, err := parseAlg(algName)
 	if err != nil {
 		return err
@@ -374,24 +387,24 @@ func runSingle(h *experiments.Harness, algName string, ratio float64, traceOut, 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s (memory ratio %.4g): %.2f simulated seconds, %d phases, %d buckets\n",
+	fmt.Fprintf(stdout, "%s (memory ratio %.4g): %.2f simulated seconds, %d phases, %d buckets\n",
 		a, ratio, rep.Response.Seconds(), len(rep.Phases), rep.Buckets)
-	fmt.Printf("disk-site cpu utilization %.1f%%, bottleneck busy %.2fs, forming local fraction %.2f\n",
+	fmt.Fprintf(stdout, "disk-site cpu utilization %.1f%%, bottleneck busy %.2fs, forming local fraction %.2f\n",
 		100*rep.UtilDisk, rep.BottleneckBusy.Seconds(), rep.FormingLocalFrac())
 	if rep.FailedOver > 0 {
-		fmt.Printf("failed over %d crash(es) at sites %v: %d phases redone, %d mirror page reads, %.2fs wasted, %.2fs detecting\n",
+		fmt.Fprintf(stdout, "failed over %d crash(es) at sites %v: %d phases redone, %d mirror page reads, %.2fs wasted, %.2fs detecting\n",
 			rep.FailedOver, rep.DeadSites, rep.PhasesRedone, rep.MirrorReads,
 			rep.WastedWork.Seconds(), rep.DetectionDelay.Seconds())
 	}
 	if rep.Restarts > 0 {
-		fmt.Printf("recovered from %d crash(es) at sites %v, wasting %.2fs\n",
+		fmt.Fprintf(stdout, "recovered from %d crash(es) at sites %v, wasting %.2fs\n",
 			rep.Restarts, rep.DeadSites, rep.WastedWork.Seconds())
 	}
 	write := func(path, kind string, emit func(w io.Writer) error) error {
 		if err := experiments.WriteFile(path, emit); err != nil {
 			return err
 		}
-		fmt.Printf("%s written to %s\n", kind, path)
+		fmt.Fprintf(stderr, "%s written to %s\n", kind, path)
 		return nil
 	}
 	if traceOut != "" {

@@ -15,7 +15,8 @@
 // accounting identity exact regardless.
 //
 // All output is fixed-layout and byte-deterministic — two same-seed runs
-// profile to identical bytes (the `make prof` gate). See
+// profile to identical bytes, and gammabench's TestGolden checks that the
+// offline profile of every spans TSV equals the in-process report. See
 // docs/OBSERVABILITY.md, "Where did the time go".
 package main
 

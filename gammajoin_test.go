@@ -1,6 +1,7 @@
 package gammajoin
 
 import (
+	"math"
 	"testing"
 )
 
@@ -60,6 +61,14 @@ func TestJoinOptionsValidation(t *testing.T) {
 	}
 	if _, err := m.Join(a, a, "nope", "unique1", JoinOptions{MemoryRatio: 1}); err == nil {
 		t.Fatal("bad attribute name should error")
+	}
+	for _, ratio := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		if _, err := m.Join(a, a, "unique1", "unique1", JoinOptions{Algorithm: Hybrid, MemoryRatio: ratio}); err == nil {
+			t.Errorf("memory ratio %g should error", ratio)
+		}
+	}
+	if _, err := m.Join(a, a, "unique1", "unique1", JoinOptions{Algorithm: Hybrid, MemoryRatio: 1, ForceBuckets: -3}); err == nil {
+		t.Fatal("negative bucket count should error")
 	}
 	if _, err := m.Load("B", outer, ByHash, "bogus"); err == nil {
 		t.Fatal("bad partition attribute should error")

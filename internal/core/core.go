@@ -445,7 +445,13 @@ func (s *Spec) memBytes() (int64, error) {
 	if s.MemRatio <= 0 {
 		return 0, fmt.Errorf("core: spec needs MemBytes or MemRatio")
 	}
-	return int64(s.MemRatio * float64(s.R.Bytes())), nil
+	// The negated comparison also catches a NaN ratio, and a budget of 2^63
+	// bytes or more would wrap in the int64 conversion.
+	mem := s.MemRatio * float64(s.R.Bytes())
+	if !(mem < math.MaxInt64) {
+		return 0, fmt.Errorf("core: memory ratio %g does not give a finite budget below 2^63 bytes", s.MemRatio)
+	}
+	return int64(mem), nil
 }
 
 // filterBits sizes per-site bit filters by Gamma's shared-2KB-packet rule.

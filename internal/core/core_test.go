@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -414,6 +415,15 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := Run(c, Spec{Alg: Hybrid, R: f.r, S: f.s, MemRatio: 1, JoinSites: []int{42}}); err == nil {
 		t.Fatal("out-of-range join site should error")
+	}
+	// Each of these once ran silently with a one-tuple budget.
+	for _, ratio := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		if _, err := Run(c, Spec{Alg: Hybrid, R: f.r, S: f.s, MemRatio: ratio}); err == nil {
+			t.Errorf("memory ratio %g should error", ratio)
+		}
+	}
+	if _, err := Run(c, Spec{Alg: Hybrid, R: f.r, S: f.s, MemRatio: 1, ForceBuckets: -3}); err == nil {
+		t.Fatal("negative bucket count should error")
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 )
 
 // planDigests pins every algorithm's plan across commits: each cell is one
-// SHA-256 over a join's report counters and its three trace exports. The
-// determinism gates only compare two runs of the same build; these constants
-// catch a change that deterministically moves a phase, a span, a temp-file
-// write or a routing counter. Regenerate them only for a deliberate change
+// SHA-256 over a join's report counters and its three trace exports.
+// Alongside gammabench's TestGolden, which pins what gammabench prints and
+// exports, these constants pin counters it does not print: they catch a
+// change that deterministically moves a phase, a span, a temp-file write or
+// a routing counter. Regenerate them only for a deliberate change
 // to the cost model or to a plan, and say so in the change description.
 var planDigests = map[string]string{
 	"local-hpja/sort-merge":      "a077a24169f3252413a9aba26b56a8cf8a577c8624d40935443b7b4954a9ffec",

@@ -122,6 +122,9 @@ func newRunCtx(c *gamma.Cluster, spec *Spec, tr *trace.Recorder) (*runCtx, error
 	if err != nil {
 		return nil, err
 	}
+	if spec.ForceBuckets < 0 {
+		return nil, fmt.Errorf("core: negative bucket count %d", spec.ForceBuckets)
+	}
 	js := spec.JoinSites
 	if len(js) == 0 {
 		js = c.JoinSites()

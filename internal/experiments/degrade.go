@@ -22,8 +22,8 @@ var EstErrorSweep = []float64{0.25, 0.5, 1, 2, 4}
 // run time. Dynamic Hybrid starts every partition resident and spills or
 // resurrects on *observed* sizes, so its curve should stay flat where the
 // static one climbs. Runs under whatever fault schedule the harness
-// carries — `make degrade` adds memory pressure and budget swings, so the
-// curve also shows mid-build revocation handling (see docs/SCHEDULER.md,
+// carries — TestDegradationCurve adds memory pressure and budget swings, so
+// the curve also shows mid-build revocation handling (see docs/SCHEDULER.md,
 // "Dynamic Hybrid", and docs/FAULTS.md, "Budget swings").
 func (h *Harness) DegradationCurve() (*Result, error) {
 	res := &Result{

@@ -363,7 +363,8 @@ func TestAppendixA(t *testing.T) {
 
 // The degradation curve: both series cover the sweep, and under memory
 // pressure with budget swings the dynamic join's worst case (p95 over the
-// sweep) stays below the static one — the experiment `make degrade` gates.
+// sweep) stays below the static one, at the flags of gammabench's pinned
+// degrade row.
 func TestDegradationCurve(t *testing.T) {
 	// A notch above the usual test scale: the adaptive win is real data
 	// moving (spilled partitions re-read vs static's overflow resolution),

@@ -260,7 +260,11 @@ func (h *Harness) ExtGrowingRelations() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := core.Run(hg.cluster(false), core.Spec{
+			c, err := hg.cluster(false)
+			if err != nil {
+				return nil, err
+			}
+			rep, err := core.Run(c, core.Spec{
 				Alg: alg, R: rels.r, S: rels.s,
 				RAttr: rels.rAttr, SAttr: rels.sAttr,
 				MemBytes: memBytes, StoreResult: true,

@@ -175,9 +175,9 @@ func (h *Harness) Config() Config { return h.cfg }
 // Recovery returns the recovery work accumulated over every uncached run.
 func (h *Harness) Recovery() RecoveryStats { return h.recovery }
 
-func (h *Harness) cluster(remote bool) *gamma.Cluster {
+func (h *Harness) cluster(remote bool) (*gamma.Cluster, error) {
 	if c, ok := h.clusters[remote]; ok {
-		return c
+		return c, nil
 	}
 	var c *gamma.Cluster
 	if remote {
@@ -190,13 +190,13 @@ func (h *Harness) cluster(remote bool) *gamma.Cluster {
 	}
 	if h.cfg.Mirror {
 		if err := c.EnableMirrors(); err != nil {
-			// A one-disk cluster cannot mirror; surface the misconfiguration
-			// loudly rather than silently running unprotected.
-			panic(fmt.Sprintf("experiments: Config.Mirror: %v", err))
+			// A one-disk cluster cannot mirror; report the misconfiguration
+			// rather than silently running unprotected.
+			return nil, fmt.Errorf("experiments: Config.Mirror: %w", err)
 		}
 	}
 	h.clusters[remote] = c
-	return c
+	return c, nil
 }
 
 func (h *Harness) uniformTuples() ([]tuple.Tuple, []tuple.Tuple) {
@@ -257,7 +257,10 @@ func (h *Harness) relations(k RunKey) (relPair, error) {
 			// only needed when an attribute is non-uniform.
 			inner = wisconsin.Bprime(outer, int32(h.cfg.InnerN))
 		}
-		c := h.cluster(k.Remote)
+		c, err := h.cluster(k.Remote)
+		if err != nil {
+			return relPair{}, err
+		}
 		// Section 4.4: relations are range-partitioned on their join
 		// attributes so every processor scans the same amount of data.
 		s, err := gamma.Load(c, "Askew."+k.Skew, outer, gamma.RangeUniform, sAttr)
@@ -285,7 +288,10 @@ func (h *Harness) relations(k RunKey) (relPair, error) {
 		return p, nil
 	}
 	outer, inner := h.uniformTuples()
-	c := h.cluster(k.Remote)
+	c, err := h.cluster(k.Remote)
+	if err != nil {
+		return relPair{}, err
+	}
 	s, err := gamma.Load(c, fmt.Sprintf("A.p%d", partAttr), outer, gamma.HashPart, partAttr)
 	if err != nil {
 		return relPair{}, err
@@ -309,7 +315,10 @@ func (h *Harness) aselbRelations(k RunKey) (relPair, error) {
 	}
 	outer, _ := h.uniformTuples()
 	bTuples := wisconsin.Generate(h.cfg.OuterN, h.cfg.Seed+3)
-	c := h.cluster(k.Remote)
+	c, err := h.cluster(k.Remote)
+	if err != nil {
+		return relPair{}, err
+	}
 	s, err := gamma.Load(c, "A.aselb", outer, gamma.HashPart, tuple.Unique1)
 	if err != nil {
 		return relPair{}, err
@@ -350,7 +359,10 @@ func (h *Harness) Run(k RunKey) (*core.Report, error) {
 	if spec.EstErrorFactor == 0 {
 		spec.EstErrorFactor = h.cfg.EstError
 	}
-	c := h.cluster(k.Remote)
+	c, err := h.cluster(k.Remote)
+	if err != nil {
+		return nil, err
+	}
 	if k.Mixed {
 		// Half the join processors have disks, half do not.
 		disks, diskless := c.DiskSites(), c.DisklessSites()

@@ -62,8 +62,8 @@ func (h *Harness) calibrateNominal() (time.Duration, error) {
 // (deadline-met completions per second) collapses — the hockey stick. With
 // deadlines enforced and load shed deterministically, wasted work is bounded
 // and the goodput curve flattens into a plateau near the saturation peak.
-// `make overload` runs this twice and requires byte-identical reports; the
-// committed curve is docs/results_overload.txt.
+// gammabench's TestGolden pins the report at 10000x1000; the committed
+// full-scale curve is docs/results_overload.txt.
 func (h *Harness) GoodputCurve() (*Result, error) {
 	nominal, err := h.calibrateNominal()
 	if err != nil {

@@ -11,11 +11,18 @@ import (
 // overload"): past saturation the no-shed baseline's goodput collapses —
 // every admitted query stretches every later one, the hockey stick — while
 // the shedding policies hold goodput at 2x offered load within 10% of
-// their saturation (1x) value, the plateau. This is the acceptance bound
-// `make overload` asserts on the full report.
+// their saturation (1x) value, the plateau. It holds at the test scale and
+// at the 10000x1000 scale of TestGolden's overload row.
 func TestGoodputPlateau(t *testing.T) {
-	h := NewHarness(testConfig())
-	res, err := h.GoodputCurve()
+	for _, outer := range []int{8000, 10000} {
+		cfg := testConfig()
+		cfg.OuterN, cfg.InnerN = outer, outer/10
+		t.Run(strconv.Itoa(outer), func(t *testing.T) { checkGoodputPlateau(t, cfg) })
+	}
+}
+
+func checkGoodputPlateau(t *testing.T, cfg Config) {
+	res, err := NewHarness(cfg).GoodputCurve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,10 @@ func (h *Harness) workloadRelations(remote, hpja, small bool) (relPair, error) {
 		return p, nil
 	}
 	outer, inner := h.smallTuples()
-	c := h.cluster(remote)
+	c, err := h.cluster(remote)
+	if err != nil {
+		return relPair{}, err
+	}
 	s, err := gamma.Load(c, fmt.Sprintf("Asmall.p%d", partAttr), outer, gamma.HashPart, partAttr)
 	if err != nil {
 		return relPair{}, err
@@ -152,7 +155,11 @@ func (h *Harness) workloadExec(wc WorkloadConfig) sched.Exec {
 			StoreResult: true,
 			QueryID:     q.ID,
 		}
-		rep, err := core.Run(h.cluster(wc.Remote), spec)
+		c, err := h.cluster(wc.Remote)
+		if err != nil {
+			return nil, err
+		}
+		rep, err := core.Run(c, spec)
 		if err != nil {
 			return nil, err
 		}

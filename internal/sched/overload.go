@@ -21,7 +21,7 @@ import (
 // (queue overflow at arrival, timeouts at deadline instants the event loop
 // steps onto, starvation sheds at admission-refusal barriers), and victim
 // selection breaks ties through a seeded hash — so two runs of the same
-// workload shed byte-identically, which `make overload` asserts.
+// workload shed byte-identically, which gammabench's TestGolden pins.
 
 // ShedPolicy selects how the engine sheds load when the workload exceeds
 // capacity.

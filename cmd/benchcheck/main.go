@@ -23,12 +23,6 @@
 //     machine-independent and byte-deterministic, so they must match the
 //     baseline exactly. A drifted sim-sec is a correctness change hiding in
 //     a perf gate, and is reported as such.
-//
-// When a gate fails and both -prof-base and -prof-cur name directories of
-// gammaprof profiles (*.prof.tsv, from `gammabench -prof-dir`), benchcheck
-// diffs every profile present in both and prints each one-line headline —
-// which phase moved, and which resource inside it — so a regression report
-// arrives with its own explanation attached.
 package main
 
 import (
@@ -37,14 +31,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
-
-	"gammajoin/internal/cost"
-	"gammajoin/internal/profile"
 )
 
 // Bench is one benchmark's numbers: minimum wall-clock per op across the
@@ -218,9 +208,6 @@ func main() {
 	against := flag.String("against", "", "compare the parsed benchmarks against this baseline JSON")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional wall-clock regression after machine normalization")
 	simOnly := flag.Bool("sim-only", false, "gate only the simulated metrics (exact match); skip the wall-clock comparison")
-	profBase := flag.String("prof-base", "", "baseline gammaprof profile directory (*.prof.tsv); on failure, explain what moved")
-	profCur := flag.String("prof-cur", "", "current gammaprof profile directory (*.prof.tsv); on failure, explain what moved")
-	wallDelta := flag.String("wall-delta", "", "with -against: print the named benchmark's wall-clock versus the baseline (its speedup report), gating nothing")
 	minWall := flag.Float64("min-wall-ns", 0, "skip the wall-clock gate for benchmarks whose baseline is below this many ns/op (too fast to time reliably); simulated metrics are still matched exactly")
 	flag.Parse()
 	if *emit == "" && *against == "" {
@@ -245,71 +232,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if *wallDelta != "" {
-			b, okB := base.Benchmarks[*wallDelta]
-			c, okC := benches[*wallDelta]
-			if !okB || !okC {
-				fmt.Fprintf(os.Stderr, "benchcheck: -wall-delta %s: present in baseline %v, in current run %v\n",
-					*wallDelta, okB, okC)
-				os.Exit(1)
-			}
-			fmt.Printf("benchcheck: %s wall-clock: baseline %.0f ns/op, current %.0f ns/op, speedup %.2fx\n",
-				*wallDelta, b.WallNs, c.WallNs, b.WallNs/c.WallNs)
-			return
-		}
 		fails := compare(base.Benchmarks, benches, *tolerance, *minWall, *simOnly)
 		for _, f := range fails {
 			fmt.Printf("benchcheck: FAIL %s\n", f)
 		}
 		if len(fails) > 0 {
-			explainWithProfiles(*profBase, *profCur)
 			os.Exit(1)
 		}
 		fmt.Println("benchcheck: OK")
 	}
-}
-
-// explainWithProfiles diffs every gammaprof profile present in both
-// directories and prints the headline of each pair that moved: the gate just
-// said WHAT regressed, the profiles say WHERE the time went.
-func explainWithProfiles(baseDir, curDir string) {
-	if baseDir == "" || curDir == "" {
-		return
-	}
-	names, err := filepath.Glob(filepath.Join(curDir, "*.prof.tsv"))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchcheck: profile scan: %v\n", err)
-		return
-	}
-	sort.Strings(names)
-	for _, curPath := range names {
-		name := filepath.Base(curPath)
-		basePath := filepath.Join(baseDir, name)
-		a, err := loadProfile(basePath)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // run not in the baseline set: nothing to compare
-			}
-			fmt.Fprintf(os.Stderr, "benchcheck: %s: %v\n", basePath, err)
-			continue
-		}
-		b, err := loadProfile(curPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchcheck: %s: %v\n", curPath, err)
-			continue
-		}
-		if h := profile.Diff(a, b).Headline(); h != "" {
-			fmt.Printf("benchcheck: profile diff %s: %s\n",
-				strings.TrimSuffix(name, ".prof.tsv"), h)
-		}
-	}
-}
-
-func loadProfile(path string) (*profile.Profile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return profile.Load(f, cost.Default())
 }

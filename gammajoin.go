@@ -171,7 +171,8 @@ type JoinOptions struct {
 	// JoinSites overrides the joining processors (defaults to diskless
 	// sites when present, else the disk sites).
 	JoinSites []int
-	// ForceBuckets overrides the optimizer's Grace/Hybrid bucket count.
+	// ForceBuckets overrides the optimizer's Grace/Hybrid bucket count,
+	// up to one bucket per inner tuple.
 	ForceBuckets int
 	// AllowOverflow lets Hybrid run with fewer buckets and resolve the
 	// overflow with the Simple-hash mechanism (the paper's "optimistic"

@@ -70,6 +70,9 @@ func TestJoinOptionsValidation(t *testing.T) {
 	if _, err := m.Join(a, a, "unique1", "unique1", JoinOptions{Algorithm: Hybrid, MemoryRatio: 1, ForceBuckets: -3}); err == nil {
 		t.Fatal("negative bucket count should error")
 	}
+	if _, err := m.Join(a, a, "unique1", "unique1", JoinOptions{Algorithm: Hybrid, MemoryRatio: 0.5, ForceBuckets: 101}); err == nil {
+		t.Fatal("more buckets than the 100 inner tuples should error")
+	}
 	if _, err := m.Load("B", outer, ByHash, "bogus"); err == nil {
 		t.Fatal("bad partition attribute should error")
 	}

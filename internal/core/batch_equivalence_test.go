@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -135,43 +134,5 @@ func TestBatchedEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBatchedEquivalenceCancel is the matrix's cancel-at-deadline column: a
-// deadline landing strictly mid-join must cancel at the same simulated
-// instant in both engines — deadlines are simulated time, and simulated
-// time must not move with the delivery-run length. Both engines must
-// surface the same error chain and return no report.
-func TestBatchedEquivalenceCancel(t *testing.T) {
-	for _, alg := range allAlgs {
-		// Establish the clean response (and from it a mid-join deadline)
-		// with the serial engine; equivalence of the clean run is covered
-		// by the matrix above.
-		dl := cancelDeadline(t, mkFixture(t, newMatrixCluster(1), 4000, gamma.HashPart, tuple.Unique1), alg, 0.25)
-
-		cancel := func(runLen int) error {
-			f := mkFixture(t, newMatrixCluster(runLen), 4000, gamma.HashPart, tuple.Unique1)
-			rep, err := Run(f.c, Spec{
-				Alg: alg, R: f.r, S: f.s,
-				RAttr: tuple.Unique1, SAttr: tuple.Unique1,
-				MemRatio: 0.25, DeadlineNs: dl,
-			})
-			if err == nil {
-				t.Fatalf("%v: run length %d: mid-join deadline did not cancel", alg, runLen)
-			}
-			if rep != nil {
-				t.Fatalf("%v: run length %d: canceled run returned a report", alg, runLen)
-			}
-			return err
-		}
-
-		es, eb := cancel(1), cancel(netsim.DefaultRunLength)
-		if !errors.Is(es, ErrDeadlineExceeded) || !errors.Is(eb, ErrDeadlineExceeded) {
-			t.Errorf("%v: cancel errors not deadline-shaped: serial %v, batched %v", alg, es, eb)
-		}
-		if es.Error() != eb.Error() {
-			t.Errorf("%v: cancel errors differ between engines:\nserial:  %v\nbatched: %v", alg, es, eb)
-		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"gammajoin/internal/bitfilter"
@@ -126,7 +125,7 @@ type Spec struct {
 	EstErrorFactor float64
 
 	// ForceBuckets overrides the optimizer's bucket count for Grace and
-	// Hybrid (before the bucket analyzer runs).
+	// Hybrid (before the bucket analyzer runs), up to one per inner tuple.
 	ForceBuckets int
 	// AllowOverflow makes Hybrid take the paper's "optimistic" choice at
 	// non-integral memory ratios: run with floor(1/ratio) buckets and let
@@ -148,38 +147,7 @@ type Spec struct {
 	// temp-file names so concurrent queries of the same shape never collide
 	// in the simulated file system. 0 means a standalone query.
 	QueryID int
-
-	// DeadlineNs cancels the join once its simulated response time reaches
-	// this many nanoseconds. The check happens at phase barriers against
-	// the trace recorder's virtual clock — the same deterministic boundary
-	// injected crashes fire at — so two runs of the same spec cancel at
-	// the same phase, byte for byte. Run then unwinds cleanly (temp files
-	// dropped, spans closed, a "cancel" instant on the timeline) and
-	// returns ErrDeadlineExceeded. 0 means no deadline.
-	DeadlineNs cost.SimNs
-
-	// Cancel, when non-nil, is an external mid-join cancel signal. Phase
-	// workers poll it between work items, so an async Cancel() stops the
-	// join mid-phase; the error surfaces at the phase barrier as
-	// ErrQueryCanceled. Unlike DeadlineNs, the *timing* of an external
-	// cancel is inherently nondeterministic — canceled runs return no
-	// report, so nothing byte-compared ever observes the difference.
-	Cancel *CancelToken
 }
-
-// CancelToken is a level-triggered cancel signal. The zero value is ready to
-// use; a nil *CancelToken never fires.
-type CancelToken struct{ fired atomic.Bool }
-
-// Cancel trips the token. Idempotent and safe from any goroutine.
-func (t *CancelToken) Cancel() {
-	if t != nil {
-		t.fired.Store(true)
-	}
-}
-
-// Canceled reports whether Cancel has been called.
-func (t *CancelToken) Canceled() bool { return t != nil && t.fired.Load() }
 
 // Report describes one executed join.
 type Report struct {
@@ -284,18 +252,6 @@ func (r *Report) FormingLocalFrac() float64 { return r.Forming.LocalFraction() }
 // can errors.Is(err, ErrSiteFailed) without knowing the concrete type.
 var ErrSiteFailed = errors.New("core: site failed")
 
-// ErrQueryCanceled is the sentinel every cancellation path wraps: external
-// CancelToken fires, spec deadlines, and (via fault.ErrRetryBudgetExhausted
-// remaining inspectable separately) budget escalations all leave Run with
-// errors.Is(err, ErrQueryCanceled) == true for the first two. The workload
-// engine sheds on it instead of failing the workload.
-var ErrQueryCanceled = errors.New("core: query canceled")
-
-// ErrDeadlineExceeded marks a deadline-triggered cancellation; it wraps
-// ErrQueryCanceled so callers that only care about "did it unwind early"
-// need a single errors.Is.
-var ErrDeadlineExceeded = fmt.Errorf("deadline exceeded: %w", ErrQueryCanceled)
-
 // SiteFailure reports an (injected) crash of one join site at a phase
 // boundary. Run catches it internally and restarts the query without the
 // site; it escapes Run only when no recovery is possible (no survivors,
@@ -375,7 +331,7 @@ func Run(c *gamma.Cluster, spec Spec) (*Report, error) {
 		}
 		// Every attempt's temp files are dead at this barrier — the attempt
 		// either finished with them consumed, is about to restart from
-		// scratch, or is unwinding on cancel. Dropping them here keeps the
+		// scratch, or is unwinding on an error. Dropping them here keeps the
 		// cluster's live-file ledger empty on every exit path.
 		rc.dropTempFiles()
 		// Accumulate the ladder's middle-rung stats whether or not the
@@ -445,11 +401,17 @@ func (s *Spec) memBytes() (int64, error) {
 	if s.MemRatio <= 0 {
 		return 0, fmt.Errorf("core: spec needs MemBytes or MemRatio")
 	}
-	// The negated comparison also catches a NaN ratio, and a budget of 2^63
-	// bytes or more would wrap in the int64 conversion.
-	mem := s.MemRatio * float64(s.R.Bytes())
-	if !(mem < math.MaxInt64) {
-		return 0, fmt.Errorf("core: memory ratio %g does not give a finite budget below 2^63 bytes", s.MemRatio)
+	return RatioBytes(s.MemRatio, s.R.Bytes())
+}
+
+// RatioBytes converts a memory ratio into an aggregate join-memory budget:
+// ratio times innerBytes, so a ratio of 1.0 holds the whole inner relation.
+// The negated comparisons also catch a NaN ratio, and a budget of 2^63 bytes
+// or more would wrap in the int64 conversion.
+func RatioBytes(ratio float64, innerBytes int64) (int64, error) {
+	mem := ratio * float64(innerBytes)
+	if !(ratio > 0) || !(mem < math.MaxInt64) {
+		return 0, fmt.Errorf("core: memory ratio %g is not a positive ratio giving a budget below 2^63 bytes", ratio)
 	}
 	return int64(mem), nil
 }
@@ -474,7 +436,8 @@ func (rc *runCtx) optimizerBuckets(hybrid bool) int {
 		if rc.spec.InnerSizeHint > 0 {
 			innerBytes = rc.spec.InnerSizeHint
 		}
-		need := rc.estimatedInner(innerBytes) / float64(rc.memTotal)
+		// Capped in float space, before the int conversion could overflow.
+		need := min(rc.estimatedInner(innerBytes)/float64(rc.memTotal), float64(maxBuckets(rc.spec.R)))
 		n = int(math.Ceil(need - 1e-3))
 		if hybrid && rc.spec.AllowOverflow {
 			// Optimistic: one bucket fewer, absorbed by overflow.
@@ -489,6 +452,11 @@ func (rc *runCtx) optimizerBuckets(hybrid bool) int {
 	}
 	return n
 }
+
+// maxBuckets bounds a Grace or Hybrid bucket count at one per inner tuple
+// (and at least one): past that, extra buckets can only be empty, yet each
+// still costs a file and a page buffer at every disk site.
+func maxBuckets(r *gamma.Relation) int64 { return max(r.N, 1) }
 
 // estimatedInner is the optimizer's belief about the inner size in bytes:
 // the catalog value corrupted by the spec's mis-estimation factor. Every

@@ -425,6 +425,26 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := Run(c, Spec{Alg: Hybrid, R: f.r, S: f.s, MemRatio: 1, ForceBuckets: -3}); err == nil {
 		t.Fatal("negative bucket count should error")
 	}
+	if _, err := Run(c, Spec{Alg: Hybrid, R: f.r, S: f.s, MemRatio: 1, ForceBuckets: int(f.r.N) + 1}); err == nil {
+		t.Fatal("more buckets than inner tuples should error")
+	}
+}
+
+// TestBucketCountBoundedByInner: an inner-size estimate a thousand times
+// too large must not plan more Grace or Hybrid buckets than there are inner
+// tuples, and the capped join still returns the right answer.
+func TestBucketCountBoundedByInner(t *testing.T) {
+	c := gamma.NewLocal(4, nil)
+	f := mkFixture(t, c, 2000, gamma.HashPart, tuple.Unique1)
+	for _, alg := range []Algorithm{Grace, Hybrid} {
+		rep := runJoin(t, f, alg, 0.5, func(s *Spec) { s.EstErrorFactor = 1000 })
+		if int64(rep.Buckets) > f.r.N {
+			t.Errorf("%v: %d buckets for a %d-tuple inner relation", alg, rep.Buckets, f.r.N)
+		}
+		if rep.ResultCount != f.r.N {
+			t.Errorf("%v: %d results, want %d", alg, rep.ResultCount, f.r.N)
+		}
+	}
 }
 
 // TestJoinSitesRejectsDuplicates: a join-site list naming a site twice would

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -74,6 +75,35 @@ func TestNoGoroutineLeakOnSpecError(t *testing.T) {
 	spec := Spec{Alg: Algorithm(99), R: f.r, S: f.s, RAttr: tuple.Unique1, SAttr: tuple.Unique1, MemBytes: 1 << 20}
 	if _, err := Run(c, spec); err == nil {
 		t.Fatal("bogus algorithm should error")
+	}
+	quiesce(t, baseline)
+}
+
+// TestRetryBudgetExitLeavesClusterClean: a retry budget that runs out
+// mid-join aborts each of the five algorithms at a later phase barrier. The
+// abort returns no report, and it must leave no temp file live and no phase
+// worker running.
+func TestRetryBudgetExitLeavesClusterClean(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	c := gamma.NewLocal(4, nil)
+	f := mkFixture(t, c, 4000, gamma.HashPart, tuple.Unique1)
+	c.EnableFaults(fault.Spec{Seed: 5, DiskReadRate: 0.5, RetryBudget: 20})
+	for _, alg := range allAlgs {
+		rep, err := Run(c, Spec{
+			Alg: alg, R: f.r, S: f.s,
+			RAttr: tuple.Unique1, SAttr: tuple.Unique1,
+			MemRatio: 0.25,
+		})
+		t.Logf("%v: %v", alg, err)
+		if !errors.Is(err, fault.ErrRetryBudgetExhausted) {
+			t.Fatalf("%v: got %v, want fault.ErrRetryBudgetExhausted", alg, err)
+		}
+		if rep != nil {
+			t.Fatalf("%v: aborted run returned a report", alg)
+		}
+		if live := c.LiveTempFiles(); len(live) != 0 {
+			t.Fatalf("%v: %d temp files live after the abort: %v", alg, len(live), live)
+		}
 	}
 	quiesce(t, baseline)
 }

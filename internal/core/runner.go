@@ -90,13 +90,13 @@ type runCtx struct {
 	fileSeq int
 
 	// tempFiles lists the temp wiss files this attempt created (by their
-	// registered name), so every Run exit path — success, restart, cancel
-	// — can drop them from the cluster's live-file ledger. Appended only
-	// from coordinator code (newTempFile runs between phases), like
-	// fileSeq. tempHandles holds the same files by handle so dropTempFiles
-	// can recycle their pages: nothing a Run returns aliases temp-file
-	// memory (results and collected rows are copied out), and redo units
-	// only re-read files from the same attempt, which is over by then.
+	// registered name), so every Run exit path — success, restart, budget
+	// exhaustion — can drop them from the cluster's live-file ledger.
+	// Appended only from coordinator code (newTempFile runs between
+	// phases), like fileSeq. tempHandles holds the same files by handle so
+	// dropTempFiles can recycle their pages: nothing a Run returns aliases
+	// temp-file memory (results and collected rows are copied out), and redo
+	// units only re-read files from the same attempt, which is over by then.
 	tempFiles   []string
 	tempHandles []*wiss.File
 
@@ -122,8 +122,8 @@ func newRunCtx(c *gamma.Cluster, spec *Spec, tr *trace.Recorder) (*runCtx, error
 	if err != nil {
 		return nil, err
 	}
-	if spec.ForceBuckets < 0 {
-		return nil, fmt.Errorf("core: negative bucket count %d", spec.ForceBuckets)
+	if spec.ForceBuckets < 0 || int64(spec.ForceBuckets) > maxBuckets(spec.R) {
+		return nil, fmt.Errorf("core: bucket count %d outside 0..%d (one per inner tuple)", spec.ForceBuckets, maxBuckets(spec.R))
 	}
 	js := spec.JoinSites
 	if len(js) == 0 {
@@ -426,7 +426,7 @@ func (rc *runCtx) newTempFile(name string, site int) (*wiss.File, error) {
 
 // dropTempFiles deletes every temp file this attempt created from the
 // cluster's live-file ledger. Run calls it at the end of every attempt —
-// success, restart, or cancellation — so Cluster.LiveTempFiles is empty
+// success, restart, or an error — so Cluster.LiveTempFiles is empty
 // whenever no query is mid-flight.
 func (rc *runCtx) dropTempFiles() {
 	for _, name := range rc.tempFiles {
@@ -437,31 +437,6 @@ func (rc *runCtx) dropTempFiles() {
 		f.Recycle()
 	}
 	rc.tempHandles = nil
-}
-
-// canceled reports whether this execution should stop: the external cancel
-// token fired, or the query's simulated response has reached its deadline.
-// The deadline compares against the trace recorder's virtual clock, which
-// only advances at phase barriers — so deadline cancellation is a pure
-// function of the schedule and fires at the same barrier in every run,
-// while an external Cancel() is observed between work items wherever the
-// goroutine schedule happens to be (canceled runs return no report, so
-// nothing byte-compared sees that difference).
-func (rc *runCtx) canceled() bool {
-	if rc.spec.Cancel.Canceled() {
-		return true
-	}
-	d := rc.spec.DeadlineNs
-	return d > 0 && rc.tr.Now() >= d
-}
-
-// cancelErr builds the cancellation error, preferring the deadline cause
-// when both apply. Both wrap ErrQueryCanceled.
-func (rc *runCtx) cancelErr() error {
-	if d := rc.spec.DeadlineNs; d > 0 && rc.tr.Now() >= d {
-		return fmt.Errorf("core: query %d at %v: %w", rc.spec.QueryID, rc.tr.Now().Dur(), ErrDeadlineExceeded)
-	}
-	return fmt.Errorf("core: query %d: %w", rc.spec.QueryID, ErrQueryCanceled)
 }
 
 // producerFn produces tuples into the phase's first exchange via snd.
@@ -593,14 +568,6 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 		rc.tr.Instant(site, "crash", ps.name)
 		return &SiteFailure{Site: site, Phase: ps.name}
 	}
-	// Cancellation surfaces at the same deterministic boundary: the
-	// scheduler declines to start the next phase's operators once the
-	// deadline has passed (or an external cancel fired between phases).
-	if rc.canceled() {
-		err := rc.cancelErr()
-		rc.tr.Instant(rc.joinSites[0], "cancel", fmt.Sprintf("entering %q: %v", ps.name, err))
-		return err
-	}
 	// A query that overdrew its retry budget during the previous phase is
 	// aborted here — the tally is an order-independent sum, so the barrier
 	// is the first point where acting on it is deterministic.
@@ -623,14 +590,8 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 	for _, site := range sortedKeys(ps.write) {
 		fn := ps.write[site]
 		rc.launch(p, &writers, &ps, "write", site, func(a *cost.Acct) {
-			// Drain unconditionally (upstream must never block on a full
-			// exchange), then skip the work if a cancel fired mid-phase.
 			batches := drainSorted(rc.c.Net, a, ex2.Take(site))
 			defer netsim.PutBatches(batches)
-			if rc.canceled() {
-				rc.fail(rc.cancelErr())
-				return
-			}
 			fn(a, nil, batches)
 		})
 	}
@@ -642,11 +603,7 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 			snd := rc.newPhaseSender(a, site, ex2.Deliver)
 			batches := drainSorted(rc.c.Net, a, ex1.Take(site))
 			defer netsim.PutBatches(batches)
-			if rc.canceled() {
-				rc.fail(rc.cancelErr())
-			} else {
-				fn(a, snd, batches)
-			}
+			fn(a, snd, batches)
 			snd.FlushAll()
 			snd.Release()
 		})
@@ -658,13 +615,6 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 		rc.launch(p, &producers, &ps, "produce", site, func(a *cost.Acct) {
 			snd := rc.newPhaseSender(a, site, ex1.Deliver)
 			for _, fn := range fns {
-				// Poll the cancel signal between work items: an external
-				// cancel stops the scan flow here, mid-phase, and the
-				// error surfaces at the barrier.
-				if rc.canceled() {
-					rc.fail(rc.cancelErr())
-					break
-				}
 				fn(a, snd)
 			}
 			snd.FlushAll()
@@ -676,10 +626,6 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 		fns := ps.solo[site]
 		rc.launch(p, &solos, &ps, "solo", site, func(a *cost.Acct) {
 			for _, fn := range fns {
-				if rc.canceled() {
-					rc.fail(rc.cancelErr())
-					break
-				}
 				fn(a)
 			}
 		})

@@ -54,8 +54,8 @@ type Config struct {
 
 	// ProfDir, when non-empty, makes the harness profile every uncached run
 	// and write <slug>.prof.txt (blame, critical path, stragglers) and
-	// <slug>.prof.tsv (the machine-readable profile gammaprof diff and
-	// benchcheck consume) into this directory. See docs/OBSERVABILITY.md,
+	// <slug>.prof.tsv (the machine-readable profile gammaprof diff reads)
+	// into this directory. See docs/OBSERVABILITY.md,
 	// "Where did the time go".
 	ProfDir string
 

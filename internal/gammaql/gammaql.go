@@ -528,7 +528,10 @@ func (s *Session) plan(toks []string) error {
 	if err != nil || ratio <= 0 {
 		return fmt.Errorf("bad memory ratio %q", toks[i+1])
 	}
-	memBytes := int64(ratio * float64(inner.Bytes()))
+	memBytes, err := core.RatioBytes(ratio, inner.Bytes())
+	if err != nil {
+		return err
+	}
 	pl := optimizer.PlanJoin(s.c, inner, outer, rAttr, sAttr, memBytes)
 	fmt.Fprintf(s.out, "optimizer: %v join on sites %v (skew %.2f, HPJA %v, buckets %d, filters %v)\n",
 		pl.Alg, pl.JoinSites, pl.Stats.InnerSkew, pl.Stats.HPJA, pl.Buckets, pl.BitFilter)

@@ -199,6 +199,26 @@ func TestPlanCommand(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsBadRatio: a memory ratio that gives no finite, positive
+// budget fails before the optimizer runs, with the ratio named.
+func TestPlanRejectsBadRatio(t *testing.T) {
+	s, out := newTestSession()
+	mustExec(t, s,
+		"create A 2000 partition by hash unique1",
+		"create B bprime A 200 partition by hash unique1",
+	)
+	out.Reset()
+	for _, ratio := range []string{"NaN", "+Inf", "1e300"} {
+		err := s.Exec("plan B A on unique1 mem " + ratio)
+		if err == nil || !strings.Contains(err.Error(), "memory ratio") {
+			t.Errorf("mem %s: got error %v, want one naming the memory ratio", ratio, err)
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("rejected plans printed output:\n%s", out.String())
+	}
+}
+
 func TestNewCommandErrors(t *testing.T) {
 	s, _ := newTestSession()
 	mustExec(t, s, "create A 500 partition by hash unique1")

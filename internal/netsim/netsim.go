@@ -392,9 +392,10 @@ func (n *Network) NewSender(a *cost.Acct, src int, deliver func(dst int, run []*
 }
 
 // Release recycles the sender and retires its slab. Call only after
-// FlushAll, when no packet can still be buffered; any stragglers (a
-// cancelled worker's partial buffers and undelivered runs) are recycled, not
-// delivered, and any unpublished counters are published. The caller must not
+// FlushAll, when no packet can still be buffered; any stragglers (the
+// partial buffers and undelivered runs of a sender released without
+// FlushAll) are recycled, not delivered, and any unpublished counters are
+// published. The caller must not
 // use the sender again.
 func (s *Sender) Release() {
 	s.publish()

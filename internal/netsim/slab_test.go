@@ -159,9 +159,9 @@ func TestSlabHandBuiltBatchPut(t *testing.T) {
 	}
 }
 
-// TestSlabReleaseWithoutFlushAll is a cancelled producer: Release without
-// FlushAll must return every slab the sender touched, including those of
-// its partial packets and of full packets still waiting in delivery runs.
+// TestSlabReleaseWithoutFlushAll: Release without FlushAll must return
+// every slab the sender touched, including those of its partial packets and
+// of full packets still waiting in delivery runs.
 func TestSlabReleaseWithoutFlushAll(t *testing.T) {
 	base := slabsOut.Load()
 	net := New(cost.Default())
@@ -195,6 +195,6 @@ func TestSlabReleaseWithoutFlushAll(t *testing.T) {
 	s.Release()
 	PutBatches(delivered)
 	if got := slabsOut.Load() - base; got != 0 {
-		t.Fatalf("%d slabs still out after a cancelled sender's Release", got)
+		t.Fatalf("%d slabs still out after an unflushed sender's Release", got)
 	}
 }

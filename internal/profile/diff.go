@@ -12,8 +12,7 @@ import (
 // Diffing two profiles answers "why did it change?": per-bucket, per-phase
 // (matched by name occurrence, so a bucket-count change still aligns the
 // shared prefix of same-named phases), and per-site deltas, plus a one-line
-// headline naming the phase and resource that moved most — the line
-// cmd/benchcheck prints when a bench-gate regression fires.
+// headline naming the phase and resource that moved most.
 
 // PhaseDelta is one aligned phase pair (or a phase present on one side only).
 type PhaseDelta struct {

@@ -16,7 +16,7 @@ import (
 //   - a spans TSV (trace.Recorder.WriteSpansTSV) — the raw timeline, from
 //     which Load recomputes the full profile, and
 //   - a profile TSV (Profile.WriteTSV) — a precomputed profile, loaded
-//     verbatim (the interchange format for gammaprof diff and benchcheck).
+//     verbatim (the interchange format gammaprof diff reads).
 //
 // Load sniffs the header line and dispatches.
 

@@ -121,8 +121,8 @@ func busyRatios(ph *PhaseProfile) (mean, min float64) {
 const tsvHeader = "gammaprof\ttsv\tv1"
 
 // WriteTSV renders the profile as a flat machine-readable table that
-// round-trips through ReadTSV — the interchange format gammaprof diff and
-// cmd/benchcheck consume.
+// round-trips through ReadTSV — the interchange format gammaprof diff
+// reads.
 func (p *Profile) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, tsvHeader)

@@ -73,7 +73,10 @@ func Prepare(c *gamma.Cluster, q Join) (*Plan, error) {
 		if ratio <= 0 {
 			ratio = 1.0
 		}
-		mem = int64(ratio * float64(effInner))
+		var err error
+		if mem, err = core.RatioBytes(ratio, effInner); err != nil {
+			return nil, err
+		}
 	}
 
 	opt := optimizer.PlanJoinSized(c, q.Inner.Rel, q.Outer.Rel, q.InnerAttr, q.OuterAttr, effInner, mem)

@@ -1,6 +1,7 @@
 package gammajoin
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -59,5 +60,11 @@ func TestQueryAPI(t *testing.T) {
 	}
 	if _, err := m.PrepareQuery(QuerySpec{Inner: b, Outer: a, On: "unique1", OuterOn: "zzz"}); err == nil {
 		t.Fatal("bad outer attribute accepted")
+	}
+	for _, ratio := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		_, err := m.PrepareQuery(QuerySpec{Inner: b, Outer: a, On: "unique1", MemoryRatio: ratio})
+		if err == nil || !strings.Contains(err.Error(), "memory ratio") {
+			t.Errorf("memory ratio %g: got %v, want an error naming the ratio", ratio, err)
+		}
 	}
 }

@@ -13,8 +13,9 @@ func TestUnitFlowCleanOnSimulator(t *testing.T) {
 }
 
 // assertClean runs the analyzer over every module package in its Scope —
-// the same set `gammavet ./...` checks — and fails on any diagnostic.
-func assertClean(t *testing.T, a *Analyzer) {
+// the same set `gammavet ./...` checks — fails on any diagnostic, and
+// returns the packages it checked.
+func assertClean(t *testing.T, a *Analyzer) []*LoadedPackage {
 	t.Helper()
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -24,7 +25,7 @@ func assertClean(t *testing.T, a *Analyzer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
+	var checked []*LoadedPackage
 	for _, pkg := range pkgs {
 		if !a.Covers(pkg.Path) {
 			continue
@@ -40,9 +41,10 @@ func assertClean(t *testing.T, a *Analyzer) {
 		for _, d := range diags {
 			t.Errorf("unexpected finding: %s", d)
 		}
-		checked++
+		checked = append(checked, lp)
 	}
-	if checked == 0 {
+	if len(checked) == 0 {
 		t.Fatalf("%s: no module package in scope %v", a.Name, a.Scope)
 	}
+	return checked
 }

@@ -421,31 +421,17 @@ func filterBits(m *cost.Model, nJoinSites int) int {
 	return bitfilter.PerSiteBits(m.P.PacketBytes, m.P.FilterOverheadBitsPerSite, nJoinSites)
 }
 
-// optimizerBuckets computes the bucket count for Grace and Hybrid: the
-// smallest count such that each bucket of the inner relation fits in the
-// aggregate join memory, corrected by the Appendix-A bucket analyzer.
+// optimizerBuckets computes the bucket count for Grace and Hybrid: Buckets
+// for the optimizer's inner estimate, or the forced count, corrected by the
+// Appendix-A bucket analyzer.
 func (rc *runCtx) optimizerBuckets(hybrid bool) int {
 	n := rc.spec.ForceBuckets
 	if n <= 0 {
-		// The epsilon keeps ratios like 1/3 — whose memory budget is
-		// truncated to integer bytes, leaving "need" a hair above the
-		// intended integer — at their intended bucket count; the
-		// sub-0.1% shortfall is covered by the hash tables' one-tuple
-		// capacity slack.
 		innerBytes := rc.spec.R.Bytes()
 		if rc.spec.InnerSizeHint > 0 {
 			innerBytes = rc.spec.InnerSizeHint
 		}
-		// Capped in float space, before the int conversion could overflow.
-		need := min(rc.estimatedInner(innerBytes)/float64(rc.memTotal), float64(maxBuckets(rc.spec.R)))
-		n = int(math.Ceil(need - 1e-3))
-		if hybrid && rc.spec.AllowOverflow {
-			// Optimistic: one bucket fewer, absorbed by overflow.
-			n = int(need)
-		}
-		if n < 1 {
-			n = 1
-		}
+		n = Buckets(rc.estimatedInner(innerBytes), rc.memTotal, rc.spec.R.N, hybrid && rc.spec.AllowOverflow)
 	}
 	if !rc.spec.SkipAnalyzer {
 		n = split.AnalyzeBuckets(hybrid, len(rc.diskSites), len(rc.joinSites), n)
@@ -453,10 +439,31 @@ func (rc *runCtx) optimizerBuckets(hybrid bool) int {
 	return n
 }
 
+// Buckets is the Grace or Hybrid bucket count before the bucket analyzer
+// (split.AnalyzeBuckets) corrects it for the site placement: the smallest
+// count whose buckets of an inner relation estimated at innerBytes each fit
+// in memBytes of aggregate join memory, at most one per inner tuple and at
+// least one. An optimistic Hybrid plan (Spec.AllowOverflow) takes one bucket
+// fewer and lets overflow absorb the rest. The optimizer plans with this
+// function, so a plan names the bucket count the join runs.
+func Buckets(innerBytes float64, memBytes, innerTuples int64, optimistic bool) int {
+	// Capped in float space, before the int conversion could overflow.
+	need := min(innerBytes/float64(memBytes), float64(maxBuckets(innerTuples)))
+	// The epsilon keeps ratios like 1/3 — whose memory budget is truncated
+	// to integer bytes, leaving need a hair above the intended integer — at
+	// their intended bucket count; the sub-0.1% shortfall is covered by the
+	// hash tables' one-tuple capacity slack.
+	n := int(math.Ceil(need - 1e-3))
+	if optimistic {
+		n = int(need)
+	}
+	return max(n, 1)
+}
+
 // maxBuckets bounds a Grace or Hybrid bucket count at one per inner tuple
 // (and at least one): past that, extra buckets can only be empty, yet each
 // still costs a file and a page buffer at every disk site.
-func maxBuckets(r *gamma.Relation) int64 { return max(r.N, 1) }
+func maxBuckets(innerTuples int64) int64 { return max(innerTuples, 1) }
 
 // estimatedInner is the optimizer's belief about the inner size in bytes:
 // the catalog value corrupted by the spec's mis-estimation factor. Every

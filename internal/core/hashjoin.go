@@ -97,7 +97,7 @@ func (rc *runCtx) blockJoinLevel(name string, bucket int, rsrc, ssrc []fileAt) e
 	// Pair outer sources with inner sources by file order: joinLevel
 	// emits them in matching join-site order; unmatched outer files have
 	// no inner partner and produce nothing.
-	ps := newPhase(name, opLabels{produce: "block join", consume: "store"}, bucket)
+	ps := rc.newPhase(name, opLabels{produce: "block join", consume: "store"}, bucket)
 	for i, rf := range rsrc {
 		if i >= len(ssrc) {
 			break
@@ -166,14 +166,14 @@ func (rc *runCtx) joinLevel(name string, bucket int, rsrc, ssrc []fileAt, seed u
 	if err != nil {
 		return nil, nil, err
 	}
-	build := newPhase(name+" build", opLabels{produce: "scan", consume: "build", write: "overflow write"}, bucket)
+	build := rc.newPhase(name+" build", opLabels{produce: "scan", consume: "build", write: "overflow write"}, bucket)
 	build.end.SplitEntries = jt.Entries()
 	rc.scan(&build, rsrc, rc.spec.RAttr, rPred, seed, false, partRoute(jt))
 	rc.buildPass(&build, js)
 	if err := rc.runPhase(build); err != nil {
 		return nil, nil, err
 	}
-	probe := newPhase(name+" probe", opLabels{produce: "scan", consume: "probe", write: "store"}, bucket)
+	probe := rc.newPhase(name+" probe", opLabels{produce: "scan", consume: "probe", write: "store"}, bucket)
 	probe.end.SplitEntries = jt.Entries()
 	rc.probePass(&probe, js, ssrc, sPred, seed, jt)
 	if err := rc.runPhase(probe); err != nil {

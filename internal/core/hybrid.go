@@ -71,7 +71,7 @@ func (rc *runCtx) hybridPartition(nb int) (rb, sb *fileSink, rover, sover []file
 
 	// Every disk site runs the bucket writer, even when there are no disk
 	// buckets; at a join site it runs after the build or probe.
-	partR := newPhase("partition R + build bucket 1",
+	partR := rc.newPhase("partition R + build bucket 1",
 		opLabels{produce: "scan", consume: "split + build bucket 1", write: "overflow write"}, 0)
 	partR.end.SplitEntries = pt.Entries()
 	rc.scan(&partR, relSources(rc.spec.R), rc.spec.RAttr, rc.spec.RPred, 0, false, partRoute(pt))
@@ -81,7 +81,7 @@ func (rc *runCtx) hybridPartition(nb int) (rb, sb *fileSink, rover, sover []file
 		return nil, nil, nil, nil, err
 	}
 
-	partS := newPhase("partition S + probe bucket 1",
+	partS := rc.newPhase("partition S + probe bucket 1",
 		opLabels{produce: "scan", consume: "split + probe bucket 1", write: "store"}, 0)
 	partS.end.SplitEntries = pt.Entries()
 	rc.probePass(&partS, js, relSources(rc.spec.S), rc.spec.SPred, 0, pt)

@@ -271,7 +271,7 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 	// ones included: the owner observes true partition sizes (the whole
 	// point of deferring the spill) and its bit filter covers the entire
 	// inner relation, so filtering spilled outer tuples stays safe.
-	build := newPhase("dyn partition R + build",
+	build := rc.newPhase("dyn partition R + build",
 		opLabels{produce: "scan", consume: "build + adapt", write: "spill write"}, -1)
 	build.end.SplitEntries = np
 	rc.scan(&build, relSources(rc.spec.R), rc.spec.RAttr, rc.spec.RPred, 0, false,
@@ -376,7 +376,7 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 	}
 
 	// ---- phase: partition S, probing the resident partitions ----
-	probe := newPhase("dyn partition S + probe",
+	probe := rc.newPhase("dyn partition S + probe",
 		opLabels{produce: "scan", consume: "split + probe", write: "store"}, -1)
 	probe.end.SplitEntries = np
 	// Spilled-partition appends run before the probe at a site playing both
@@ -498,7 +498,7 @@ func (rc *runCtx) dynSpill(a *cost.Acct, snd *netsim.Sender, st *dynSite, p, np 
 // dynResurrect re-reads the chosen partitions from their home disks and
 // rebuilds their hash tables at the owning join sites.
 func (rc *runCtx) dynResurrect(np int, states []dynSite, resurrect [][]int, rFiles []*wiss.File) error {
-	res := newPhase("dyn resurrect", opLabels{produce: "partition scan", consume: "rebuild"}, -1)
+	res := rc.newPhase("dyn resurrect", opLabels{produce: "partition scan", consume: "rebuild"}, -1)
 	for ds, parts := range resurrect {
 		for _, p := range parts {
 			owner := rc.dynOwner(p, np)

@@ -24,29 +24,30 @@ import (
 
 // newPhase starts a phase with empty solo, produce, consume and write roles.
 // bucket is the 0-based bucket or partition the phase joins, or -1.
-func newPhase(name string, ops opLabels, bucket int) phaseSpec {
+func (rc *runCtx) newPhase(name string, ops opLabels, bucket int) phaseSpec {
+	n := len(rc.c.Sites)
 	return phaseSpec{
 		name:    name,
 		ops:     ops,
 		bucket:  bucket,
-		solo:    map[int][]func(a *cost.Acct){},
-		produce: map[int][]producerFn{},
-		consume: map[int]stageFn{},
-		write:   map[int]stageFn{},
+		solo:    make([][]func(a *cost.Acct), n),
+		produce: make([][]producerFn, n),
+		consume: make([]stageFn, n),
+		write:   make([]stageFn, n),
 	}
 }
 
-// chain adds fn to site's stage in m, after any stage already there: one
-// consumer (or writer) per site serves every role the site plays in a phase.
-// The order matters — file appends charge disk switches and notes stamp the
-// account's current time — so plans chain roles in a fixed order.
-func chain(m map[int]stageFn, site int, fn stageFn) {
-	prev := m[site]
+// chain adds fn to site's stage in a role, after any stage already there:
+// one consumer (or writer) per site serves every role the site plays in a
+// phase. The order matters — file appends charge disk switches and notes
+// stamp the account's current time — so plans chain roles in a fixed order.
+func chain(role []stageFn, site int, fn stageFn) {
+	prev := role[site]
 	if prev == nil {
-		m[site] = fn
+		role[site] = fn
 		return
 	}
-	m[site] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
+	role[site] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
 		prev(a, snd, batches)
 		fn(a, snd, batches)
 	}
@@ -110,7 +111,7 @@ func partRoute(pt *split.PartTable) routeFn {
 // partitioning.
 func (rc *runCtx) partitionPhase(name, op string, rel *gamma.Relation, attr int, p pred.Pred,
 	pt *split.PartTable, sink *fileSink) error {
-	ps := newPhase(name, opLabels{produce: "scan", consume: op}, -1)
+	ps := rc.newPhase(name, opLabels{produce: "scan", consume: op}, -1)
 	ps.end.SplitEntries = pt.Entries()
 	rc.scan(&ps, relSources(rel), attr, p, 0, false, partRoute(pt))
 	sink.install(ps.consume, nil)
@@ -184,12 +185,12 @@ func (s *fileSink) sources(tag int) []fileAt {
 	return src
 }
 
-// install chains the sink's stage onto m at each of sites, or at every site
-// holding one of its files when sites is nil.
-func (s *fileSink) install(m map[int]stageFn, sites []int) {
+// install chains the sink's stage onto role at each of sites, or at every
+// site holding one of its files when sites is nil.
+func (s *fileSink) install(role []stageFn, sites []int) {
 	if sites != nil {
 		for _, site := range sites {
-			chain(m, site, s.stage(s.at(site)))
+			chain(role, site, s.stage(s.at(site)))
 		}
 		return
 	}
@@ -199,7 +200,7 @@ func (s *fileSink) install(m map[int]stageFn, sites []int) {
 		for hi < len(files) && files[hi].site == files[lo].site {
 			hi++
 		}
-		chain(m, files[lo].site, s.stage(files[lo:hi]))
+		chain(role, files[lo].site, s.stage(files[lo:hi]))
 		lo = hi
 	}
 }
@@ -267,12 +268,12 @@ func findFile(files []sinkFile, tag int) *sinkFile {
 // appends the result tuples to the site's fragment of the result relation,
 // charging tuple copies and page writes. The site's slot counts the stored
 // tuples across phases; the last partial page is never written.
-func (rc *runCtx) storeAt(m map[int]stageFn) {
+func (rc *runCtx) storeAt(role []stageFn) {
 	perPage := int64(max(rc.m.P.PageBytes/tuple.JoinedBytes, 1))
 	for _, ds := range rc.diskSites {
 		out := &rc.slots[ds]
 		resultFileID := int64(-1000 - ds) // stable pseudo file id per site
-		chain(m, ds, func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) {
+		chain(role, ds, func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) {
 			d, err := rc.c.Disk(ds)
 			if err != nil {
 				rc.fail(fmt.Errorf("core: store writer: %w", err))

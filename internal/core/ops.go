@@ -34,9 +34,8 @@ type OpReport struct {
 }
 
 // newBareCtx builds the minimal runCtx the phase machinery needs for
-// non-join operators. Callers must hold the cluster's run lock (the phase
-// machinery parks its workers on the cluster pool, which drains at
-// ReleaseRun).
+// non-join operators. Callers must hold the cluster's run lock, so the
+// counter snapshots the report diffs cover this operator alone.
 func newBareCtx(c *gamma.Cluster, joinSites []int) *runCtx {
 	if len(joinSites) == 0 {
 		joinSites = c.JoinSites()
@@ -98,7 +97,7 @@ func RunSelect(c *gamma.Cluster, s SelectSpec) (*OpReport, []tuple.Tuple, error)
 	}
 
 	perPage := rc.m.TuplesPerPage(tuple.Bytes)
-	ps := newPhase("select "+s.Rel.Name, opLabels{produce: "scan", consume: "store"}, -1)
+	ps := rc.newPhase("select "+s.Rel.Name, opLabels{produce: "scan", consume: "store"}, -1)
 	for _, site := range s.Rel.FragmentSites() {
 		f := s.Rel.Fragments[site]
 		ps.produce[site] = append(ps.produce[site], func(a *cost.Acct, snd *netsim.Sender) {
@@ -314,7 +313,7 @@ func RunAggregate(c *gamma.Cluster, s AggSpec) (*OpReport, []AggGroup, error) {
 	rc := newBareCtx(c, s.JoinSites)
 	jt := &split.JoinTable{Sites: rc.joinSites}
 
-	ps := newPhase(fmt.Sprintf("aggregate %s(%s)", s.Fn, tuple.IntAttrNames[s.AggAttr]),
+	ps := rc.newPhase(fmt.Sprintf("aggregate %s(%s)", s.Fn, tuple.IntAttrNames[s.AggAttr]),
 		opLabels{produce: "partial agg", consume: "merge agg"}, -1)
 	ps.end.SplitEntries = jt.Entries()
 	for _, site := range s.Rel.FragmentSites() {

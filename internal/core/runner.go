@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -122,8 +121,8 @@ func newRunCtx(c *gamma.Cluster, spec *Spec, tr *trace.Recorder) (*runCtx, error
 	if err != nil {
 		return nil, err
 	}
-	if spec.ForceBuckets < 0 || int64(spec.ForceBuckets) > maxBuckets(spec.R) {
-		return nil, fmt.Errorf("core: bucket count %d outside 0..%d (one per inner tuple)", spec.ForceBuckets, maxBuckets(spec.R))
+	if spec.ForceBuckets < 0 || int64(spec.ForceBuckets) > maxBuckets(spec.R.N) {
+		return nil, fmt.Errorf("core: bucket count %d outside 0..%d (one per inner tuple)", spec.ForceBuckets, maxBuckets(spec.R.N))
 	}
 	js := spec.JoinSites
 	if len(js) == 0 {
@@ -454,17 +453,18 @@ type opLabels struct {
 	produce, consume, write, solo string
 }
 
-// phaseSpec wires one barrier-synchronized operator phase; newPhase starts
-// one.
+// phaseSpec wires one barrier-synchronized operator phase; rc.newPhase
+// starts one. Each role is indexed by logical site; a nil entry means the
+// site does not play that role.
 type phaseSpec struct {
 	name    string
 	end     gamma.EndOpts
 	ops     opLabels
-	bucket  int                          // 0-based bucket/partition this phase joins, or -1
-	solo    map[int][]func(a *cost.Acct) // site-local work, no communication
-	produce map[int][]producerFn
-	consume map[int]stageFn
-	write   map[int]stageFn
+	bucket  int                    // 0-based bucket/partition this phase joins, or -1
+	solo    [][]func(a *cost.Acct) // site-local work, no communication
+	produce [][]producerFn
+	consume []stageFn
+	write   []stageFn
 }
 
 // op resolves the trace operator label for a launch role.
@@ -509,18 +509,6 @@ func drainSorted(net *netsim.Network, a *cost.Acct, batches []*netsim.Batch) []*
 	return batches
 }
 
-// sortedKeys returns m's keys in ascending site order. Phase workers are
-// registered and launched through it so registration order never depends
-// on map iteration order.
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
 // newPhaseSender builds the sender for a logical site's worker: packets
 // keep the logical source (consumer-side replay order and the fault
 // schedule's packet coordinates stay independent of failover), while the
@@ -533,30 +521,27 @@ func (rc *runCtx) newPhaseSender(a *cost.Acct, site int, deliver func(int, []*ne
 	return snd
 }
 
-// launch registers one operator process — the role ps assigns to a
-// logical site — and runs body on its executing site's pool worker. The
-// registration happens here, on the coordinator, before submission, so the
-// phase's span order never depends on goroutine scheduling. Both the span
-// and the phase's per-site ledger are keyed by the physical executor.
-func (rc *runCtx) launch(p *gamma.Phase, wg *sync.WaitGroup, ps *phaseSpec, role string, site int, body func(a *cost.Acct)) {
-	exec := rc.c.AliveHost(site)
-	a := p.Worker(exec, ps.op(role), role, ps.bucket)
-	wg.Add(1)
-	rc.c.Go(exec, func() {
-		defer wg.Done()
-		body(a)
-	})
+// proc is one registered operator process: the role it plays for a logical
+// site and the account its trace span carries.
+type proc struct {
+	role string
+	site int
+	a    *cost.Acct
 }
 
-// runPhase executes one phase: solo workers and producers run first-stage,
-// consumers drain the first exchange (and may emit to the second), writers
-// drain the second exchange.
-//
-// Roles are keyed by *logical* site; each launch resolves the physical
-// executor through the cluster's host map, so after a failover the dead
-// site's roles run (and are charged, and traced) on its ring neighbor while
-// the dataflow — exchange channels, split tables, batch sources — is
-// untouched.
+// register opens the span of the process playing role for a logical site.
+// Both the span and the phase's per-site ledger are keyed by the physical
+// executor, so after a failover the dead site's roles are charged and traced
+// on its ring neighbor while the dataflow (exchange mailboxes, split tables,
+// batch sources) is untouched.
+func (rc *runCtx) register(procs []proc, p *gamma.Phase, ps *phaseSpec, role string, site int) []proc {
+	a := p.Worker(rc.c.AliveHost(site), ps.op(role), role, ps.bucket)
+	return append(procs, proc{role: role, site: site, a: a})
+}
+
+// runPhase executes one phase in three barrier-separated stages: producers
+// and solos fill the first exchange, consumers drain it (and may fill the
+// second), writers drain the second.
 func (rc *runCtx) runPhase(ps phaseSpec) error {
 	// Injected site crashes surface at the phase boundary — Gamma's
 	// scheduler notices a dead operator process when it tries to start the
@@ -584,70 +569,89 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 	ex1 := rc.c.NewExchange()
 	ex2 := rc.c.NewExchange()
 
-	// Workers are registered and submitted in sortedKeys order; the pool
-	// only changes which OS-level goroutine hosts the work.
-	var writers sync.WaitGroup
-	for _, site := range sortedKeys(ps.write) {
-		fn := ps.write[site]
-		rc.launch(p, &writers, &ps, "write", site, func(a *cost.Acct) {
-			batches := drainSorted(rc.c.Net, a, ex2.Take(site))
-			defer netsim.PutBatches(batches)
-			fn(a, nil, batches)
-		})
+	// Every process registers on the coordinator before any runs — writers,
+	// consumers, producers, solos, each role in site order — so the phase's
+	// span order never depends on goroutine scheduling.
+	procs := make([]proc, 0, 4*len(ps.write))
+	for site, fn := range ps.write {
+		if fn != nil {
+			procs = rc.register(procs, p, &ps, "write", site)
+		}
+	}
+	writers := len(procs)
+	for site, fn := range ps.consume {
+		if fn != nil {
+			procs = rc.register(procs, p, &ps, "consume", site)
+		}
+	}
+	consumers := len(procs)
+	for site, fns := range ps.produce {
+		if fns != nil {
+			procs = rc.register(procs, p, &ps, "produce", site)
+		}
+	}
+	ps.end.Producers = len(procs) - consumers
+	for site, fns := range ps.solo {
+		if fns != nil {
+			procs = rc.register(procs, p, &ps, "solo", site)
+		}
 	}
 
-	var consumers sync.WaitGroup
-	for _, site := range sortedKeys(ps.consume) {
-		fn := ps.consume[site]
-		rc.launch(p, &consumers, &ps, "consume", site, func(a *cost.Acct) {
-			snd := rc.newPhaseSender(a, site, ex2.Deliver)
-			batches := drainSorted(rc.c.Net, a, ex1.Take(site))
-			defer netsim.PutBatches(batches)
-			fn(a, snd, batches)
-			snd.FlushAll()
-			snd.Release()
-		})
-	}
-
-	var producers sync.WaitGroup
-	for _, site := range sortedKeys(ps.produce) {
-		fns := ps.produce[site]
-		rc.launch(p, &producers, &ps, "produce", site, func(a *cost.Acct) {
-			snd := rc.newPhaseSender(a, site, ex1.Deliver)
-			for _, fn := range fns {
-				fn(a, snd)
-			}
-			snd.FlushAll()
-			snd.Release()
-		})
-	}
-	var solos sync.WaitGroup
-	for _, site := range sortedKeys(ps.solo) {
-		fns := ps.solo[site]
-		rc.launch(p, &solos, &ps, "solo", site, func(a *cost.Acct) {
-			for _, fn := range fns {
-				fn(a)
-			}
-		})
-	}
-
-	producers.Wait()
-	solos.Wait()
-	ex1.Close()
-	consumers.Wait()
+	rc.runStage(procs[consumers:], &ps, ex1, ex2)
+	rc.runStage(procs[writers:consumers], &ps, ex1, ex2)
 	// Past the consumers' barrier nothing reads ex1's mailboxes (the batch
 	// objects themselves were recycled by the consumers), so the exchange
 	// can serve the next phase.
 	rc.c.PutExchange(ex1)
-	ex2.Close()
-	writers.Wait()
+	rc.runStage(procs[:writers], &ps, ex1, ex2)
 	rc.c.PutExchange(ex2)
 
-	if ps.end.Producers == 0 {
-		ps.end.Producers = len(ps.produce)
-	}
 	p.End(ps.end)
 	return rc.takeErr()
+}
+
+// runStage runs one stage's processes, a goroutine each, and returns at the
+// stage's barrier.
+func (rc *runCtx) runStage(procs []proc, ps *phaseSpec, ex1, ex2 *gamma.Exchange) {
+	var wg sync.WaitGroup
+	for i := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rc.runProc(&procs[i], ps, ex1, ex2)
+		}()
+	}
+	wg.Wait()
+}
+
+// runProc runs one process's role. Each takes from an exchange only after
+// the barrier of the stage that delivered into it.
+func (rc *runCtx) runProc(pr *proc, ps *phaseSpec, ex1, ex2 *gamma.Exchange) {
+	a, site := pr.a, pr.site
+	switch pr.role {
+	case "produce":
+		snd := rc.newPhaseSender(a, site, ex1.Deliver)
+		for _, fn := range ps.produce[site] {
+			fn(a, snd)
+		}
+		snd.FlushAll()
+		snd.Release()
+	case "solo":
+		for _, fn := range ps.solo[site] {
+			fn(a)
+		}
+	case "consume":
+		snd := rc.newPhaseSender(a, site, ex2.Deliver)
+		batches := drainSorted(rc.c.Net, a, ex1.Take(site))
+		defer netsim.PutBatches(batches)
+		ps.consume[site](a, snd, batches)
+		snd.FlushAll()
+		snd.Release()
+	case "write":
+		batches := drainSorted(rc.c.Net, a, ex2.Take(site))
+		defer netsim.PutBatches(batches)
+		ps.write[site](a, nil, batches)
+	}
 }
 
 // runUnit executes one redo-able unit of the join — a group of phases whose

@@ -91,7 +91,7 @@ func (rc *runCtx) runSortMerge() error {
 	}
 
 	// Local merge join in parallel across the disk sites.
-	merge := newPhase("merge join", opLabels{produce: "merge join", consume: "store"}, -1)
+	merge := rc.newPhase("merge join", opLabels{produce: "merge join", consume: "store"}, -1)
 	for i, s := range sites {
 		merge.produce[s] = append(merge.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
 			rc.mergeJoinSite(s, a, snd, srtR[i], srtS[i])
@@ -106,7 +106,7 @@ func (rc *runCtx) runSortMerge() error {
 func (rc *runCtx) sortPhase(name string, sites []int, src, dst []*wiss.File, attr int,
 	memPerSite int64, maxPasses *int) error {
 	passes := make([]int, len(rc.c.Sites))
-	ps := newPhase(name, opLabels{solo: "sort"}, -1)
+	ps := rc.newPhase(name, opLabels{solo: "sort"}, -1)
 	for i, s := range sites {
 		ps.solo[s] = append(ps.solo[s], func(a *cost.Acct) {
 			st, err := wiss.Sort(a, src[i], dst[i], attr, memPerSite)

@@ -41,7 +41,7 @@ func RunUpdate(c *gamma.Cluster, s UpdateSpec) (*OpReport, error) {
 		p = pred.True{}
 	}
 
-	ps := newPhase("update "+s.Rel.Name, opLabels{solo: "update"}, -1)
+	ps := rc.newPhase("update "+s.Rel.Name, opLabels{solo: "update"}, -1)
 	for _, site := range s.Rel.FragmentSites() {
 		f := s.Rel.Fragments[site]
 		ps.solo[site] = append(ps.solo[site], func(a *cost.Acct) {
@@ -135,7 +135,7 @@ func RunIndexSelect(c *gamma.Cluster, ix *gamma.Index, p pred.Pred, collect bool
 	c.AcquireRun()
 	defer c.ReleaseRun()
 	rc := newBareCtx(c, nil)
-	ps := newPhase("index select "+ix.Rel.Name, opLabels{solo: "index select"}, -1)
+	ps := rc.newPhase("index select "+ix.Rel.Name, opLabels{solo: "index select"}, -1)
 	for _, site := range ix.Rel.FragmentSites() {
 		ps.solo[site] = append(ps.solo[site], func(a *cost.Acct) {
 			sl := &rc.slots[site]

@@ -57,10 +57,10 @@ type Cluster struct {
 
 	// tempLive is the ledger of live temp-file names: internal/core
 	// registers each temp wiss file at creation and drops all of them on
-	// every Run exit path (success, restart, cancellation). Tests assert
-	// it drains to empty — the cancellation-hygiene contract. Guarded by
-	// its own mutex because registration happens between phases while
-	// other bookkeeping may be concurrent.
+	// every Run exit path (success, restart, failover, retry-budget
+	// exhaustion). Tests assert it drains to empty. Guarded by its own
+	// mutex because registration happens between phases while other
+	// bookkeeping may be concurrent.
 	tempMu   sync.Mutex
 	tempLive map[string]struct{}
 
@@ -77,29 +77,14 @@ type Cluster struct {
 	// several goroutines; AcquireRun makes core.Run re-entrant by turning
 	// overlap into a queue instead of a data race.
 	runMu sync.Mutex
-
-	// pool is the per-site worker-goroutine pool phase workers run on. Its
-	// tenure is one AcquireRun..ReleaseRun span: workers persist across all
-	// of a query's phases (and restart attempts) and are drained when the
-	// run lock is released.
-	pool workerPool
 }
 
 // AcquireRun takes the cluster's whole-query execution lock. Callers must
 // pair it with ReleaseRun; core.Run does this automatically.
 func (c *Cluster) AcquireRun() { c.runMu.Lock() }
 
-// ReleaseRun drains the phase-worker pool — joining every pooled goroutine,
-// so a finished query leaves a quiescent process — and releases the lock
-// taken by AcquireRun.
-func (c *Cluster) ReleaseRun() {
-	c.pool.drain()
-	c.runMu.Unlock()
-}
-
-// Go runs fn on a pooled phase-worker goroutine with affinity to the given
-// physical site. It must only be called between AcquireRun and ReleaseRun.
-func (c *Cluster) Go(site int, fn func()) { c.pool.Go(site, fn) }
+// ReleaseRun releases the lock taken by AcquireRun.
+func (c *Cluster) ReleaseRun() { c.runMu.Unlock() }
 
 // RegisterTempFile records a temp wiss file as live. internal/core calls it
 // from newTempFile; the name must be the file's full registered name.
@@ -121,9 +106,8 @@ func (c *Cluster) DropTempFile(name string) {
 }
 
 // LiveTempFiles returns the names of temp files registered but not yet
-// dropped, sorted. Empty whenever no query is mid-flight — including after
-// a canceled or shed query, which is what the cancellation-hygiene tests
-// assert.
+// dropped, sorted. Empty whenever no query is mid-flight, including after a
+// query aborted at a phase barrier, which is what the leak tests assert.
 func (c *Cluster) LiveTempFiles() []string {
 	c.tempMu.Lock()
 	defer c.tempMu.Unlock()

@@ -165,27 +165,20 @@ func TestPhaseConcurrentWorkers(t *testing.T) {
 func TestExchange(t *testing.T) {
 	c := NewLocal(3, nil)
 	ex := c.NewExchange()
-	var got int
-	done := make(chan struct{})
-	go func() {
-		for _, b := range ex.Take(1) {
-			got += b.Len()
-		}
-		close(done)
-	}()
 	b1 := &netsim.Batch{Batch: tuple.Batch{Tuples: make([]tuple.Tuple, 5)}}
 	b2 := &netsim.Batch{Batch: tuple.Batch{Tuples: make([]tuple.Tuple, 4)}}
 	ex.Deliver(1, []*netsim.Batch{b1})
 	ex.Deliver(1, []*netsim.Batch{b2})
-	ex.Close()
-	<-done
-	if got != 9 {
-		t.Fatalf("received %d tuples", got)
+	got := ex.Take(1)
+	if len(got) != 2 || got[0] != b1 || got[1] != b2 {
+		t.Fatalf("site 1 took %v, want both batches in delivery order", got)
+	}
+	if other := ex.Take(0); len(other) != 0 {
+		t.Fatalf("site 0 took %d batches addressed to site 1", len(other))
 	}
 	c.PutExchange(ex)
 	// A recycled exchange starts empty and usable again.
 	ex2 := c.NewExchange()
-	ex2.Close()
 	if rest := ex2.Take(1); len(rest) != 0 {
 		t.Fatalf("recycled exchange held %d stale batches", len(rest))
 	}

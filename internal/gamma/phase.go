@@ -178,18 +178,17 @@ func (p *Phase) End(opts EndOpts) cost.SimNs {
 }
 
 // Exchange is the per-phase communication fabric: one locked packet mailbox
-// per site. Producers deliver through it (via netsim.Sender, which batches
-// consecutive same-destination packets into runs); consumers block until the
-// coordinator closes the exchange, then take their site's accumulated
-// packets in delivery order. The mailbox shape exploits what consumers
-// already do — every drain sorts the complete packet set by (Src, Seq)
-// before processing, so nothing is lost by handing packets over only at the
-// barrier, and delivery never blocks a producer. Run granularity remains a
-// wall-clock transport optimization only — receive-side accounting stays
-// per packet (netsim.Network.Recv).
+// per site, a barrier mailbox with no close. One stage of a phase delivers
+// into it (via netsim.Sender, which batches consecutive same-destination
+// packets into runs); the next stage starts after that stage's barrier and
+// takes each site's accumulated packets in delivery order. The mailbox
+// shape exploits what consumers already do — every drain sorts the complete
+// packet set by (Src, Seq) before processing, so nothing is lost by handing
+// packets over only at the barrier, and delivery never blocks a producer.
+// Run granularity remains a wall-clock transport optimization only —
+// receive-side accounting stays per packet (netsim.Network.Recv).
 type Exchange struct {
 	sites []exStream
-	done  chan struct{}
 }
 
 type exStream struct {
@@ -206,11 +205,10 @@ func (c *Cluster) NewExchange() *Exchange {
 		e := c.exPool[n-1]
 		c.exPool = c.exPool[:n-1]
 		c.exMu.Unlock()
-		e.done = make(chan struct{})
 		return e
 	}
 	c.exMu.Unlock()
-	return &Exchange{sites: make([]exStream, len(c.Sites)), done: make(chan struct{})}
+	return &Exchange{sites: make([]exStream, len(c.Sites))}
 }
 
 // PutExchange recycles an exchange for a later phase. Only call it when no
@@ -237,19 +235,7 @@ func (e *Exchange) Deliver(dst int, run []*netsim.Batch) {
 	netsim.PutRun(run)
 }
 
-// Take blocks until the exchange is closed, then returns every packet
-// delivered to the site, in delivery order. The returned slice is owned by
-// the exchange and valid until PutExchange.
-func (e *Exchange) Take(site int) []*netsim.Batch {
-	<-e.done
-	st := &e.sites[site]
-	st.mu.Lock()
-	b := st.batches
-	st.mu.Unlock()
-	return b
-}
-
-// Close signals end-of-stream to every consumer blocked in Take. All
-// deliveries must have happened before (the producers' barrier precedes the
-// coordinator's Close).
-func (e *Exchange) Close() { close(e.done) }
+// Take returns every packet delivered to the site, in delivery order. Call
+// it only after the barrier of the stage that delivered into the exchange.
+// The returned slice is owned by the exchange and valid until PutExchange.
+func (e *Exchange) Take(site int) []*netsim.Batch { return e.sites[site].batches }

@@ -211,6 +211,11 @@ var slabPool = sync.Pool{New: func() any { return new(slab) }}
 // can check that every exit path returns the slabs it touched.
 var slabsOut atomic.Int64
 
+// SlabsOut reports how many packet slabs are handed out and not yet
+// recycled, process-wide. A query that returned every packet it carved
+// leaves the count where it found it.
+func SlabsOut() int64 { return slabsOut.Load() }
+
 // getSlab returns an uncarved slab whose packets hold capT plain or capJ
 // joined tuples.
 func getSlab(capT, capJ int) *slab {

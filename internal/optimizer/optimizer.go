@@ -73,17 +73,11 @@ func ChooseJoinSites(c *gamma.Cluster, s Stats) []int {
 	return c.DiskSites()
 }
 
-// Buckets computes the Grace/Hybrid bucket count: enough for each inner
-// bucket to fit in memory, corrected by the bucket analyzer for the chosen
-// site placement.
-func Buckets(s Stats, numDisks, joinNodes int, hybrid bool) int {
-	n := 1
-	if s.MemBytes > 0 {
-		n = int((s.InnerBytes + s.MemBytes - 1) / s.MemBytes)
-	}
-	if n < 1 {
-		n = 1
-	}
+// Buckets computes the Grace/Hybrid bucket count the join runs with:
+// core.Buckets for an inner relation of innerTuples tuples, corrected by the
+// bucket analyzer for the chosen site placement.
+func Buckets(s Stats, innerTuples int64, numDisks, joinNodes int, hybrid bool) int {
+	n := core.Buckets(float64(s.InnerBytes), s.MemBytes, innerTuples, false)
 	return split.AnalyzeBuckets(hybrid, numDisks, joinNodes, n)
 }
 
@@ -154,7 +148,7 @@ func PlanJoinSized(c *gamma.Cluster, inner, outer *gamma.Relation, innerAttr, ou
 		Stats:     st,
 	}
 	if alg == core.Grace || alg == core.Hybrid {
-		plan.Buckets = Buckets(st, len(c.DiskSites()), len(sites), alg == core.Hybrid)
+		plan.Buckets = Buckets(st, inner.N, len(c.DiskSites()), len(sites), alg == core.Hybrid)
 	}
 	sort.Ints(plan.JoinSites)
 	return plan

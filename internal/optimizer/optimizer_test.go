@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gammajoin/internal/core"
+	"gammajoin/internal/experiments"
 	"gammajoin/internal/gamma"
 	"gammajoin/internal/tuple"
 	"gammajoin/internal/wisconsin"
@@ -54,15 +55,19 @@ func TestChooseJoinSites(t *testing.T) {
 }
 
 func TestBuckets(t *testing.T) {
-	if got := Buckets(Stats{InnerBytes: 1000, MemBytes: 250}, 8, 8, true); got != 4 {
+	if got := Buckets(Stats{InnerBytes: 1000, MemBytes: 250}, 100, 8, 8, true); got != 4 {
 		t.Fatalf("Buckets = %d, want 4", got)
 	}
 	// The pathological remote shape bumps the count (Appendix A).
-	if got := Buckets(Stats{InnerBytes: 300, MemBytes: 100}, 2, 4, true); got != 4 {
+	if got := Buckets(Stats{InnerBytes: 300, MemBytes: 100}, 100, 2, 4, true); got != 4 {
 		t.Fatalf("pathological Buckets = %d, want 4", got)
 	}
-	if got := Buckets(Stats{InnerBytes: 10, MemBytes: 100}, 8, 8, false); got != 1 {
+	if got := Buckets(Stats{InnerBytes: 10, MemBytes: 100}, 100, 8, 8, false); got != 1 {
 		t.Fatalf("oversized memory Buckets = %d, want 1", got)
+	}
+	// At most one bucket per inner tuple.
+	if got := Buckets(Stats{InnerBytes: 1000, MemBytes: 1}, 3, 8, 8, false); got != 3 {
+		t.Fatalf("three-tuple inner Buckets = %d, want 3", got)
 	}
 }
 
@@ -109,6 +114,36 @@ func TestPlanJoinEndToEnd(t *testing.T) {
 	}
 	if rep.ResultCount != 200 {
 		t.Fatalf("planned join count = %d", rep.ResultCount)
+	}
+
+	// At every ratio of the paper's memory sweep, on a local and a remote
+	// machine, the plan names the bucket count the join runs. With a
+	// 1000-tuple inner the byte budgets at 1/3, 1/6 and 1/7 truncate to a
+	// few bytes under the exact share, which a plan without the runner's
+	// slack rounds up to one bucket more.
+	outer = wisconsin.Generate(10000, 3)
+	inner = wisconsin.Bprime(outer, 1000)
+	for _, m := range []struct {
+		name string
+		c    *gamma.Cluster
+	}{{"local", gamma.NewLocal(4, nil)}, {"remote", gamma.NewRemote(4, 4, nil)}} {
+		s, _ := gamma.Load(m.c, "A", outer, gamma.HashPart, tuple.Unique1)
+		r, _ := gamma.Load(m.c, "B", inner, gamma.HashPart, tuple.Unique1)
+		for _, ratio := range experiments.MemRatios {
+			mem, err := core.RatioBytes(ratio, r.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := PlanJoin(m.c, r, s, tuple.Unique1, tuple.Unique1, mem)
+			rep, err := core.Run(m.c, plan.Spec(r, s, tuple.Unique1, tuple.Unique1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Buckets != rep.Buckets {
+				t.Errorf("%s, ratio %.3f: %v plan names %d buckets, the join ran %d",
+					m.name, ratio, plan.Alg, plan.Buckets, rep.Buckets)
+			}
+		}
 	}
 }
 

@@ -239,9 +239,10 @@ func (r *Recorder) Instant(site int, kind, detail string) {
 }
 
 // Spans returns the recorded spans in canonical order: (attempt, phase,
-// site, role, op), with the scheduler track last within each phase. Workers
-// append spans in goroutine-scheduling order; the canonical sort is what
-// makes every export byte-identical across runs.
+// site, role, op), with the scheduler track last within each phase. The
+// coordinator registers a phase's spans role by role before any worker runs
+// (gamma.Phase.Worker); the canonical sort puts every export in track order
+// and makes it a function of the spans alone.
 func (r *Recorder) Spans() []*Span {
 	r.mu.Lock()
 	spans := append([]*Span(nil), r.spans...)
@@ -265,9 +266,9 @@ func (r *Recorder) Spans() []*Span {
 		}
 		// A failover can rehost a dead site's role onto its ring successor,
 		// which then carries two spans with the same (site, role, op) in one
-		// phase — appended in goroutine-scheduling order. Break such ties on
-		// every remaining exported field so the order, and therefore the
-		// export bytes, cannot depend on the race.
+		// phase. Break such ties on every remaining exported field so the
+		// order, and therefore the export bytes, cannot depend on the
+		// registration order.
 		if a.Bucket != b.Bucket {
 			return a.Bucket < b.Bucket
 		}

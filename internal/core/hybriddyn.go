@@ -260,10 +260,14 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 	// fires inside a "resident" partition; partitions move to disk whole or
 	// not at all, which is the invariant the probe relies on.
 	gencap := int64(dynMaxFactor*float64(rc.tableCap())) + 64*tuple.Bytes
+	// A partition expects its 1/np share of R; the eighth and the 64 are
+	// slack for hash variance, so the entry array is rarely regrown.
+	share := int(rc.spec.R.N) / np
+	fill := share + share/8 + 64
 	for p := range tables {
 		st := &states[rc.dynOwner(p, np)]
 		st.parts = append(st.parts, p)
-		tables[p] = gamma.NewHashTable(rc.m, gencap, rc.spec.RAttr)
+		tables[p] = gamma.NewHashTable(rc.m, gencap, rc.spec.RAttr, fill)
 	}
 
 	// ---- phase 1: partition R — every partition starts resident ----

@@ -327,6 +327,37 @@ func TestHashTableBasic(t *testing.T) {
 	ht.Probe(&a, split.Hash(5000, 0), 5000, func(*tuple.Tuple) { t.Fatal("ghost match") })
 }
 
+// TestHashTableFillChangesNoCharge overfills a table far past a small
+// stated fill, through several clearing passes: the fill sizes only the
+// preallocated entry array, so every charge, cutoff and chain matches the
+// same table built without one.
+func TestHashTableFillChangesNoCharge(t *testing.T) {
+	m := cost.Default()
+	plain := NewHashTable(m, 300*tuple.Bytes, tuple.Unique1)
+	filled := NewHashTable(m, 300*tuple.Bytes, tuple.Unique1, 8)
+	var pa, fa cost.Acct
+	for i := int32(0); i < 1000; i++ {
+		h := split.Hash(i, 0)
+		if AboveCutoff(plain.Cutoff(), h) || AboveCutoff(filled.Cutoff(), h) {
+			continue // the caller routes these to the overflow file
+		}
+		if pe, fe := len(insT(plain, &pa, i, h)), len(insT(filled, &fa, i, h)); pe != fe {
+			t.Fatalf("tuple %d evicted %d with a fill, %d without", i, fe, pe)
+		}
+	}
+	pAvg, pMax := plain.ChainStats()
+	fAvg, fMax := filled.ChainStats()
+	if pa.CPU != fa.CPU || plain.Len() != filled.Len() || plain.Cutoff() != filled.Cutoff() ||
+		plain.Overflows() != filled.Overflows() || pAvg != fAvg || pMax != fMax {
+		t.Fatalf("fill moved the table: cpu %d/%d len %d/%d cutoff %x/%x overflows %d/%d chains %v,%d/%v,%d",
+			pa.CPU, fa.CPU, plain.Len(), filled.Len(), plain.Cutoff(), filled.Cutoff(),
+			plain.Overflows(), filled.Overflows(), pAvg, pMax, fAvg, fMax)
+	}
+	if !plain.Overflowed() {
+		t.Fatal("1000 tuples into a 300-tuple table should have overflowed")
+	}
+}
+
 func TestHashTableDuplicates(t *testing.T) {
 	ht := NewHashTable(cost.Default(), 1<<20, tuple.Unique1)
 	var a cost.Acct

@@ -67,8 +67,10 @@ var (
 )
 
 // NewHashTable creates a table holding at most capBytes of tuples, keyed on
-// integer attribute attr.
-func NewHashTable(m *cost.Model, capBytes int64, attr int) *HashTable {
+// integer attribute attr. fill, when given, is how many tuples the caller
+// expects the table to hold; it sizes only the preallocated entry array, so
+// chains, cutoffs and charges still follow capBytes alone.
+func NewHashTable(m *cost.Model, capBytes int64, attr int, fill ...int) *HashTable {
 	nb := int(capBytes / tuple.Bytes)
 	if nb < 16 {
 		nb = 16
@@ -82,15 +84,16 @@ func NewHashTable(m *cost.Model, capBytes int64, attr int) *HashTable {
 			heads[i] = 0
 		}
 	}
-	// Pre-size the entry array toward the table's stated capacity so builds
-	// do not pay repeated append-grow copies of multi-megabyte entry arrays
-	// (a pure wall-clock cost; the simulated Insert charge is per tuple
-	// either way). The cap bounds the up-front allocation for callers that
-	// state generous capacities they rarely fill (the dynamic Hybrid's
-	// per-partition tables).
-	prealloc := nb
-	if prealloc > 8192 {
-		prealloc = 8192
+	// Pre-size the entry array toward the expected fill (by default the
+	// table's capacity) so builds do not pay repeated append-grow copies of
+	// multi-megabyte entry arrays (a pure wall-clock cost; the simulated
+	// Insert charge is per tuple either way). 8192 bounds the up-front
+	// allocation. Dynamic Hybrid states a fill: its per-partition tables
+	// have generous capacities they rarely approach, and arrays preallocated
+	// at capacity stay reachable in entriesPool long after the join.
+	prealloc := min(nb, 8192)
+	if len(fill) > 0 {
+		prealloc = min(prealloc, fill[0])
 	}
 	entries := entriesPool.Get()
 	if cap(entries) < prealloc {

@@ -16,6 +16,7 @@
 package netsim
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -183,9 +184,27 @@ func (b *Batch) Len() int { return len(b.Tuples) + len(b.Joined) }
 // slabPackets is how many packets a sender carves from one slab.
 const slabPackets = 64
 
-// slab is one contiguous block of packets: slabPackets headers plus their
-// tuple, hash and joined-tuple arrays, in which packet i owns the i-th
-// packet-sized window. A sender carves packets from its current slab in
+// slabKind is what a slab's packets carry: plain tuples with their
+// join-attribute hashes, or joined result tuples. A stream (dst, tag)
+// carries one kind, so its packets all come from slabs of that kind.
+type slabKind uint8
+
+const (
+	plainSlab slabKind = iota
+	joinedSlab
+)
+
+func (k slabKind) String() string {
+	if k == joinedSlab {
+		return "joined"
+	}
+	return "plain"
+}
+
+// slab is one contiguous block of packets of one kind: slabPackets headers
+// plus their tuple and hash arrays (a plain slab) or their joined-tuple
+// array (a joined slab), in which packet i owns the i-th packet-sized
+// window. A sender carves packets from its current slab of each kind in
 // order, so its outgoing tuples land in consecutive memory instead of in
 // scattered recycled buffers last touched by some other consumer.
 //
@@ -195,17 +214,22 @@ const slabPackets = 64
 // falls monotonically, and whichever of the retire or the last PutBatch
 // brings it to zero recycles the slab — exactly once.
 type slab struct {
-	refs       atomic.Int32
-	next       int // packets carved so far; only the owning sender touches it
-	capT, capJ int // per-packet window sizes of the arrays below
-	tuples     []tuple.Tuple
-	hashes     []uint64
-	joined     []tuple.Joined
-	pkts       [slabPackets]Batch
+	refs   atomic.Int32
+	next   int // packets carved so far; only the owning sender touches it
+	kind   slabKind
+	per    int            // per-packet window size of the arrays below
+	tuples []tuple.Tuple  // plain slabs only
+	hashes []uint64       // plain slabs only
+	joined []tuple.Joined // joined slabs only
+	pkts   [slabPackets]Batch
 }
 
-// slabPool recycles slabs across senders, phases and queries.
-var slabPool = sync.Pool{New: func() any { return new(slab) }}
+// slabPools recycles slabs across senders, phases and queries, one pool
+// per kind.
+var slabPools = [2]sync.Pool{
+	plainSlab:  {New: func() any { return &slab{kind: plainSlab} }},
+	joinedSlab: {New: func() any { return &slab{kind: joinedSlab} }},
+}
 
 // slabsOut counts slabs handed to senders and not yet recycled, so tests
 // can check that every exit path returns the slabs it touched.
@@ -216,15 +240,18 @@ var slabsOut atomic.Int64
 // leaves the count where it found it.
 func SlabsOut() int64 { return slabsOut.Load() }
 
-// getSlab returns an uncarved slab whose packets hold capT plain or capJ
-// joined tuples.
-func getSlab(capT, capJ int) *slab {
-	sl := slabPool.Get().(*slab)
-	if sl.capT != capT || sl.capJ != capJ {
-		sl.capT, sl.capJ = capT, capJ
-		sl.tuples = make([]tuple.Tuple, slabPackets*capT)
-		sl.hashes = make([]uint64, slabPackets*capT)
-		sl.joined = make([]tuple.Joined, slabPackets*capJ)
+// getSlab returns an uncarved slab of the kind whose packets hold per
+// tuples each.
+func getSlab(kind slabKind, per int) *slab {
+	sl := slabPools[kind].Get().(*slab)
+	if sl.per != per {
+		sl.per = per
+		if kind == plainSlab {
+			sl.tuples = make([]tuple.Tuple, slabPackets*per)
+			sl.hashes = make([]uint64, slabPackets*per)
+		} else {
+			sl.joined = make([]tuple.Joined, slabPackets*per)
+		}
 	}
 	sl.next = 0
 	slabsOut.Add(1)
@@ -236,7 +263,7 @@ func getSlab(capT, capJ int) *slab {
 func (sl *slab) release(n int32) {
 	if sl.refs.Add(n) == 0 {
 		slabsOut.Add(-1)
-		slabPool.Put(sl)
+		slabPools[sl.kind].Put(sl)
 	}
 }
 
@@ -291,10 +318,12 @@ type streamKey struct {
 	ti  int
 }
 
-// stream is one output stream's slot: the packet under construction, and
-// whether the stream is already recorded in the sender's first-write order.
+// stream is one output stream's slot: the packet under construction and
+// its kind, and whether the stream is already recorded in the sender's
+// first-write order.
 type stream struct {
 	pkt    *Batch
+	kind   slabKind
 	listed bool
 }
 
@@ -335,7 +364,7 @@ type Sender struct {
 	wtNs   cost.SimNs // cached model.WriteTuple (hot: charged once per tuple sent)
 	runLen int        // packets per delivery run
 	seq    int64
-	slab   *slab // slab the next packet is carved from; nil until the first
+	slabs  [2]*slab // per kind, the slab the next packet is carved from; nil until the first
 
 	curTag  int
 	curIdx  int         // index of curTag in tags
@@ -396,7 +425,7 @@ func (n *Network) NewSender(a *cost.Acct, src int, deliver func(dst int, run []*
 	return s
 }
 
-// Release recycles the sender and retires its slab. Call only after
+// Release recycles the sender and retires its slabs. Call only after
 // FlushAll, when no packet can still be buffered; any stragglers (the
 // partial buffers and undelivered runs of a sender released without
 // FlushAll) are recycled, not delivered, and any unpublished counters are
@@ -418,7 +447,8 @@ func (s *Sender) Release() {
 		}
 		s.pseen[dst] = false
 	}
-	s.retire()
+	s.retire(plainSlab)
+	s.retire(joinedSlab)
 	s.tags = s.tags[:0]
 	s.order = s.order[:0]
 	s.pdsts = s.pdsts[:0]
@@ -465,9 +495,10 @@ func (s *Sender) selectTag(tag int) {
 }
 
 // buffer returns the packet under construction for stream (dst, tag),
-// carving an empty one if needed and recording the stream in first-write
-// order on its first write.
-func (s *Sender) buffer(dst, tag int) *Batch {
+// carving an empty one of the kind if needed and recording the stream in
+// first-write order on its first write. A send of the other kind into the
+// stream's open packet is a caller bug and panics.
+func (s *Sender) buffer(dst, tag int, kind slabKind) *Batch {
 	if tag != s.curTag {
 		s.selectTag(tag)
 	}
@@ -479,45 +510,59 @@ func (s *Sender) buffer(dst, tag int) *Batch {
 	}
 	st := &s.cur[dst]
 	if st.pkt == nil {
-		st.pkt = s.carve(dst, tag)
+		st.pkt, st.kind = s.carve(dst, tag, kind), kind
 		if !st.listed {
 			st.listed = true
 			s.order = append(s.order, streamKey{dst, s.curIdx})
 		}
+	} else if st.kind != kind {
+		panicKind(dst, tag, kind, st.kind)
 	}
 	return st.pkt
 }
 
+// panicKind reports a send of one kind into a stream whose open packet
+// holds the other. It is a function of its own so that the message
+// building stays out of buffer, which runs once per tuple sent.
+func panicKind(dst, tag int, kind, open slabKind) {
+	panic("netsim: " + kind.String() + " send into stream (dst " + strconv.Itoa(dst) +
+		", tag " + strconv.Itoa(tag) + ") whose open packet is " + open.String())
+}
+
 // carve cuts the next empty packet for stream (dst, tag) from the sender's
-// slab, taking a fresh slab first if it has none.
-func (s *Sender) carve(dst, tag int) *Batch {
-	sl := s.slab
+// slab of the kind, taking a fresh slab first if it has none.
+func (s *Sender) carve(dst, tag int, kind slabKind) *Batch {
+	sl := s.slabs[kind]
 	if sl == nil {
-		sl = getSlab(s.capT, s.capJ)
-		s.slab = sl
+		per := s.capT
+		if kind == joinedSlab {
+			per = s.capJ
+		}
+		sl = getSlab(kind, per)
+		s.slabs[kind] = sl
 	}
 	i := sl.next
 	sl.next++
-	t, tEnd := i*sl.capT, (i+1)*sl.capT
-	j, jEnd := i*sl.capJ, (i+1)*sl.capJ
+	lo, hi := i*sl.per, (i+1)*sl.per
 	b := &sl.pkts[i]
-	*b = Batch{
-		Src: s.src, Dst: dst, Local: s.local(dst), Tag: tag,
-		Batch:  tuple.Batch{Tuples: sl.tuples[t:t:tEnd], Hashes: sl.hashes[t:t:tEnd]},
-		Joined: sl.joined[j:j:jEnd],
-		slab:   sl,
+	*b = Batch{Src: s.src, Dst: dst, Local: s.local(dst), Tag: tag, slab: sl}
+	if kind == plainSlab {
+		b.Batch = tuple.Batch{Tuples: sl.tuples[lo:lo:hi], Hashes: sl.hashes[lo:lo:hi]}
+	} else {
+		b.Joined = sl.joined[lo:lo:hi]
 	}
 	if sl.next == slabPackets {
-		s.retire()
+		s.retire(kind)
 	}
 	return b
 }
 
-// retire lets go of the sender's slab, adding its carve count to the slab's
-// references so the slab is recycled once every carved packet is back.
-func (s *Sender) retire() {
-	if sl := s.slab; sl != nil {
-		s.slab = nil
+// retire lets go of the sender's slab of the kind, adding its carve count
+// to the slab's references so the slab is recycled once every carved
+// packet is back.
+func (s *Sender) retire(kind slabKind) {
+	if sl := s.slabs[kind]; sl != nil {
+		s.slabs[kind] = nil
 		sl.release(int32(sl.next))
 	}
 }
@@ -528,7 +573,7 @@ func (s *Sender) retire() {
 // recycled.
 func (s *Sender) Send(dst, tag int, t *tuple.Tuple, h uint64) {
 	s.a.AddCPU(s.wtNs)
-	b := s.buffer(dst, tag)
+	b := s.buffer(dst, tag, plainSlab)
 	b.Append(t, h)
 	if len(b.Tuples) >= s.capT {
 		s.cur[dst].pkt = nil
@@ -541,7 +586,7 @@ func (s *Sender) Send(dst, tag int, t *tuple.Tuple, h uint64) {
 // in the outgoing packet slot, skipping a caller-side 2x tuple copy.
 func (s *Sender) SendJoinedPair(dst, tag int, inner, outer *tuple.Tuple) {
 	s.a.AddCPU(s.wtNs)
-	b := s.buffer(dst, tag)
+	b := s.buffer(dst, tag, joinedSlab)
 	n := len(b.Joined)
 	b.Joined = b.Joined[:n+1]
 	b.Joined[n].Inner = *inner

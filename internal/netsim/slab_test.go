@@ -198,3 +198,81 @@ func TestSlabReleaseWithoutFlushAll(t *testing.T) {
 		t.Fatalf("%d slabs still out after an unflushed sender's Release", got)
 	}
 }
+
+// TestSlabKindsSeparate sends plain and joined tuples from one sender: each
+// kind is carved from a slab of its own that carries only that kind's
+// array, SlabsOut counts both, and both come back.
+func TestSlabKindsSeparate(t *testing.T) {
+	base := slabsOut.Load()
+	net := New(cost.Default())
+	net.SetRunLength(1)
+	var a cost.Acct
+	var pkts []*Batch
+	s := net.NewSender(&a, 0, collectInto(&pkts))
+	var half tuple.Tuple
+	for i := 0; i < 3*s.capT; i++ {
+		tp := mkTuple(int32(i))
+		s.Send(1, 0, &tp, uint64(i))
+		s.SendJoinedPair(2, 1, &half, &half)
+	}
+	s.FlushAll()
+	kinds := map[*slab]slabKind{}
+	for _, b := range pkts {
+		kinds[b.slab] = b.slab.kind
+		switch {
+		case b.Dst == 1 && (b.slab.kind != plainSlab || b.Joined != nil || len(b.Tuples) == 0):
+			t.Fatalf("plain packet carved from a %s slab: %d tuples, joined %v", b.slab.kind, len(b.Tuples), b.Joined != nil)
+		case b.Dst == 2 && (b.slab.kind != joinedSlab || b.Tuples != nil || b.Hashes != nil || len(b.Joined) == 0):
+			t.Fatalf("joined packet carved from a %s slab: %d joined, tuples %v", b.slab.kind, len(b.Joined), b.Tuples != nil)
+		}
+	}
+	if len(kinds) != 2 {
+		t.Fatalf("packets came from %d slabs, want one per kind", len(kinds))
+	}
+	for sl := range kinds {
+		if (sl.kind == plainSlab) != (sl.joined == nil) || (sl.kind == joinedSlab) != (sl.tuples == nil && sl.hashes == nil) {
+			t.Fatalf("%s slab carries another kind's array", sl.kind)
+		}
+	}
+	if got := slabsOut.Load() - base; got != 2 {
+		t.Fatalf("%d slabs out, want 2 (one per kind)", got)
+	}
+	s.Release()
+	PutBatches(pkts)
+	if got := slabsOut.Load() - base; got != 0 {
+		t.Fatalf("%d slabs still out after every packet came back", got)
+	}
+}
+
+// TestSlabKindMismatchPanics sends one kind into a stream whose open packet
+// holds the other: the sender panics and names the stream.
+func TestSlabKindMismatchPanics(t *testing.T) {
+	var half tuple.Tuple
+	tp := mkTuple(1)
+	plain := func(s *Sender) { s.Send(3, 5, &tp, 1) }
+	joined := func(s *Sender) { s.SendJoinedPair(3, 5, &half, &half) }
+	for _, tc := range []struct {
+		name        string
+		open, other func(*Sender)
+		want        string
+	}{
+		{"joined into plain", plain, joined, "netsim: joined send into stream (dst 3, tag 5) whose open packet is plain"},
+		{"plain into joined", joined, plain, "netsim: plain send into stream (dst 3, tag 5) whose open packet is joined"},
+	} {
+		base := slabsOut.Load()
+		s := New(cost.Default()).NewSender(&cost.Acct{}, 0, recycleInline)
+		tc.open(s)
+		got := func() (msg any) {
+			defer func() { msg = recover() }()
+			tc.other(s)
+			return nil
+		}()
+		if got != tc.want {
+			t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
+		}
+		s.Release()
+		if got := slabsOut.Load() - base; got != 0 {
+			t.Errorf("%s: %d slabs out after Release", tc.name, got)
+		}
+	}
+}

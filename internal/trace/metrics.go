@@ -120,7 +120,8 @@ type Sample struct {
 func (m *Metrics) Sample(attempt, phase int, phaseName string, at int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := Sample{Attempt: attempt, Phase: phase, PhaseName: phaseName, At: at}
+	s := Sample{Attempt: attempt, Phase: phase, PhaseName: phaseName, At: at,
+		Values: make([]KV, 0, len(m.names))}
 	for _, name := range m.names {
 		var v int64
 		if c := m.counters[name]; c != nil {
@@ -138,13 +139,6 @@ func (m *Metrics) Samples() []Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]Sample(nil), m.samples...)
-}
-
-// IsCounter reports whether name is registered as a counter (vs a gauge).
-func (m *Metrics) IsCounter(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counters[name] != nil
 }
 
 // Deltas returns metric name's per-phase increments, aligned with

@@ -4,14 +4,20 @@ package gammajoin
 // per-algorithm engine benchmarks and ablations of the design choices
 // called out in DESIGN.md.
 //
-// Figure/table benchmarks run a scaled joinABprime (10k x 1k tuples) so the
-// whole suite completes quickly; `go run ./cmd/gammabench` regenerates the
-// full-size (100k x 10k) results. Each benchmark reports the simulated
-// response time of its headline data point as the "sim-sec" metric, so
-// `go test -bench .` doubles as a compact reproduction table.
+// Every benchmark runs cases from one table, benchCases, named as
+// BENCH_1989.json records them. A case builds its own machine on a scaled
+// joinABprime (10k x 1k tuples), runs once and returns the simulated
+// metrics of its headline data point by unit ("sim-sec", "qps", ...), so
+// `go test -bench .` doubles as a compact reproduction table and
+// TestSimBaseline holds every metric to BENCH_1989.json exactly.
+// `go run ./cmd/gammabench` regenerates the full-size (100k x 10k) results.
 
 import (
+	"encoding/json"
+	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"gammajoin/internal/core"
@@ -24,6 +30,202 @@ import (
 	"gammajoin/internal/wisconsin"
 )
 
+// metrics maps a unit to a case's simulated value in it.
+type metrics = map[string]float64
+
+// benchCases lists every case in benchmark order. A case that reports no
+// metric (a table, for instance) returns nil and has no baseline entry.
+var benchCases = []struct {
+	name string
+	run  func(tb testing.TB) metrics
+}{
+	{"Figure5", experiment("fig5")},
+	{"Figure6", experiment("fig6")},
+	{"Figure7", experiment("fig7")},
+	{"Figure8", experiment("fig8")},
+	{"Figure9", experiment("fig9")},
+	{"Figures10to13", experiment("fig10-13")},
+	{"Figure14", experiment("fig14")},
+	{"Figure15", experiment("fig15")},
+	{"Figure16", experiment("fig16")},
+	{"Table1", experiment("table1")},
+	{"Table2", experiment("table2")},
+	{"Table3", experiment("table3")},
+	{"Table4", experiment("table4")},
+	{"Table3Extras", experiment("table3x")},
+	{"AppendixA", experiment("appendixA")},
+	// Each algorithm at half memory, the paper's most discriminating point.
+	{"Join/sort-merge", halfMemory(core.SortMerge)},
+	{"Join/simple", halfMemory(core.Simple)},
+	{"Join/grace", halfMemory(core.Grace)},
+	{"Join/hybrid", halfMemory(core.Hybrid)},
+	{"DynHybrid", dynHybrid},
+	// Hybrid on the Appendix-A pathological configuration (2 disks, 4
+	// diskless join nodes, 3 buckets) with and without the optimizer's
+	// bucket analyzer. Without it, two join sites starve and the others
+	// overflow.
+	{"AblationBucketAnalyzer/with-analyzer", bucketAnalyzer(false)},
+	{"AblationBucketAnalyzer/without-analyzer", bucketAnalyzer(true)},
+	// The packet size bounds the shared bit filter: a bigger packet means
+	// a bigger, more selective filter (the saturation effect of Section
+	// 4.2).
+	{"AblationFilterSize/512B", filterSize(512)},
+	{"AblationFilterSize/2KB", filterSize(2048)},
+	{"AblationFilterSize/8KB", filterSize(8192)},
+	// The Figure 7 tradeoff at one intermediate ratio: optimistic
+	// single-bucket-with-overflow against the pessimistic extra bucket.
+	{"AblationOverflowVsBucket/optimistic-overflow", overflowVsBucket(true)},
+	{"AblationOverflowVsBucket/pessimistic-2-buckets", overflowVsBucket(false)},
+	// Extensions: the paper's future work, measured.
+	{"ExtFormingFilters", experiment("ext-formfilter")},
+	{"ExtBucketTuning", experiment("ext-tuning")},
+	{"ExtMixedConfig", experiment("ext-mixed")},
+	{"ExtUtilization", experiment("ext-util")},
+	{"ExtJoinAselB", experiment("ext-aselb")},
+	// The non-join operators.
+	{"Select", selectRange},
+	{"Aggregate", aggregate},
+	{"ExtSpeedup", experiment("ext-speedup")},
+	{"ExtGrowingRelations", experiment("ext-growing")},
+	{"ExtMultiuser", experiment("ext-multiuser")},
+	{"MPLSweep", mplSweep},
+}
+
+func BenchmarkFigure5(b *testing.B)       { benchRun(b, "Figure5") }
+func BenchmarkFigure6(b *testing.B)       { benchRun(b, "Figure6") }
+func BenchmarkFigure7(b *testing.B)       { benchRun(b, "Figure7") }
+func BenchmarkFigure8(b *testing.B)       { benchRun(b, "Figure8") }
+func BenchmarkFigure9(b *testing.B)       { benchRun(b, "Figure9") }
+func BenchmarkFigures10to13(b *testing.B) { benchRun(b, "Figures10to13") }
+func BenchmarkFigure14(b *testing.B)      { benchRun(b, "Figure14") }
+func BenchmarkFigure15(b *testing.B)      { benchRun(b, "Figure15") }
+func BenchmarkFigure16(b *testing.B)      { benchRun(b, "Figure16") }
+func BenchmarkTable1(b *testing.B)        { benchRun(b, "Table1") }
+func BenchmarkTable2(b *testing.B)        { benchRun(b, "Table2") }
+func BenchmarkTable3(b *testing.B)        { benchRun(b, "Table3") }
+func BenchmarkTable4(b *testing.B)        { benchRun(b, "Table4") }
+func BenchmarkTable3Extras(b *testing.B)  { benchRun(b, "Table3Extras") }
+func BenchmarkAppendixA(b *testing.B)     { benchRun(b, "AppendixA") }
+func BenchmarkJoin(b *testing.B)          { benchRun(b, "Join") }
+func BenchmarkDynHybrid(b *testing.B)     { benchRun(b, "DynHybrid") }
+
+func BenchmarkAblationBucketAnalyzer(b *testing.B)   { benchRun(b, "AblationBucketAnalyzer") }
+func BenchmarkAblationFilterSize(b *testing.B)       { benchRun(b, "AblationFilterSize") }
+func BenchmarkAblationOverflowVsBucket(b *testing.B) { benchRun(b, "AblationOverflowVsBucket") }
+
+func BenchmarkExtFormingFilters(b *testing.B)   { benchRun(b, "ExtFormingFilters") }
+func BenchmarkExtBucketTuning(b *testing.B)     { benchRun(b, "ExtBucketTuning") }
+func BenchmarkExtMixedConfig(b *testing.B)      { benchRun(b, "ExtMixedConfig") }
+func BenchmarkExtUtilization(b *testing.B)      { benchRun(b, "ExtUtilization") }
+func BenchmarkExtJoinAselB(b *testing.B)        { benchRun(b, "ExtJoinAselB") }
+func BenchmarkSelect(b *testing.B)              { benchRun(b, "Select") }
+func BenchmarkAggregate(b *testing.B)           { benchRun(b, "Aggregate") }
+func BenchmarkExtSpeedup(b *testing.B)          { benchRun(b, "ExtSpeedup") }
+func BenchmarkExtGrowingRelations(b *testing.B) { benchRun(b, "ExtGrowingRelations") }
+func BenchmarkExtMultiuser(b *testing.B)        { benchRun(b, "ExtMultiuser") }
+func BenchmarkMPLSweep(b *testing.B)            { benchRun(b, "MPLSweep") }
+
+// benchRun times the case called name, or each case named name/sub as the
+// sub-benchmark sub, and reports the metrics of the last iteration.
+func benchRun(b *testing.B, name string) {
+	found := false
+	for _, c := range benchCases {
+		sub, isSub := strings.CutPrefix(c.name, name+"/")
+		if c.name != name && !isSub {
+			continue
+		}
+		found = true
+		run := func(b *testing.B) {
+			var m metrics
+			for i := 0; i < b.N; i++ {
+				m = c.run(b)
+			}
+			for unit, v := range m {
+				b.ReportMetric(v, unit)
+			}
+		}
+		if isSub {
+			b.Run(sub, run)
+		} else {
+			run(b)
+		}
+	}
+	if !found {
+		b.Fatalf("no case named %s", name)
+	}
+}
+
+// TestSimBaseline runs every case once and requires its metrics to equal
+// BENCH_1989.json exactly. It fails on a value that differs, a metric with
+// no entry and an entry that no case reports, then prints the replacement
+// "benchmarks" object: after a deliberate cost-model change, paste it into
+// BENCH_1989.json and name the moved entries in the change description.
+func TestSimBaseline(t *testing.T) {
+	raw, err := os.ReadFile("BENCH_1989.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base struct{ Benchmarks map[string]metrics }
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	// Each case owns its machine, so the cases run in parallel.
+	results := make([]metrics, len(benchCases))
+	if !t.Run("cases", func(t *testing.T) {
+		for i, c := range benchCases {
+			t.Run(c.name, func(t *testing.T) {
+				t.Parallel()
+				results[i] = c.run(t)
+			})
+		}
+	}) {
+		return
+	}
+	got := make(map[string]metrics)
+	for i, c := range benchCases {
+		if len(results[i]) > 0 {
+			got[c.name] = results[i]
+		}
+	}
+	for _, name := range keys(got, base.Benchmarks) {
+		g, w := got[name], base.Benchmarks[name]
+		for _, unit := range keys(g, w) {
+			gv, inCase := g[unit]
+			wv, inBase := w[unit]
+			switch {
+			case !inBase:
+				t.Errorf("%s %s = %v has no entry", name, unit, gv)
+			case !inCase:
+				t.Errorf("%s %s: entry %v has no case", name, unit, wv)
+			case gv != wv:
+				t.Errorf("%s %s = %v, want %v", name, unit, gv, wv)
+			}
+		}
+	}
+	if t.Failed() {
+		out, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("replacement \"benchmarks\" object for BENCH_1989.json:\n%s", out)
+	}
+}
+
+// keys returns the keys of a and b, sorted.
+func keys[V any](a, b map[string]V) []string {
+	var k []string
+	for name := range a {
+		k = append(k, name)
+	}
+	for name := range b {
+		if _, ok := a[name]; !ok {
+			k = append(k, name)
+		}
+	}
+	slices.Sort(k)
+	return k
+}
+
 func benchConfig() experiments.Config {
 	cfg := experiments.DefaultConfig()
 	cfg.OuterN = 10000
@@ -31,289 +233,141 @@ func benchConfig() experiments.Config {
 	return cfg
 }
 
-// benchExperiment regenerates one catalog experiment per iteration.
-func benchExperiment(b *testing.B, name string) {
-	b.Helper()
-	e, err := experiments.Find(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		h := experiments.NewHarness(benchConfig())
-		results, err := e.Run(h)
+// experiment regenerates one catalog experiment on a fresh harness and
+// reports the first data point of its first series; a table reports none.
+func experiment(name string) func(testing.TB) metrics {
+	return func(tb testing.TB) metrics {
+		e, err := experiments.Find(name)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if i == 0 {
-			// Report the first data point of the first series (or 0 for
-			// pure tables) as the simulated-seconds metric.
-			if len(results) > 0 && len(results[0].Series) > 0 {
-				b.ReportMetric(results[0].Series[0].Points[0].Y, "sim-sec")
-			}
+		results, err := e.Run(experiments.NewHarness(benchConfig()))
+		if err != nil {
+			tb.Fatal(err)
 		}
+		if len(results) == 0 || len(results[0].Series) == 0 {
+			return nil
+		}
+		return metrics{"sim-sec": results[0].Series[0].Points[0].Y}
 	}
 }
 
-func BenchmarkFigure5(b *testing.B)       { benchExperiment(b, "fig5") }
-func BenchmarkFigure6(b *testing.B)       { benchExperiment(b, "fig6") }
-func BenchmarkFigure7(b *testing.B)       { benchExperiment(b, "fig7") }
-func BenchmarkFigure8(b *testing.B)       { benchExperiment(b, "fig8") }
-func BenchmarkFigure9(b *testing.B)       { benchExperiment(b, "fig9") }
-func BenchmarkFigures10to13(b *testing.B) { benchExperiment(b, "fig10-13") }
-func BenchmarkFigure14(b *testing.B)      { benchExperiment(b, "fig14") }
-func BenchmarkFigure15(b *testing.B)      { benchExperiment(b, "fig15") }
-func BenchmarkFigure16(b *testing.B)      { benchExperiment(b, "fig16") }
-func BenchmarkTable1(b *testing.B)        { benchExperiment(b, "table1") }
-func BenchmarkTable2(b *testing.B)        { benchExperiment(b, "table2") }
-func BenchmarkTable3(b *testing.B)        { benchExperiment(b, "table3") }
-func BenchmarkTable4(b *testing.B)        { benchExperiment(b, "table4") }
-func BenchmarkTable3Extras(b *testing.B)  { benchExperiment(b, "table3x") }
-func BenchmarkAppendixA(b *testing.B)     { benchExperiment(b, "appendixA") }
+// load declusters tuples on c by hashing unique1.
+func load(tb testing.TB, c *gamma.Cluster, name string, tuples []tuple.Tuple) *gamma.Relation {
+	tb.Helper()
+	rel, err := gamma.Load(c, name, tuples, gamma.HashPart, tuple.Unique1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rel
+}
 
-// benchFixture loads one scaled joinABprime workload.
-func benchFixture(b *testing.B, c *gamma.Cluster) (*gamma.Relation, *gamma.Relation) {
-	b.Helper()
+// join loads the scaled joinABprime on c and runs spec as B join A on
+// unique1, storing the result.
+func join(tb testing.TB, c *gamma.Cluster, spec core.Spec) *core.Report {
+	tb.Helper()
 	outer := wisconsin.Generate(10000, 1989)
-	inner := wisconsin.Bprime(outer, 1000)
-	s, err := gamma.Load(c, "A", outer, gamma.HashPart, tuple.Unique1)
+	spec.S = load(tb, c, "A", outer)
+	spec.R = load(tb, c, "B", wisconsin.Bprime(outer, 1000))
+	spec.RAttr, spec.SAttr = tuple.Unique1, tuple.Unique1
+	spec.StoreResult = true
+	rep, err := core.Run(c, spec)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	r, err := gamma.Load(c, "B", inner, gamma.HashPart, tuple.Unique1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return r, s
+	return rep
 }
 
-// BenchmarkJoin measures each algorithm end-to-end at half memory (the
-// paper's most discriminating point).
-func BenchmarkJoin(b *testing.B) {
-	for _, alg := range []core.Algorithm{core.SortMerge, core.Simple, core.Grace, core.Hybrid} {
-		b.Run(alg.String(), func(b *testing.B) {
-			c := gamma.NewLocal(8, nil)
-			r, s := benchFixture(b, c)
-			var sim float64
-			for i := 0; i < b.N; i++ {
-				rep, err := core.Run(c, core.Spec{
-					Alg: alg, R: r, S: s,
-					RAttr: tuple.Unique1, SAttr: tuple.Unique1,
-					MemRatio: 0.5, StoreResult: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim = rep.Response.Seconds()
-			}
-			b.ReportMetric(sim, "sim-sec")
-		})
+func halfMemory(alg core.Algorithm) func(testing.TB) metrics {
+	return func(tb testing.TB) metrics {
+		rep := join(tb, gamma.NewLocal(8, nil), core.Spec{Alg: alg, MemRatio: 0.5})
+		return metrics{"sim-sec": rep.Response.Seconds()}
 	}
 }
 
-// BenchmarkDynHybrid runs the adaptive Hybrid at half memory with a 4x
-// inner-size over-estimate under the degrade fault schedule (memory
-// pressure seeding the build short, budget swings revoking and re-granting
-// mid-build). Besides the response it reports the adaptation ledger —
-// spills, resurrections, revoked pages — which is deterministic, so
-// benchcheck pins it exactly like every other simulated metric. The
-// cluster and fixture are rebuilt per iteration so every run consumes the
-// fault schedule from the same starting coordinates.
-func BenchmarkDynHybrid(b *testing.B) {
-	var sim, spills, resurrections, revoked float64
-	for i := 0; i < b.N; i++ {
-		c := gamma.NewLocal(8, nil)
-		c.EnableFaults(fault.Spec{Seed: 77, MemPressureRate: 0.5, BudgetSwingRate: 0.5})
-		r, s := benchFixture(b, c)
-		rep, err := core.Run(c, core.Spec{
-			Alg: core.HybridDyn, R: r, S: s,
-			RAttr: tuple.Unique1, SAttr: tuple.Unique1,
-			MemRatio: 0.5, EstErrorFactor: 4, StoreResult: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim = rep.Response.Seconds()
-		spills = float64(rep.SpillCount)
-		resurrections = float64(rep.Resurrections)
-		revoked = float64(rep.RevokedPages.Count())
-	}
-	b.ReportMetric(sim, "sim-sec")
-	b.ReportMetric(spills, "spills")
-	b.ReportMetric(resurrections, "resurrections")
-	b.ReportMetric(revoked, "revoked-pages")
-}
-
-// BenchmarkAblationBucketAnalyzer compares Hybrid on the Appendix-A
-// pathological configuration (2 disks, 4 diskless join nodes, 3 buckets)
-// with and without the optimizer bucket analyzer. Without it, two join
-// sites starve and the others overflow.
-func BenchmarkAblationBucketAnalyzer(b *testing.B) {
-	for _, skip := range []bool{false, true} {
-		name := "with-analyzer"
-		if skip {
-			name = "without-analyzer"
-		}
-		b.Run(name, func(b *testing.B) {
-			c := gamma.NewRemote(2, 4, nil)
-			r, s := benchFixture(b, c)
-			var sim float64
-			var overflowed int64
-			for i := 0; i < b.N; i++ {
-				rep, err := core.Run(c, core.Spec{
-					Alg: core.Hybrid, R: r, S: s,
-					RAttr: tuple.Unique1, SAttr: tuple.Unique1,
-					MemRatio: 1.0 / 3, ForceBuckets: 3,
-					SkipAnalyzer: skip, StoreResult: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim = rep.Response.Seconds()
-				overflowed = rep.ROverflowed
-			}
-			b.ReportMetric(sim, "sim-sec")
-			b.ReportMetric(float64(overflowed), "R-overflow-tuples")
-		})
-	}
-}
-
-// BenchmarkAblationFilterSize sweeps the packet size that bounds the shared
-// bit-filter, showing the saturation effect of Section 4.2 (a bigger packet
-// means a bigger, more selective filter).
-func BenchmarkAblationFilterSize(b *testing.B) {
-	for _, packet := range []int{512, 2048, 8192} {
-		b.Run(map[int]string{512: "512B", 2048: "2KB", 8192: "8KB"}[packet], func(b *testing.B) {
-			params := cost.DefaultParams()
-			params.PacketBytes = packet
-			c := gamma.NewLocal(8, cost.NewModel(params))
-			r, s := benchFixture(b, c)
-			var sim, dropped float64
-			for i := 0; i < b.N; i++ {
-				rep, err := core.Run(c, core.Spec{
-					Alg: core.Hybrid, R: r, S: s,
-					RAttr: tuple.Unique1, SAttr: tuple.Unique1,
-					MemRatio: 1.0, BitFilter: true, StoreResult: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim = rep.Response.Seconds()
-				dropped = float64(rep.FilterDropped)
-			}
-			b.ReportMetric(sim, "sim-sec")
-			b.ReportMetric(dropped, "S-dropped")
-		})
-	}
-}
-
-// BenchmarkAblationOverflowVsBucket is the Figure 7 tradeoff at a single
-// intermediate ratio: optimistic single-bucket-with-overflow versus the
-// pessimistic extra bucket.
-func BenchmarkAblationOverflowVsBucket(b *testing.B) {
-	for _, optimistic := range []bool{true, false} {
-		name := "pessimistic-2-buckets"
-		if optimistic {
-			name = "optimistic-overflow"
-		}
-		b.Run(name, func(b *testing.B) {
-			c := gamma.NewLocal(8, nil)
-			r, s := benchFixture(b, c)
-			var sim float64
-			for i := 0; i < b.N; i++ {
-				spec := core.Spec{
-					Alg: core.Hybrid, R: r, S: s,
-					RAttr: tuple.Unique1, SAttr: tuple.Unique1,
-					MemRatio: 0.7, StoreResult: true,
-				}
-				if optimistic {
-					spec.AllowOverflow = true
-				} else {
-					spec.ForceBuckets = 2
-				}
-				rep, err := core.Run(c, spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim = rep.Response.Seconds()
-			}
-			b.ReportMetric(sim, "sim-sec")
-		})
-	}
-}
-
-// Extension benchmarks (paper future work, measured).
-func BenchmarkExtFormingFilters(b *testing.B) { benchExperiment(b, "ext-formfilter") }
-func BenchmarkExtBucketTuning(b *testing.B)   { benchExperiment(b, "ext-tuning") }
-func BenchmarkExtMixedConfig(b *testing.B)    { benchExperiment(b, "ext-mixed") }
-func BenchmarkExtUtilization(b *testing.B)    { benchExperiment(b, "ext-util") }
-func BenchmarkExtJoinAselB(b *testing.B)      { benchExperiment(b, "ext-aselb") }
-
-// BenchmarkSelect and BenchmarkAggregate cover the non-join operators.
-func BenchmarkSelect(b *testing.B) {
+// dynHybrid runs the adaptive Hybrid at half memory with a 4x inner-size
+// over-estimate under the degrade fault schedule (memory pressure seeding
+// the build short, budget swings revoking and re-granting mid-build).
+// Besides the response it reports the adaptation ledger (spills,
+// resurrections, revoked pages), which is as deterministic as the response.
+func dynHybrid(tb testing.TB) metrics {
 	c := gamma.NewLocal(8, nil)
-	tuples := wisconsin.Generate(10000, 1989)
-	rel, err := gamma.Load(c, "A", tuples, gamma.HashPart, tuple.Unique1)
-	if err != nil {
-		b.Fatal(err)
+	c.EnableFaults(fault.Spec{Seed: 77, MemPressureRate: 0.5, BudgetSwingRate: 0.5})
+	rep := join(tb, c, core.Spec{Alg: core.HybridDyn, MemRatio: 0.5, EstErrorFactor: 4})
+	return metrics{
+		"sim-sec":       rep.Response.Seconds(),
+		"spills":        float64(rep.SpillCount),
+		"resurrections": float64(rep.Resurrections),
+		"revoked-pages": float64(rep.RevokedPages.Count()),
 	}
-	var sim float64
-	for i := 0; i < b.N; i++ {
-		rep, _, err := core.RunSelect(c, core.SelectSpec{
-			Rel:         rel,
-			Pred:        pred.Range(tuple.Unique1, 0, 1000),
-			StoreResult: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim = rep.Response.Seconds()
-	}
-	b.ReportMetric(sim, "sim-sec")
 }
 
-func BenchmarkAggregate(b *testing.B) {
+func bucketAnalyzer(skip bool) func(testing.TB) metrics {
+	return func(tb testing.TB) metrics {
+		rep := join(tb, gamma.NewRemote(2, 4, nil), core.Spec{
+			Alg: core.Hybrid, MemRatio: 1.0 / 3, ForceBuckets: 3, SkipAnalyzer: skip,
+		})
+		return metrics{"sim-sec": rep.Response.Seconds(), "R-overflow-tuples": float64(rep.ROverflowed)}
+	}
+}
+
+func filterSize(packet int) func(testing.TB) metrics {
+	return func(tb testing.TB) metrics {
+		params := cost.DefaultParams()
+		params.PacketBytes = packet
+		c := gamma.NewLocal(8, cost.NewModel(params))
+		rep := join(tb, c, core.Spec{Alg: core.Hybrid, MemRatio: 1.0, BitFilter: true})
+		return metrics{"sim-sec": rep.Response.Seconds(), "S-dropped": float64(rep.FilterDropped)}
+	}
+}
+
+func overflowVsBucket(optimistic bool) func(testing.TB) metrics {
+	return func(tb testing.TB) metrics {
+		spec := core.Spec{Alg: core.Hybrid, MemRatio: 0.7, AllowOverflow: optimistic}
+		if !optimistic {
+			spec.ForceBuckets = 2
+		}
+		rep := join(tb, gamma.NewLocal(8, nil), spec)
+		return metrics{"sim-sec": rep.Response.Seconds()}
+	}
+}
+
+func selectRange(tb testing.TB) metrics {
+	c := gamma.NewLocal(8, nil)
+	rep, _, err := core.RunSelect(c, core.SelectSpec{
+		Rel:         load(tb, c, "A", wisconsin.Generate(10000, 1989)),
+		Pred:        pred.Range(tuple.Unique1, 0, 1000),
+		StoreResult: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return metrics{"sim-sec": rep.Response.Seconds()}
+}
+
+func aggregate(tb testing.TB) metrics {
 	c := gamma.NewRemote(8, 8, nil)
-	tuples := wisconsin.Generate(10000, 1989)
-	rel, err := gamma.Load(c, "A", tuples, gamma.HashPart, tuple.Unique1)
+	rep, _, err := core.RunAggregate(c, core.AggSpec{
+		Rel:       load(tb, c, "A", wisconsin.Generate(10000, 1989)),
+		GroupAttr: tuple.OnePercent, AggAttr: tuple.Unique1, Fn: core.Avg,
+	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	var sim float64
-	for i := 0; i < b.N; i++ {
-		rep, _, err := core.RunAggregate(c, core.AggSpec{
-			Rel: rel, GroupAttr: tuple.OnePercent, AggAttr: tuple.Unique1, Fn: core.Avg,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim = rep.Response.Seconds()
-	}
-	b.ReportMetric(sim, "sim-sec")
+	return metrics{"sim-sec": rep.Response.Seconds()}
 }
 
-func BenchmarkExtSpeedup(b *testing.B) { benchExperiment(b, "ext-speedup") }
-
-func BenchmarkExtGrowingRelations(b *testing.B) { benchExperiment(b, "ext-growing") }
-
-func BenchmarkExtMultiuser(b *testing.B) { benchExperiment(b, "ext-multiuser") }
-
-// BenchmarkMPLSweep runs the multi-query workload engine's multiprogramming
-// sweep (12 mixed queries under each admission policy at MPL 1..8) and
-// reports the final row's (shrink at MPL 8) throughput as the qps metric.
-func BenchmarkMPLSweep(b *testing.B) {
-	var qps float64
-	for i := 0; i < b.N; i++ {
-		h := experiments.NewHarness(benchConfig())
-		res, err := h.MPLSweep()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := res.Rows[len(res.Rows)-1]
-		q, err := strconv.ParseFloat(last[2], 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		qps = q
+// mplSweep runs the workload engine's multiprogramming sweep (12 mixed
+// queries under each admission policy at MPL 1..8) and reports the last
+// row's (shrink at MPL 8) throughput.
+func mplSweep(tb testing.TB) metrics {
+	res, err := experiments.NewHarness(benchConfig()).MPLSweep()
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b.ReportMetric(qps, "qps")
+	qps, err := strconv.ParseFloat(res.Rows[len(res.Rows)-1][2], 64)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return metrics{"qps": qps}
 }

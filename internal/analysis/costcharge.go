@@ -12,10 +12,11 @@ import (
 //
 // Within each function (function literals are separate functions):
 //
-//  1. calls to (*netsim.Sender).Send / SendJoinedPair must be paired with a
-//     cost charge in the same function — either an explicit
-//     (*cost.Acct).AddCPU/AddDisk/AddNet call, or a call that passes a
-//     *cost.Acct to a priced primitive (delegation);
+//  1. calls to the (*netsim.Sender) send methods — Send, SendTo and
+//     SendJoinedTo — must be paired with a cost charge in the same
+//     function — either an explicit (*cost.Acct).AddCPU/AddDisk/AddNet
+//     call, or a call that passes a *cost.Acct to a priced primitive
+//     (delegation);
 //  2. calling (*gamma.Exchange).Deliver directly is always flagged: batches
 //     must be built and priced by a netsim.Sender (passing ex.Deliver as the
 //     sender's delivery callback is the sanctioned path and is not a call);
@@ -57,7 +58,7 @@ type costUnit struct {
 	p        *Pass
 	inNetsim bool
 
-	sends      []ast.Node // Sender.Send / SendJoinedPair call sites
+	sends      []ast.Node // Sender send-method call sites (see senderSends)
 	batchLoops []ast.Node // ranges over chan *netsim.Batch
 	charged    bool       // explicit Acct.Add* call present
 	delegated  bool       // a *cost.Acct is passed onward to a callee
@@ -124,7 +125,7 @@ func (u *costUnit) checkCall(call *ast.CallExpr) {
 	switch {
 	case isAcct(recv) && (name == "AddCPU" || name == "AddDisk" || name == "AddNet"):
 		u.charged = true
-	case isPkgNamed(recv, "internal/netsim", "Sender") && (name == "Send" || name == "SendJoinedPair"):
+	case isPkgNamed(recv, "internal/netsim", "Sender") && senderSends[name]:
 		u.sends = append(u.sends, call)
 	case isPkgNamed(recv, "internal/netsim", "Network") && name == "Recv":
 		u.recvCalled = true
@@ -145,6 +146,10 @@ func (u *costUnit) report() {
 		}
 	}
 }
+
+// senderSends names the netsim.Sender methods that put a tuple into a
+// packet: by (dst, tag) or through a stream handle, plain or joined.
+var senderSends = map[string]bool{"Send": true, "SendTo": true, "SendJoinedTo": true}
 
 func isAcct(t types.Type) bool { return isPkgNamed(t, "internal/cost", "Acct") }
 

@@ -30,12 +30,40 @@ func pricedHelper(a *cost.Acct, m *cost.Model) { a.AddCPU(m.ReadTuple) }
 // by delegation.
 func delegatedSend(a *cost.Acct, m *cost.Model, snd *netsim.Sender, t tuple.Tuple) {
 	pricedHelper(a, m)
-	snd.SendJoinedPair(0, 0, &t, &t)
+	snd.SendJoinedTo(snd.Stream(0, 0), &t, &t)
 }
 
 // unpricedResult ships a join result without charging the result cost.
 func unpricedResult(snd *netsim.Sender, inner, outer *tuple.Tuple) {
-	snd.SendJoinedPair(0, 0, inner, outer) // want `netsim send without a cost.Model charge`
+	snd.SendJoinedTo(snd.Stream(0, 0), inner, outer) // want `netsim send without a cost.Model charge`
+}
+
+// unpricedHandleSend ships tuples through a stream handle without charging
+// any per-tuple work: the handle path is priced like Send.
+func unpricedHandleSend(snd *netsim.Sender, ts []tuple.Tuple) {
+	st := snd.Stream(1, 0)
+	for i := range ts {
+		snd.SendTo(st, &ts[i], 0) // want `netsim send without a cost.Model charge`
+	}
+}
+
+// pricedHandleSend resolves its handles once into the sender's cache and
+// charges the hash cost per tuple, as the join scans do.
+func pricedHandleSend(a *cost.Acct, m *cost.Model, snd *netsim.Sender, ts []tuple.Tuple) {
+	cache := snd.StreamCache(2)
+	for i := range ts {
+		a.AddCPU(m.Hash)
+		if cache[i%2] == nil {
+			cache[i%2] = snd.Stream(i%2, 0)
+		}
+		snd.SendTo(cache[i%2], &ts[i], 0)
+	}
+}
+
+// pricedHandleResult charges the result cost before storing the match.
+func pricedHandleResult(a *cost.Acct, m *cost.Model, snd *netsim.Sender, inner, outer *tuple.Tuple) {
+	a.AddCPU(m.Result)
+	snd.SendJoinedTo(snd.Stream(0, 0), inner, outer)
 }
 
 // directDeliver bypasses the sender entirely.
@@ -91,7 +119,7 @@ func drainWithRecv(net *netsim.Network, a *cost.Acct, ch chan *netsim.Batch) int
 }
 
 // drainRunsWithRecv is the sanctioned batched consumer shape (core's
-// drainSorted): every batch in every run pays Recv.
+// drain): every batch in every run pays Recv.
 func drainRunsWithRecv(net *netsim.Network, a *cost.Acct, ch chan []*netsim.Batch) int {
 	n := 0
 	for run := range ch {

@@ -83,6 +83,7 @@ type dynSite struct {
 	budget int64              // current resident-byte budget
 	factor float64            // cumulative budget multiplier, clamped
 	epoch  int                // batch ordinal driving BudgetSwing rolls
+	spills []*netsim.Stream   // the build consumer's spill streams, by partition; nil outside it
 }
 
 // residentBytes is the site's current resident payload (spilled partitions'
@@ -278,10 +279,11 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 	build := rc.newPhase("dyn partition R + build",
 		opLabels{produce: "scan", consume: "build + adapt", write: "spill write"}, -1)
 	build.end.SplitEntries = np
-	rc.scan(&build, relSources(rc.spec.R), rc.spec.RAttr, rc.spec.RPred, 0, false,
-		func(_ *cost.Acct, h uint64) (int, int, bool) {
-			return rc.dynOwner(rc.dynPart(h, np), np), tagProbe, true
-		})
+	rc.scan(&build, relSources(rc.spec.R), rc.spec.RAttr, rc.spec.RPred, 0, false, router{
+		slots:  np,
+		route:  func(_ *cost.Acct, h uint64) (int, bool) { return rc.dynPart(h, np), true },
+		stream: func(p int) (int, int) { return rc.dynOwner(p, np), tagProbe },
+	})
 	phaseOrd := len(rc.q.Phases)
 	for _, j := range rc.joinSites {
 		build.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
@@ -291,6 +293,7 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 			// shrink is a revocation the build absorbs from the first tuple
 			// on.
 			rc.dynRebudget(a, st, rc.c.Faults.MemFactor(phaseOrd))
+			st.spills = snd.StreamCache(np)
 			for _, b := range batches {
 				if b.Tag != tagProbe {
 					continue
@@ -303,7 +306,7 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 					}
 					p := rc.dynPart(h, np)
 					if spilled[p] {
-						snd.Send(rc.dynHome(p, np), tagDynRBase+p, &b.Tuples[i], h)
+						snd.SendTo(rc.dynSpillStream(snd, st, p, np), &b.Tuples[i], h)
 						continue
 					}
 					tbl := st.tables[p]
@@ -315,7 +318,7 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 						}
 						a.AddCPU(rc.m.SpillDecide)
 						rc.dynSpill(a, snd, st, p, np, spilled)
-						snd.Send(rc.dynHome(p, np), tagDynRBase+p, &b.Tuples[i], h)
+						snd.SendTo(rc.dynSpillStream(snd, st, p, np), &b.Tuples[i], h)
 						continue
 					}
 					tbl.Insert(a, &b.Tuples[i], h)
@@ -328,6 +331,7 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 				}
 				rc.dynEnforce(a, snd, st, np, spilled)
 			}
+			st.spills = nil // the handles die with the phase's sender
 		}
 	}
 	rSink.install(build.write, nil)
@@ -386,8 +390,11 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 	// Spilled-partition appends run before the probe at a site playing both
 	// roles.
 	sSink.install(probe.consume, nil)
-	rc.scan(&probe, relSources(rc.spec.S), rc.spec.SAttr, rc.spec.SPred, 0, rc.spec.BitFilter,
-		func(a *cost.Acct, h uint64) (int, int, bool) {
+	// Spill states are fixed for the whole phase, so each partition has one
+	// stream: its spill file's or its owner's probe stream.
+	rc.scan(&probe, relSources(rc.spec.S), rc.spec.SAttr, rc.spec.SPred, 0, rc.spec.BitFilter, router{
+		slots: np,
+		route: func(a *cost.Acct, h uint64) (int, bool) {
 			p := rc.dynPart(h, np)
 			j := rc.dynOwner(p, np)
 			// The owner's filter saw the whole inner, so dropping disk-bound
@@ -397,14 +404,18 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 				a.AddCPU(rc.m.FilterBit)
 				if !flt.Test(h) {
 					rc.filterDropped.Add(1)
-					return 0, 0, false
+					return 0, false
 				}
 			}
+			return p, true
+		},
+		stream: func(p int) (int, int) {
 			if spilled[p] {
-				return rc.dynHome(p, np), tagDynSBase + p, true
+				return rc.dynHome(p, np), tagDynSBase + p
 			}
-			return j, tagProbe, true
-		})
+			return rc.dynOwner(p, np), tagProbe
+		},
+	})
 	for _, j := range rc.joinSites {
 		chain(probe.consume, j, func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
 			st := &states[j]
@@ -490,13 +501,24 @@ func (rc *runCtx) dynEnforce(a *cost.Acct, snd *netsim.Sender, st *dynSite, np i
 // spilled so later tuples bypass the owner's memory.
 func (rc *runCtx) dynSpill(a *cost.Acct, snd *netsim.Sender, st *dynSite, p, np int, spilled []bool) {
 	tuples, hashes := st.tables[p].SpillAll(a)
-	home := rc.dynHome(p, np)
+	out := rc.dynSpillStream(snd, st, p, np)
 	for i := range tuples {
-		snd.Send(home, tagDynRBase+p, &tuples[i], hashes[i])
+		snd.SendTo(out, &tuples[i], hashes[i])
 	}
 	spilled[p] = true
 	a.Note("part.spill", int64(len(tuples)))
 	rc.spillCount.Add(1)
+}
+
+// dynSpillStream returns partition p's inner spill stream from the build
+// consumer's cache, resolving it on first use.
+func (rc *runCtx) dynSpillStream(snd *netsim.Sender, st *dynSite, p, np int) *netsim.Stream {
+	out := st.spills[p]
+	if out == nil {
+		out = snd.Stream(rc.dynHome(p, np), tagDynRBase+p)
+		st.spills[p] = out
+	}
+	return out
 }
 
 // dynResurrect re-reads the chosen partitions from their home disks and
@@ -506,8 +528,7 @@ func (rc *runCtx) dynResurrect(np int, states []dynSite, resurrect [][]int, rFil
 	for ds, parts := range resurrect {
 		for _, p := range parts {
 			owner := rc.dynOwner(p, np)
-			rc.scan(&res, []fileAt{{site: ds, f: rFiles[p]}}, rc.spec.RAttr, nil, 0, false,
-				func(*cost.Acct, uint64) (int, int, bool) { return owner, tagProbe, true })
+			rc.scan(&res, []fileAt{{site: ds, f: rFiles[p]}}, rc.spec.RAttr, nil, 0, false, toSite(owner, tagProbe))
 		}
 	}
 	for _, j := range rc.joinSites {

@@ -63,46 +63,86 @@ func relSources(rel *gamma.Relation) []fileAt {
 	return src
 }
 
-// routeFn names the site and stream tag a scanned tuple with routing hash h
-// goes to, or returns ok=false to drop it (a bit-filter miss).
-type routeFn func(a *cost.Acct, h uint64) (dst, tag int, ok bool)
+// router says where scanned tuples go. route maps a tuple's routing hash
+// to one of the slots of the producer's stream cache, or returns ok=false
+// to drop the tuple (a bit-filter miss); stream names the (site, tag)
+// stream of a slot and runs once per slot and producer, when the slot is
+// first used.
+type router struct {
+	slots  int
+	route  func(a *cost.Acct, h uint64) (slot int, ok bool)
+	stream func(slot int) (dst, tag int)
+}
+
+// toSite routes every tuple to the one stream (dst, tag).
+func toSite(dst, tag int) router {
+	return router{
+		slots:  1,
+		route:  func(*cost.Acct, uint64) (int, bool) { return 0, true },
+		stream: func(int) (int, int) { return dst, tag },
+	}
+}
 
 // scan adds one producer per source: it scans the file, applies the
-// selection p, hashes attr with seed and sends each tuple where route says.
+// selection p, hashes attr with seed and sends each tuple where r says.
 // recvFilter first charges the receipt of the join sites' shared bit-filter
 // packet.
-func (rc *runCtx) scan(ps *phaseSpec, srcs []fileAt, attr int, p pred.Pred, seed uint64, recvFilter bool, route routeFn) {
+func (rc *runCtx) scan(ps *phaseSpec, srcs []fileAt, attr int, p pred.Pred, seed uint64, recvFilter bool, r router) {
 	for _, src := range srcs {
 		f := src.f
 		ps.produce[src.site] = append(ps.produce[src.site], func(a *cost.Acct, snd *netsim.Sender) {
 			if recvFilter {
 				a.AddCPU(rc.m.PacketProto)
 			}
+			streams := snd.StreamCache(r.slots)
 			f.Scan(a, func(t *tuple.Tuple) bool {
 				if !rc.scanPred(a, p, t) {
 					return true
 				}
 				a.AddCPU(rc.m.Hash)
 				h := split.Hash(t.Int(attr), seed)
-				if dst, tag, ok := route(a, h); ok {
-					snd.Send(dst, tag, t, h)
+				i, ok := r.route(a, h)
+				if !ok {
+					return true
 				}
+				out := streams[i]
+				if out == nil {
+					out = snd.Stream(r.stream(i))
+					streams[i] = out
+				}
+				snd.SendTo(out, t, h)
 				return true
 			})
 		})
 	}
 }
 
-// partRoute routes through a partitioning split table: a disk bucket goes
-// to the disk site storing its fragment under the bucket's tag, and a
-// Hybrid table's in-memory bucket goes to its join site for build or probe.
-func partRoute(pt *split.PartTable) routeFn {
-	return func(_ *cost.Acct, h uint64) (int, int, bool) {
-		b, dst := pt.Lookup(h)
-		if b == 0 && pt.JoinSites != nil {
-			b = tagProbe
-		}
-		return dst, b, true
+// cachedStream returns the handle in cache slot i, resolving stream
+// (dst, tag) into the slot on first use.
+func cachedStream(snd *netsim.Sender, cache []*netsim.Stream, i, dst, tag int) *netsim.Stream {
+	out := cache[i]
+	if out == nil {
+		out = snd.Stream(dst, tag)
+		cache[i] = out
+	}
+	return out
+}
+
+// partRoute routes through a partitioning split table, one cache slot per
+// table entry: a disk bucket goes to the disk site storing its fragment
+// under the bucket's tag, and a Hybrid table's in-memory bucket goes to its
+// join site for build or probe.
+func partRoute(pt *split.PartTable) router {
+	return router{
+		slots: pt.Entries(),
+		route: func(_ *cost.Acct, h uint64) (int, bool) { return pt.Entry(h), true },
+		stream: func(e int) (int, int) {
+			b, dst := pt.Route(e)
+			if b == 0 && pt.JoinSites != nil {
+				b = tagProbe
+			}
+			return dst, b
+		},
 	}
 }
 
@@ -210,24 +250,34 @@ func (s *fileSink) stage(files []sinkFile) stageFn {
 	rc := s.rc
 	return func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) {
 		var local, remote, dropped int64
+		var keepBuf [16]int32
+		keep := keepBuf[:0] // survivors of one packet's filter test
 		for _, b := range batches {
 			sf := findFile(files, b.Tag)
 			if sf == nil {
 				continue
 			}
-			if sf.flt == nil {
+			// A packet's filter charges may all precede its appends: both
+			// are CPU time, and no note or other file lands between them.
+			switch {
+			case sf.flt == nil:
 				sf.f.AppendBatch(a, b.Tuples)
-			} else {
-				for i := range b.Tuples {
-					a.AddCPU(rc.m.FilterBit)
-					if s.building {
-						sf.flt.Set(b.Hashes[i])
-					} else if !sf.flt.Test(b.Hashes[i]) {
-						dropped++
-						continue
-					}
-					sf.f.Append(a, b.Tuples[i])
+			case s.building:
+				a.AddCPU(cost.ScaleNs(len(b.Hashes), rc.m.FilterBit))
+				for _, h := range b.Hashes {
+					sf.flt.Set(h)
 				}
+				sf.f.AppendBatch(a, b.Tuples)
+			default:
+				a.AddCPU(cost.ScaleNs(len(b.Hashes), rc.m.FilterBit))
+				keep = keep[:0]
+				for i, h := range b.Hashes {
+					if sf.flt.Test(h) {
+						keep = append(keep, int32(i))
+					}
+				}
+				dropped += int64(len(b.Hashes) - len(keep))
+				sf.f.AppendSelected(a, b.Tuples, keep)
 			}
 			if b.Local {
 				local += int64(len(b.Tuples))
@@ -341,6 +391,7 @@ func (rc *runCtx) buildPass(ps *phaseSpec, js []joinState) {
 		rover.add(home, tag, st.rover, nil)
 		chain(ps.consume, st.site, func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
 			tbl := st.tbl
+			over := snd.Stream(home, tag)
 			for _, b := range batches {
 				if b.Tag != tagProbe {
 					continue
@@ -356,17 +407,17 @@ func (rc *runCtx) buildPass(ps *phaseSpec, js []joinState) {
 					}
 					if gamma.AboveCutoff(tbl.Cutoff(), h) {
 						rc.mROver.Add(1)
-						snd.Send(home, tag, &b.Tuples[i], h)
+						snd.SendTo(over, &b.Tuples[i], h)
 						continue
 					}
 					evs := tbl.Insert(a, &b.Tuples[i], h)
 					for k := range evs {
 						rc.mROver.Add(1)
-						snd.Send(home, tag, &evs[k], 0)
+						snd.SendTo(over, &evs[k], 0)
 					}
 				}
 			}
-			rc.applyMemPressure(a, snd, st.site, tbl)
+			rc.applyMemPressure(a, snd, over, tbl)
 			rc.overflowClears.Add(int64(tbl.Overflows()))
 		})
 	}
@@ -392,9 +443,10 @@ func (rc *runCtx) probePass(ps *phaseSpec, js []joinState, srcs []fileAt, p pred
 	// Overflow appends run before the probe at a site playing both roles.
 	sover.install(ps.consume, nil)
 
-	// The outer scan routes inline rather than through a routeFn: every
+	// The outer scan routes inline rather than through a router: every
 	// overflow level rescans the outer relation, so this is the hottest loop.
 	attr := rc.spec.SAttr
+	ne := pt.Entries()
 	for _, src := range srcs {
 		f := src.f
 		ps.produce[src.site] = append(ps.produce[src.site], func(a *cost.Acct, snd *netsim.Sender) {
@@ -402,15 +454,19 @@ func (rc *runCtx) probePass(ps *phaseSpec, js []joinState, srcs []fileAt, p pred
 				a.AddCPU(rc.m.PacketProto) // receive the shared filter packet
 			}
 			var dropped, over int64
+			// Slot e holds entry e's bucket or probe stream, slot ne+e its
+			// outer overflow stream.
+			streams := snd.StreamCache(2 * ne)
 			f.Scan(a, func(t *tuple.Tuple) bool {
 				if !rc.scanPred(a, p, t) {
 					return true
 				}
 				a.AddCPU(rc.m.Hash)
 				h := split.Hash(t.Int(attr), seed)
-				b, dst := pt.Lookup(h)
+				e := pt.Entry(h)
+				b, dst := pt.Route(e)
 				if b != 0 {
-					snd.Send(dst, b, t, h)
+					snd.SendTo(cachedStream(snd, streams, e, dst, b), t, h)
 					return true
 				}
 				st := bySite[dst]
@@ -423,10 +479,10 @@ func (rc *runCtx) probePass(ps *phaseSpec, js []joinState, srcs []fileAt, p pred
 				}
 				if gamma.AboveCutoff(st.cutoff, h) {
 					over++
-					snd.Send(rc.c.OverflowDiskSite(dst), tagSOverBase+dst, t, h)
+					snd.SendTo(cachedStream(snd, streams, ne+e, rc.c.OverflowDiskSite(dst), tagSOverBase+dst), t, h)
 					return true
 				}
-				snd.Send(dst, tagProbe, t, h)
+				snd.SendTo(cachedStream(snd, streams, e, dst, tagProbe), t, h)
 				return true
 			})
 			rc.filterDropped.Add(dropped)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -374,7 +373,7 @@ func (rc *runCtx) takeErr() error {
 // is published to the outer-relation split table at the phase barrier as
 // usual. Call after the build consumer has drained its batches and before
 // the phase ends.
-func (rc *runCtx) applyMemPressure(a *cost.Acct, snd *netsim.Sender, j int, tbl *gamma.HashTable) {
+func (rc *runCtx) applyMemPressure(a *cost.Acct, snd *netsim.Sender, over *netsim.Stream, tbl *gamma.HashTable) {
 	f := rc.c.Faults.MemFactor(len(rc.q.Phases))
 	if f == 1 {
 		return
@@ -383,7 +382,7 @@ func (rc *runCtx) applyMemPressure(a *cost.Acct, snd *netsim.Sender, j int, tbl 
 	a.Note("mem.pressure", int64(len(evs)))
 	for i := range evs {
 		rc.mROver.Add(1)
-		snd.Send(rc.c.OverflowDiskSite(j), tagROverBase+j, &evs[i], 0)
+		snd.SendTo(over, &evs[i], 0)
 	}
 }
 
@@ -486,28 +485,29 @@ func (ps *phaseSpec) op(role string) string {
 	return label
 }
 
-// drainSorted charges receive costs for every batch taken from the phase
-// exchange and returns them ordered by (source site, sequence) so processing
-// order — and therefore overflow behaviour — is deterministic regardless of
-// goroutine scheduling. The exchange accumulates delivery runs (bounded
-// slices of packets from one sender to one destination) in arrival order;
-// runs are a transport artifact only — each packet is received and charged
-// individually, and the (Src, Seq) sort erases run boundaries, so batched
-// and serial engines process identical packet sequences.
-func drainSorted(net *netsim.Network, a *cost.Acct, batches []*netsim.Batch) []*netsim.Batch {
+// drain charges receive costs for every batch taken from the phase exchange
+// and returns them. The exchange hands a site its packets in (source site,
+// sequence) order — its per-source lanes read in source order — so
+// processing order, and therefore overflow behaviour, is deterministic
+// regardless of goroutine scheduling. Delivery runs (bounded slices of
+// packets from one sender to one destination) are a transport artifact
+// only: each packet is received and charged individually, and a lane holds
+// its source's packets in sequence order whatever the run boundaries, so
+// batched and serial engines process identical packet sequences.
+func drain(net *netsim.Network, a *cost.Acct, batches []*netsim.Batch) []*netsim.Batch {
 	for _, b := range batches {
 		net.Recv(a, b)
 	}
-	// (Src, Seq) is unique within a mailbox, so the unstable sort is
-	// deterministic.
-	slices.SortFunc(batches, func(x, y *netsim.Batch) int {
-		if c := cmp.Compare(x.Src, y.Src); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.Seq, y.Seq)
-	})
+	if drainHook != nil {
+		drainHook(batches)
+	}
 	return batches
 }
+
+// drainHook, when set, sees every consumer's and writer's drained packets
+// before they are processed. Tests set it to check the exchange's order;
+// it is nil otherwise.
+var drainHook func(batches []*netsim.Batch)
 
 // newPhaseSender builds the sender for a logical site's worker: packets
 // keep the logical source (consumer-side replay order and the fault
@@ -532,7 +532,7 @@ type proc struct {
 // register opens the span of the process playing role for a logical site.
 // Both the span and the phase's per-site ledger are keyed by the physical
 // executor, so after a failover the dead site's roles are charged and traced
-// on its ring neighbor while the dataflow (exchange mailboxes, split tables,
+// on its ring neighbor while the dataflow (exchange lanes, split tables,
 // batch sources) is untouched.
 func (rc *runCtx) register(procs []proc, p *gamma.Phase, ps *phaseSpec, role string, site int) []proc {
 	a := p.Worker(rc.c.AliveHost(site), ps.op(role), role, ps.bucket)
@@ -599,12 +599,11 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 
 	rc.runStage(procs[consumers:], &ps, ex1, ex2)
 	rc.runStage(procs[writers:consumers], &ps, ex1, ex2)
-	// Past the consumers' barrier nothing reads ex1's mailboxes (the batch
-	// objects themselves were recycled by the consumers), so the exchange
-	// can serve the next phase.
-	rc.c.PutExchange(ex1)
 	rc.runStage(procs[:writers], &ps, ex1, ex2)
+	// Recycled last-in first-out, so the next phase's first exchange is
+	// this one's: each keeps lanes sized for its own role's traffic.
 	rc.c.PutExchange(ex2)
+	rc.c.PutExchange(ex1)
 
 	p.End(ps.end)
 	return rc.takeErr()
@@ -642,13 +641,13 @@ func (rc *runCtx) runProc(pr *proc, ps *phaseSpec, ex1, ex2 *gamma.Exchange) {
 		}
 	case "consume":
 		snd := rc.newPhaseSender(a, site, ex2.Deliver)
-		batches := drainSorted(rc.c.Net, a, ex1.Take(site))
+		batches := drain(rc.c.Net, a, ex1.Take(site))
 		defer netsim.PutBatches(batches)
 		ps.consume[site](a, snd, batches)
 		snd.FlushAll()
 		snd.Release()
 	case "write":
-		batches := drainSorted(rc.c.Net, a, ex2.Take(site))
+		batches := drain(rc.c.Net, a, ex2.Take(site))
 		defer netsim.PutBatches(batches)
 		ps.write[site](a, nil, batches)
 	}
@@ -728,12 +727,13 @@ func (rc *runCtx) failover(sf *SiteFailure) bool {
 // commutative sums, so batching the atomic traffic cannot change the
 // reported values. Every newEmitter caller must `defer em.close()`.
 type resultEmitter struct {
-	rc    *runCtx
-	out   *siteSlot
-	rr    int // round-robin cursor over disk sites
-	snd   *netsim.Sender
-	count int64
-	sum   uint64
+	rc     *runCtx
+	out    *siteSlot
+	rr     int // round-robin cursor over disk sites
+	snd    *netsim.Sender
+	stores []*netsim.Stream // store stream of each disk site, by disk-site index; nil until the first store
+	count  int64
+	sum    uint64
 }
 
 // newEmitter returns the emitter of the process at site.
@@ -752,9 +752,12 @@ func (e *resultEmitter) emit(a *cost.Acct, inner, outer *tuple.Tuple) {
 		e.out.results = append(e.out.results, tuple.Joined{Inner: *inner, Outer: *outer})
 	}
 	if rc.spec.StoreResult {
+		if e.stores == nil {
+			e.stores = e.snd.StreamCache(len(rc.diskSites))
+		}
 		e.rr++
-		dst := rc.diskSites[e.rr%len(rc.diskSites)]
-		e.snd.SendJoinedPair(dst, tagStore, inner, outer)
+		i := e.rr % len(rc.diskSites)
+		e.snd.SendJoinedTo(cachedStream(e.snd, e.stores, i, rc.diskSites[i], tagStore), inner, outer)
 	}
 }
 

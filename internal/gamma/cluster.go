@@ -64,7 +64,7 @@ type Cluster struct {
 	tempMu   sync.Mutex
 	tempLive map[string]struct{}
 
-	// exPool recycles phase exchanges (and their per-site mailbox arrays);
+	// exPool recycles phase exchanges (and their lanes' backing arrays);
 	// see NewExchange/PutExchange.
 	exMu   sync.Mutex
 	exPool []*Exchange

@@ -1,6 +1,8 @@
 package gamma
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -165,8 +167,8 @@ func TestPhaseConcurrentWorkers(t *testing.T) {
 func TestExchange(t *testing.T) {
 	c := NewLocal(3, nil)
 	ex := c.NewExchange()
-	b1 := &netsim.Batch{Batch: tuple.Batch{Tuples: make([]tuple.Tuple, 5)}}
-	b2 := &netsim.Batch{Batch: tuple.Batch{Tuples: make([]tuple.Tuple, 4)}}
+	b1 := &netsim.Batch{Seq: 1, Batch: tuple.Batch{Tuples: make([]tuple.Tuple, 5)}}
+	b2 := &netsim.Batch{Seq: 2, Batch: tuple.Batch{Tuples: make([]tuple.Tuple, 4)}}
 	ex.Deliver(1, []*netsim.Batch{b1})
 	ex.Deliver(1, []*netsim.Batch{b2})
 	got := ex.Take(1)
@@ -181,6 +183,73 @@ func TestExchange(t *testing.T) {
 	ex2 := c.NewExchange()
 	if rest := ex2.Take(1); len(rest) != 0 {
 		t.Fatalf("recycled exchange held %d stale batches", len(rest))
+	}
+}
+
+// TestExchangeLanesTakeInSourceOrder delivers interleaved runs from three
+// sources, later sources first: Take hands a site its packets in (Src, Seq)
+// order without sorting, and a recycled exchange starts with empty lanes
+// whose sequence check starts over.
+func TestExchangeLanesTakeInSourceOrder(t *testing.T) {
+	c := NewLocal(3, nil)
+	ex := c.NewExchange()
+	pkt := func(src int, seq int64) *netsim.Batch { return &netsim.Batch{Src: src, Dst: 0, Seq: seq} }
+	ex.Deliver(0, []*netsim.Batch{pkt(2, 1), pkt(2, 4)})
+	ex.Deliver(0, []*netsim.Batch{pkt(0, 3)})
+	ex.Deliver(0, []*netsim.Batch{pkt(1, 2), pkt(1, 5)})
+	ex.Deliver(0, []*netsim.Batch{pkt(2, 7)})
+	ex.Deliver(0, []*netsim.Batch{pkt(0, 9), pkt(0, 10)})
+	ex.Deliver(2, []*netsim.Batch{pkt(1, 6)})
+	var got [][2]int64
+	for _, b := range ex.Take(0) {
+		got = append(got, [2]int64{int64(b.Src), b.Seq})
+	}
+	want := [][2]int64{{0, 3}, {0, 9}, {0, 10}, {1, 2}, {1, 5}, {2, 1}, {2, 4}, {2, 7}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("site 0 took (src, seq) %v, want %v", got, want)
+	}
+	if n := len(ex.Take(2)); n != 1 {
+		t.Fatalf("site 2 took %d packets, want 1", n)
+	}
+	c.PutExchange(ex)
+	ex = c.NewExchange()
+	ex.Deliver(0, []*netsim.Batch{pkt(2, 1)}) // the lane's last seq was reset
+	if n := len(ex.Take(0)); n != 1 {
+		t.Fatalf("recycled exchange: site 0 took %d packets, want 1", n)
+	}
+	c.PutExchange(ex)
+}
+
+// TestExchangeLaneOrderPanics: a run whose first Seq is not above the last
+// one delivered from its source to its destination — a second sender for
+// the same source, or one sender delivering out of order — panics and
+// names the (src, dst) pair. Runs to another destination do not count.
+func TestExchangeLaneOrderPanics(t *testing.T) {
+	pkt := func(seq int64) *netsim.Batch { return &netsim.Batch{Src: 1, Dst: 2, Seq: seq} }
+	for _, tc := range []struct {
+		name        string
+		first, then []*netsim.Batch
+		want        string
+	}{
+		{"second sender for the source", []*netsim.Batch{pkt(1), pkt(2)}, []*netsim.Batch{pkt(1)},
+			"gamma: exchange lane (src 1, dst 2) got a run starting at seq 1 after seq 2"},
+		{"out of order", []*netsim.Batch{pkt(5)}, []*netsim.Batch{pkt(4), pkt(6)},
+			"gamma: exchange lane (src 1, dst 2) got a run starting at seq 4 after seq 5"},
+		{"repeated seq", []*netsim.Batch{pkt(3)}, []*netsim.Batch{pkt(3)},
+			"gamma: exchange lane (src 1, dst 2) got a run starting at seq 3 after seq 3"},
+	} {
+		c := NewLocal(3, nil)
+		ex := c.NewExchange()
+		ex.Deliver(2, tc.first)
+		ex.Deliver(0, []*netsim.Batch{{Src: 1, Dst: 0, Seq: 100}})
+		msg := func() (msg any) {
+			defer func() { msg = recover() }()
+			ex.Deliver(2, tc.then)
+			return nil
+		}()
+		if s, _ := msg.(string); !strings.HasPrefix(s, tc.want) {
+			t.Errorf("%s: panic %v, want prefix %q", tc.name, msg, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package gamma
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"gammajoin/internal/cost"
@@ -177,28 +179,43 @@ func (p *Phase) End(opts EndOpts) cost.SimNs {
 	return stat.Elapsed()
 }
 
-// Exchange is the per-phase communication fabric: one locked packet mailbox
-// per site, a barrier mailbox with no close. One stage of a phase delivers
-// into it (via netsim.Sender, which batches consecutive same-destination
-// packets into runs); the next stage starts after that stage's barrier and
-// takes each site's accumulated packets in delivery order. The mailbox
-// shape exploits what consumers already do — every drain sorts the complete
-// packet set by (Src, Seq) before processing, so nothing is lost by handing
-// packets over only at the barrier, and delivery never blocks a producer.
+// Exchange is the per-phase communication fabric: one lane per source
+// site, written without a lock by exactly one sender — the one producing
+// for that logical source — which delivers each destination's packets in
+// sequence order. One stage of a phase delivers into it (via
+// netsim.Sender, which batches consecutive same-destination packets into
+// runs); the next stage starts after that stage's barrier and takes each
+// site's packets by reading the lanes in source order and, within a lane,
+// the runs addressed to it in delivery order. That is already (Src, Seq)
+// order, so consumers process packets in an order that does not depend on
+// goroutine scheduling and nobody sorts. Delivery never blocks a producer.
 // Run granularity remains a wall-clock transport optimization only —
 // receive-side accounting stays per packet (netsim.Network.Recv).
 type Exchange struct {
-	sites []exStream
+	n     int
+	lanes []lane            // by source site
+	last  []int64           // Seq of the last packet delivered, by src*n+dst
+	taken [][]*netsim.Batch // per destination, the packets Take hands out
 }
 
-type exStream struct {
-	mu      sync.Mutex
-	batches []*netsim.Batch
+// lane holds one source's packets in delivery order, and where each
+// delivered run starts and ends and which destination it is for. A
+// source's lanes share their storage, so a fresh exchange grows two arrays
+// per source rather than one per site pair.
+type lane struct {
+	pkts []*netsim.Batch
+	runs []laneRun
 }
 
-// NewExchange returns an exchange with a mailbox for every site, reusing a
-// pooled one (and its per-site backing arrays) when available. Callers hand
-// exchanges back with PutExchange once every consumer has finished.
+// laneRun is one delivered run: pkts[lo:hi] of its lane, for dst.
+type laneRun struct {
+	dst, lo, hi int
+}
+
+// NewExchange returns an exchange with a lane for every source site,
+// reusing a pooled one (and its lanes' backing arrays) when available.
+// Callers hand exchanges back with PutExchange once every consumer has
+// finished.
 func (c *Cluster) NewExchange() *Exchange {
 	c.exMu.Lock()
 	if n := len(c.exPool); n > 0 {
@@ -208,34 +225,94 @@ func (c *Cluster) NewExchange() *Exchange {
 		return e
 	}
 	c.exMu.Unlock()
-	return &Exchange{sites: make([]exStream, len(c.Sites))}
+	n := len(c.Sites)
+	e := &Exchange{n: n, lanes: make([]lane, n), last: make([]int64, n*n), taken: make([][]*netsim.Batch, n)}
+	// Every lane starts with room for laneRuns runs, all in one array.
+	runs := make([]laneRun, n*laneRuns)
+	for i := range e.lanes {
+		e.lanes[i].runs = runs[i*laneRuns : i*laneRuns : (i+1)*laneRuns]
+	}
+	return e
 }
+
+// laneRuns is how many runs a fresh exchange's lane holds before its run
+// list grows: a phase's producer delivers about 40 runs of 32 packets at
+// the paper's 100k-tuple scale.
+const laneRuns = 64
 
 // PutExchange recycles an exchange for a later phase. Only call it when no
 // consumer can still be reading the slices Take handed out — in practice,
 // after the consuming workers' barrier. The packet pointers themselves are
 // recycled separately (netsim.PutBatches) by the consumers.
 func (c *Cluster) PutExchange(e *Exchange) {
-	for i := range e.sites {
-		e.sites[i].batches = e.sites[i].batches[:0]
+	// Clearing the stale packet pointers lets the collector take slabs
+	// their pools have dropped while the exchange waits in its pool.
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		clear(l.pkts)
+		l.pkts, l.runs = l.pkts[:0], l.runs[:0]
+	}
+	clear(e.last)
+	for i := range e.taken {
+		clear(e.taken[i])
+		e.taken[i] = e.taken[i][:0]
 	}
 	c.exMu.Lock()
 	c.exPool = append(c.exPool, e)
 	c.exMu.Unlock()
 }
 
-// Deliver appends a run of packets to its destination site's mailbox in
-// arrival order (run slices are recycled here). It never blocks beyond the
-// mailbox lock.
+// Deliver appends a run of packets from one sender to its source's lane
+// (run slices are recycled here). Only the one sender of a logical source
+// may deliver into its lane, and its packets for each destination must
+// arrive in sequence order: a run whose first Seq is not above the last
+// one delivered from its source to its destination — two senders sharing
+// a source, or a sender delivering out of order — panics, naming the pair.
 func (e *Exchange) Deliver(dst int, run []*netsim.Batch) {
-	st := &e.sites[dst]
-	st.mu.Lock()
-	st.batches = append(st.batches, run...)
-	st.mu.Unlock()
+	if len(run) > 0 {
+		src := run[0].Src
+		last := &e.last[src*e.n+dst]
+		if first := run[0].Seq; first <= *last {
+			panicLane(src, dst, first, *last)
+		}
+		*last = run[len(run)-1].Seq
+		l := &e.lanes[src]
+		lo := len(l.pkts)
+		l.pkts = append(l.pkts, run...)
+		l.runs = append(l.runs, laneRun{dst: dst, lo: lo, hi: len(l.pkts)})
+	}
 	netsim.PutRun(run)
 }
 
-// Take returns every packet delivered to the site, in delivery order. Call
-// it only after the barrier of the stage that delivered into the exchange.
-// The returned slice is owned by the exchange and valid until PutExchange.
-func (e *Exchange) Take(site int) []*netsim.Batch { return e.sites[site].batches }
+// panicLane reports a run delivered out of sequence order from src to dst.
+func panicLane(src, dst int, first, last int64) {
+	panic(fmt.Sprintf("gamma: exchange lane (src %d, dst %d) got a run starting at seq %d after seq %d; "+
+		"a lane takes one sender's packets in sequence order", src, dst, first, last))
+}
+
+// Take returns every packet delivered to the site, ordered by (source,
+// sequence): the lanes in source order, and within a lane the runs for
+// the site in delivery order. Call it only after the barrier of the stage
+// that delivered into the exchange, once per site. The returned slice is
+// owned by the exchange and valid until PutExchange.
+func (e *Exchange) Take(site int) []*netsim.Batch {
+	n := 0
+	for i := range e.lanes {
+		for _, r := range e.lanes[i].runs {
+			if r.dst == site {
+				n += r.hi - r.lo
+			}
+		}
+	}
+	out := slices.Grow(e.taken[site][:0], n)
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		for _, r := range l.runs {
+			if r.dst == site {
+				out = append(out, l.pkts[r.lo:r.hi]...)
+			}
+		}
+	}
+	e.taken[site] = out
+	return out
+}

@@ -16,6 +16,7 @@
 package netsim
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -311,26 +312,30 @@ func (n *Network) Recv(a *cost.Acct, b *Batch) {
 	}
 }
 
-// streamKey names one output stream for FlushAll's first-write order: a
-// destination and the index of its tag in the sender's tag directory.
-type streamKey struct {
-	dst int
-	ti  int
+// Stream is one output stream of a sender: the tuples it sends to one
+// destination under one tag, and the packet under construction for them.
+// Handles come from Sender.Stream and stay valid until the sender's Release,
+// across FlushAll; a producer resolves each of its streams once and then
+// sends through the handle (SendTo, SendJoinedTo) with no tag search. The
+// open packet's tuple windows are the full packet-sized windows of its
+// slab, so each send stores into slot n by index; the packet's own slices
+// are cut to length when it is sealed.
+type Stream struct {
+	pkt    *Batch         // packet under construction; nil when none is open
+	n      int            // tuples stored in pkt
+	kind   slabKind       // what pkt carries
+	listed bool           // recorded in the sender's first-write order since the last FlushAll
+	tuples []tuple.Tuple  // pkt's tuple window (plain packets)
+	hashes []uint64       // pkt's hash window (plain packets)
+	joined []tuple.Joined // pkt's joined window (joined packets)
+
+	dst, tag int
 }
 
-// stream is one output stream's slot: the packet under construction and
-// its kind, and whether the stream is already recorded in the sender's
-// first-write order.
-type stream struct {
-	pkt    *Batch
-	kind   slabKind
-	listed bool
-}
-
-// tagBufs is one tag's destination-indexed stream slots.
-type tagBufs struct {
-	tag  int
-	bufs []stream
+// tagStreams is one tag's destination-indexed stream handles.
+type tagStreams struct {
+	tag     int
+	streams []*Stream
 }
 
 // tally is a sender's private network accounting, published to the
@@ -347,13 +352,12 @@ type tally struct {
 // one producing process, and full packets into per-destination delivery
 // runs. It is single-goroutine; create one per producer.
 //
-// The per-stream buffers are organized as dense destination-indexed slices
-// per tag, with the current tag's slice cached: operator inner loops send
-// long stretches of tuples under one tag while scattering across
-// destinations, so the per-tuple stream lookup is one bounds check and one
-// slice index. A producer writes only a handful of tags (bucket ids plus a
-// few overflow streams), so switching tags is a short linear search of the
-// tag directory rather than a map probe.
+// Each (destination, tag) pair is one Stream. Stream finds a pair's handle
+// in a dense destination-indexed slice per tag, with the current tag's
+// slice cached; producers on hot paths resolve their handles once into a
+// cache the sender owns (StreamCache) and send through them, so the
+// per-tuple path is one cache load and one slot store. Send resolves the
+// handle on every call and is kept for callers off the hot paths.
 type Sender struct {
 	net    *Network
 	a      *cost.Acct
@@ -367,14 +371,24 @@ type Sender struct {
 	slabs  [2]*slab // per kind, the slab the next packet is carved from; nil until the first
 
 	curTag  int
-	curIdx  int         // index of curTag in tags
-	cur     []stream    // destination-indexed slots for curTag (aliases tags[curIdx].bufs)
-	tags    []tagBufs   // tag directory, in first-use order
-	order   []streamKey // stream first-write order, for deterministic FlushAll
-	pending [][]*Batch  // destination-indexed delivery runs being filled
-	pdsts   []int       // destinations with a pending slot, first-use order
-	pseen   []bool      // destination-indexed membership flags for pdsts
-	tally   tally       // unpublished network counters
+	cur     []*Stream    // destination-indexed handles for curTag (aliases tags[i].streams)
+	curIdx  int          // index of curTag in tags
+	tags    []tagStreams // tag directory, in first-use order
+	streams []*Stream    // every handle this sender has made; the first live are in use
+	live    int
+	cache   []*Stream  // backing store of the StreamCache slices handed out
+	order   []*Stream  // stream first-write order, for deterministic FlushAll
+	pending [][]*Batch // destination-indexed delivery runs being filled
+	pdsts   []int      // destinations with a pending slot, first-use order
+	pseen   []bool     // destination-indexed membership flags for pdsts
+	tally   tally      // unpublished network counters
+
+	// first and firstPtrs back the first eight handles and the handle
+	// list, and cacheBuf the first handle caches, so a fresh sender with
+	// few streams allocates none of them.
+	first     [8]Stream
+	firstPtrs [8]*Stream
+	cacheBuf  [16]*Stream
 
 	// colocated, when non-nil, overrides the short-circuit test: after a
 	// failover moves a dead site's roles to its ring neighbor, streams
@@ -397,16 +411,16 @@ func (s *Sender) local(dst int) bool {
 	return dst == s.src
 }
 
-// senderPool recycles Sender objects — and, importantly, their per-tag
-// stream directories and pending-run arrays — across phase workers. A query
-// creates a sender per worker per phase, so without pooling these small
-// arrays dominate the allocation profile.
+// senderPool recycles Sender objects — and, importantly, their stream
+// handles, tag directories, handle caches and pending-run arrays — across
+// phase workers. A query creates a sender per worker per phase, so without
+// pooling these small objects dominate the allocation profile.
 var senderPool = sync.Pool{New: func() any { return new(Sender) }}
 
 // NewSender creates a sender for producing site src. Every full delivery
-// run is handed to deliver, which typically enqueues it on the destination
-// site's mailbox for the current phase. Call Release when the producer is
-// done (after FlushAll) to recycle the sender.
+// run is handed to deliver, which typically appends it to the current
+// phase's exchange lane from src to the destination. Call Release when the
+// producer is done (after FlushAll) to recycle the sender.
 func (n *Network) NewSender(a *cost.Acct, src int, deliver func(dst int, run []*Batch)) *Sender {
 	rl := n.runLen
 	if rl < 1 {
@@ -427,17 +441,19 @@ func (n *Network) NewSender(a *cost.Acct, src int, deliver func(dst int, run []*
 
 // Release recycles the sender and retires its slabs. Call only after
 // FlushAll, when no packet can still be buffered; any stragglers (the
-// partial buffers and undelivered runs of a sender released without
+// partial packets and undelivered runs of a sender released without
 // FlushAll) are recycled, not delivered, and any unpublished counters are
-// published. The caller must not
-// use the sender again.
+// published. The caller must not use the sender, its stream handles or its
+// caches again.
 func (s *Sender) Release() {
 	s.publish()
-	for _, tb := range s.tags {
-		for i := range tb.bufs {
-			PutBatch(tb.bufs[i].pkt)
-			tb.bufs[i] = stream{}
-		}
+	for _, st := range s.streams[:s.live] {
+		PutBatch(st.pkt)
+		*st = Stream{}
+	}
+	s.live = 0
+	for _, ts := range s.tags {
+		clear(ts.streams)
 	}
 	for _, dst := range s.pdsts {
 		if run := s.pending[dst]; run != nil {
@@ -450,6 +466,7 @@ func (s *Sender) Release() {
 	s.retire(plainSlab)
 	s.retire(joinedSlab)
 	s.tags = s.tags[:0]
+	s.cache = s.cache[:0]
 	s.order = s.order[:0]
 	s.pdsts = s.pdsts[:0]
 	s.cur = nil
@@ -484,41 +501,89 @@ func (s *Sender) selectTag(tag int) {
 	}
 	if i == len(s.tags) {
 		if i < cap(s.tags) {
-			// Reuse a pooled sender's cleared buffer array for the new tag.
+			// Reuse a pooled sender's cleared handle array for the new tag.
 			s.tags = s.tags[:i+1]
 			s.tags[i].tag = tag
 		} else {
-			s.tags = append(s.tags, tagBufs{tag: tag})
+			s.tags = append(s.tags, tagStreams{tag: tag})
 		}
 	}
-	s.curTag, s.curIdx, s.cur = tag, i, s.tags[i].bufs
+	s.curTag, s.curIdx, s.cur = tag, i, s.tags[i].streams
 }
 
-// buffer returns the packet under construction for stream (dst, tag),
-// carving an empty one of the kind if needed and recording the stream in
-// first-write order on its first write. A send of the other kind into the
-// stream's open packet is a caller bug and panics.
-func (s *Sender) buffer(dst, tag int, kind slabKind) *Batch {
+// Stream returns the handle of stream (dst, tag), making it on first use.
+// Resolving a handle opens no packet and does not count as a write: a
+// stream enters FlushAll's first-write order when it is first sent to.
+func (s *Sender) Stream(dst, tag int) *Stream {
+	if tag == s.curTag && dst < len(s.cur) {
+		if st := s.cur[dst]; st != nil {
+			return st
+		}
+	}
+	return s.resolve(dst, tag)
+}
+
+// resolve is Stream's slow path: it switches the current tag and makes the
+// stream's handle if it has none, reusing one a pooled sender made earlier.
+func (s *Sender) resolve(dst, tag int) *Stream {
 	if tag != s.curTag {
 		s.selectTag(tag)
 	}
+	if dst < len(s.cur) && s.cur[dst] != nil {
+		return s.cur[dst]
+	}
 	if dst >= len(s.cur) {
-		grown := make([]stream, dst+1)
+		grown := make([]*Stream, dst+1)
 		copy(grown, s.cur)
 		s.cur = grown
-		s.tags[s.curIdx].bufs = grown
+		s.tags[s.curIdx].streams = grown
 	}
-	st := &s.cur[dst]
-	if st.pkt == nil {
-		st.pkt, st.kind = s.carve(dst, tag, kind), kind
-		if !st.listed {
-			st.listed = true
-			s.order = append(s.order, streamKey{dst, s.curIdx})
-		}
-	} else if st.kind != kind {
-		panicKind(dst, tag, kind, st.kind)
+	if s.live == len(s.streams) {
+		s.growStreams()
 	}
-	return st.pkt
+	st := s.streams[s.live]
+	s.live++
+	st.dst, st.tag = dst, tag
+	s.cur[dst] = st
+	return st
+}
+
+// growStreams makes more handles: the eight inside the sender first, then
+// chunks that double, so a sender with many streams allocates a few times
+// rather than once per stream.
+func (s *Sender) growStreams() {
+	chunk := s.first[:]
+	if s.streams == nil {
+		s.streams = s.firstPtrs[:0]
+	} else {
+		chunk = make([]Stream, len(s.streams))
+		s.streams = slices.Grow(s.streams, len(chunk))
+	}
+	for i := range chunk {
+		s.streams = append(s.streams, &chunk[i])
+	}
+}
+
+// StreamCache returns n empty handle slots owned by the sender and valid
+// until Release, for a producer to fill with the handles of its streams
+// indexed by its own routing key (a split-table entry, a site, a
+// partition). A pooled sender reuses the slots' memory, so a steady stream
+// of producers allocates none.
+func (s *Sender) StreamCache(n int) []*Stream {
+	if s.cache == nil {
+		s.cache = s.cacheBuf[:0]
+	}
+	lo := len(s.cache)
+	if lo+n > cap(s.cache) {
+		// Earlier caches keep the old array; the next pooled life reuses
+		// the larger one.
+		s.cache = make([]*Stream, 0, max(2*cap(s.cache), n))
+		lo = 0
+	}
+	s.cache = s.cache[:lo+n]
+	c := s.cache[lo : lo+n : lo+n]
+	clear(c)
+	return c
 }
 
 // panicKind reports a send of one kind into a stream whose open packet
@@ -529,9 +594,11 @@ func panicKind(dst, tag int, kind, open slabKind) {
 		", tag " + strconv.Itoa(tag) + ") whose open packet is " + open.String())
 }
 
-// carve cuts the next empty packet for stream (dst, tag) from the sender's
-// slab of the kind, taking a fresh slab first if it has none.
-func (s *Sender) carve(dst, tag int, kind slabKind) *Batch {
+// open carves the next empty packet of the kind for the stream from the
+// sender's slab of that kind, taking a fresh slab first if it has none,
+// and records the stream in first-write order on its first write since the
+// last FlushAll.
+func (s *Sender) open(st *Stream, kind slabKind) {
 	sl := s.slabs[kind]
 	if sl == nil {
 		per := s.capT
@@ -545,16 +612,20 @@ func (s *Sender) carve(dst, tag int, kind slabKind) *Batch {
 	sl.next++
 	lo, hi := i*sl.per, (i+1)*sl.per
 	b := &sl.pkts[i]
-	*b = Batch{Src: s.src, Dst: dst, Local: s.local(dst), Tag: tag, slab: sl}
+	*b = Batch{Src: s.src, Dst: st.dst, Local: s.local(st.dst), Tag: st.tag, slab: sl}
+	st.pkt, st.n, st.kind = b, 0, kind
 	if kind == plainSlab {
-		b.Batch = tuple.Batch{Tuples: sl.tuples[lo:lo:hi], Hashes: sl.hashes[lo:lo:hi]}
+		st.tuples, st.hashes = sl.tuples[lo:hi:hi], sl.hashes[lo:hi:hi]
 	} else {
-		b.Joined = sl.joined[lo:lo:hi]
+		st.joined = sl.joined[lo:hi:hi]
 	}
 	if sl.next == slabPackets {
 		s.retire(kind)
 	}
-	return b
+	if !st.listed {
+		st.listed = true
+		s.order = append(s.order, st)
+	}
 }
 
 // retire lets go of the sender's slab of the kind, adding its carve count
@@ -568,39 +639,86 @@ func (s *Sender) retire(kind slabKind) {
 }
 
 // Send routes one tuple (with its precomputed join-attribute hash) to the
-// stream (dst, tag), charging the copy into the outgoing packet. The tuple
-// is copied immediately; the pointer may target a buffer about to be
-// recycled.
+// stream (dst, tag), charging the copy into the outgoing packet. It is
+// Stream followed by SendTo, with Stream's fast path written out because
+// the compiler does not inline it.
 func (s *Sender) Send(dst, tag int, t *tuple.Tuple, h uint64) {
-	s.a.AddCPU(s.wtNs)
-	b := s.buffer(dst, tag, plainSlab)
-	b.Append(t, h)
-	if len(b.Tuples) >= s.capT {
-		s.cur[dst].pkt = nil
-		s.flush(b)
+	var st *Stream
+	if tag == s.curTag && dst < len(s.cur) {
+		st = s.cur[dst]
 	}
+	if st == nil {
+		st = s.resolve(dst, tag)
+	}
+	s.SendTo(st, t, h)
 }
 
-// SendJoinedPair routes one composite result tuple, a match still held as
-// two halves, to the stream (dst, tag). The composite is assembled directly
-// in the outgoing packet slot, skipping a caller-side 2x tuple copy.
-func (s *Sender) SendJoinedPair(dst, tag int, inner, outer *tuple.Tuple) {
+// SendTo routes one tuple (with its precomputed join-attribute hash) to a
+// stream of this sender, charging the copy into the outgoing packet. The
+// tuple is copied immediately; the pointer may target a buffer about to be
+// recycled. A plain send into a stream whose open packet holds joined
+// tuples is a caller bug and panics.
+func (s *Sender) SendTo(st *Stream, t *tuple.Tuple, h uint64) {
 	s.a.AddCPU(s.wtNs)
-	b := s.buffer(dst, tag, joinedSlab)
-	n := len(b.Joined)
-	b.Joined = b.Joined[:n+1]
-	b.Joined[n].Inner = *inner
-	b.Joined[n].Outer = *outer
-	if len(b.Joined) >= s.capJ {
-		s.cur[dst].pkt = nil
-		s.flush(b)
+	if st.pkt == nil {
+		s.open(st, plainSlab)
+	} else if st.kind != plainSlab {
+		panicKind(st.dst, st.tag, plainSlab, st.kind)
 	}
+	n := st.n
+	st.tuples[n] = *t
+	st.hashes[n] = h
+	n++
+	if n == len(st.tuples) {
+		s.seal(st, n)
+		return
+	}
+	st.n = n
 }
 
-// flush seals one packet whose stream slot the caller has already cleared:
-// it is sequenced, charged (protocol, wire, fault rolls) exactly as a
-// packet, tallied, then appended to its destination's delivery run.
-// Accounting here is per packet and unchanged by run batching.
+// SendJoinedTo routes one composite result tuple, a match still held as
+// two halves, to a stream of this sender. The composite is assembled
+// directly in the outgoing packet slot, skipping a caller-side 2x tuple
+// copy. A joined send into a stream whose open packet holds plain tuples
+// is a caller bug and panics.
+func (s *Sender) SendJoinedTo(st *Stream, inner, outer *tuple.Tuple) {
+	s.a.AddCPU(s.wtNs)
+	if st.pkt == nil {
+		s.open(st, joinedSlab)
+	} else if st.kind != joinedSlab {
+		panicKind(st.dst, st.tag, joinedSlab, st.kind)
+	}
+	n := st.n
+	j := &st.joined[n]
+	j.Inner = *inner
+	j.Outer = *outer
+	n++
+	if n == len(st.joined) {
+		s.seal(st, n)
+		return
+	}
+	st.n = n
+}
+
+// seal cuts the stream's open packet to its n tuples, closes the stream's
+// slot and flushes the packet.
+func (s *Sender) seal(st *Stream, n int) {
+	b := st.pkt
+	if st.kind == plainSlab {
+		b.Tuples, b.Hashes = st.tuples[:n], st.hashes[:n]
+		st.tuples, st.hashes = nil, nil
+	} else {
+		b.Joined = st.joined[:n]
+		st.joined = nil
+	}
+	st.pkt, st.n = nil, 0
+	s.flush(b)
+}
+
+// flush sends one sealed packet: it is sequenced, charged (protocol, wire,
+// fault rolls) exactly as a packet, tallied, then appended to its
+// destination's delivery run. Accounting here is per packet and unchanged
+// by run batching.
 func (s *Sender) flush(b *Batch) {
 	m := s.net.model
 	t := &s.tally
@@ -674,12 +792,10 @@ func (s *Sender) flush(b *Batch) {
 // publishes the sender's counters to the network. Call once when the
 // producer's input stream ends (Gamma's end-of-stream close).
 func (s *Sender) FlushAll() {
-	for _, k := range s.order {
-		st := &s.tags[k.ti].bufs[k.dst]
-		b := st.pkt
-		*st = stream{}
-		if b != nil {
-			s.flush(b)
+	for _, st := range s.order {
+		st.listed = false
+		if st.pkt != nil {
+			s.seal(st, st.n)
 		}
 	}
 	s.order = s.order[:0]

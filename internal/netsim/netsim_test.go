@@ -172,7 +172,7 @@ func TestJoinedBatching(t *testing.T) {
 	// 416-byte result tuples: 4 per packet.
 	var half tuple.Tuple
 	for i := 0; i < 4; i++ {
-		s.SendJoinedPair(1, 0, &half, &half)
+		s.SendJoinedTo(s.Stream(1, 0), &half, &half)
 	}
 	if len(got) != 1 || got[0].Len() != 4 {
 		t.Fatalf("joined batching wrong: %d batches", len(got))
@@ -348,7 +348,7 @@ func TestSerialRunEquivalence(t *testing.T) {
 			tag := src.Intn(4)
 			if i%17 == 0 {
 				var half tuple.Tuple
-				s.SendJoinedPair(dst, 99, &half, &half)
+				s.SendJoinedTo(s.Stream(dst, 99), &half, &half)
 				continue
 			}
 			tp := mkTuple(int32(i))

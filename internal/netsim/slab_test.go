@@ -181,11 +181,9 @@ func TestSlabReleaseWithoutFlushAll(t *testing.T) {
 	for _, run := range s.pending {
 		pending += len(run)
 	}
-	for _, tb := range s.tags {
-		for _, st := range tb.bufs {
-			if st.pkt != nil {
-				partial++
-			}
+	for _, st := range s.streams[:s.live] {
+		if st.pkt != nil {
+			partial++
 		}
 	}
 	if pending == 0 || partial == 0 || len(slabsTouched(delivered)) < 2 {
@@ -213,7 +211,7 @@ func TestSlabKindsSeparate(t *testing.T) {
 	for i := 0; i < 3*s.capT; i++ {
 		tp := mkTuple(int32(i))
 		s.Send(1, 0, &tp, uint64(i))
-		s.SendJoinedPair(2, 1, &half, &half)
+		s.SendJoinedTo(s.Stream(2, 1), &half, &half)
 	}
 	s.FlushAll()
 	kinds := map[*slab]slabKind{}
@@ -250,7 +248,7 @@ func TestSlabKindMismatchPanics(t *testing.T) {
 	var half tuple.Tuple
 	tp := mkTuple(1)
 	plain := func(s *Sender) { s.Send(3, 5, &tp, 1) }
-	joined := func(s *Sender) { s.SendJoinedPair(3, 5, &half, &half) }
+	joined := func(s *Sender) { s.SendJoinedTo(s.Stream(3, 5), &half, &half) }
 	for _, tc := range []struct {
 		name        string
 		open, other func(*Sender)

@@ -55,13 +55,15 @@ func FuzzSplitTable(f *testing.F) {
 // with arbitrary shapes and hashes, checking that every tuple routes to
 // exactly one (bucket, site) cell, that the cell agrees with the Appendix A
 // bucket-major layout, and that Hybrid's first joinNodes entries route
-// bucket 0 to the joining processes.
+// bucket 0 to the joining processes. Entry and Route, and LookupBatch over
+// the hash and its neighbours, must agree with Lookup.
 func FuzzHashPartition(f *testing.F) {
 	f.Add(int32(0), uint64(0), uint8(1), uint8(1), uint8(0))
 	f.Add(int32(10000), uint64(0), uint8(10), uint8(8), uint8(0))
 	f.Add(int32(-5), uint64(3), uint8(10), uint8(8), uint8(8))
 	f.Add(int32(777), uint64(0), uint8(2), uint8(2), uint8(4))
 	f.Add(int32(123456), uint64(42), uint8(33), uint8(17), uint8(9))
+	f.Add(int32(4321), uint64(0), uint8(8), uint8(8), uint8(8)) // Hybrid: 8 join sites + 7 x 8 disk entries
 	f.Fuzz(func(t *testing.T, v int32, seed uint64, buckets, disks, joins uint8) {
 		if buckets == 0 || disks == 0 {
 			return
@@ -102,6 +104,20 @@ func FuzzHashPartition(f *testing.F) {
 		b2, s2 := tab.Lookup(h)
 		if bucket != b2 || site != s2 {
 			t.Fatalf("Lookup not deterministic: (%d,%d) vs (%d,%d)", bucket, site, b2, s2)
+		}
+
+		if e := tab.Entry(h); e < 0 || e >= wantEntries {
+			t.Fatalf("Entry(%d) = %d, out of range [0,%d)", h, e, wantEntries)
+		} else if b, s := tab.Route(e); b != bucket || s != site {
+			t.Fatalf("Route(Entry(%d)) = (%d,%d), Lookup (%d,%d)", h, b, s, bucket, site)
+		}
+		hashes := []uint64{h, h + 1, h + uint64(wantEntries), h ^ 1<<63}
+		bs, ss := make([]int, len(hashes)), make([]int, len(hashes))
+		tab.LookupBatch(hashes, bs, ss)
+		for i, hh := range hashes {
+			if b, s := tab.Lookup(hh); bs[i] != b || ss[i] != s {
+				t.Fatalf("LookupBatch[%d] (hash %d) = (%d,%d), Lookup (%d,%d)", i, hh, bs[i], ss[i], b, s)
+			}
 		}
 
 		// The tuple lands in exactly one bucket, in range.

@@ -77,10 +77,22 @@ func (t *JoinTable) LookupBatch(hashes []uint64, sites []int) {
 // PartTable is a partitioning split table. If JoinSites is nil the table is
 // Grace-style (every bucket is stored on disk); otherwise it is Hybrid-style
 // and bucket 0 routes directly to the joining processes.
+//
+// The constructors precompute every entry's (bucket, site) route from the
+// Appendix A layout into one flat array, so routing a tuple is one mod and
+// one load; a table is immutable once built.
 type PartTable struct {
 	Buckets   int
 	DiskSites []int
 	JoinSites []int // non-nil => Hybrid layout
+
+	routes []route   // routes[e] is entry e's (bucket, site)
+	inline [16]route // backs routes when they fit, as joining tables' do
+}
+
+// route is one split-table entry's destination.
+type route struct {
+	bucket, site int32
 }
 
 // NewGrace builds the partitioning split table for a Grace join.
@@ -88,7 +100,10 @@ func NewGrace(buckets int, diskSites []int) (*PartTable, error) {
 	if buckets < 1 || len(diskSites) == 0 {
 		return nil, fmt.Errorf("split: invalid Grace table (%d buckets, %d disks)", buckets, len(diskSites))
 	}
-	return &PartTable{Buckets: buckets, DiskSites: diskSites}, nil
+	t := &PartTable{Buckets: buckets, DiskSites: diskSites}
+	t.routes = t.routeSpace(buckets * len(diskSites))
+	t.addDiskBuckets(0)
+	return t, nil
 }
 
 // NewHybrid builds the partitioning split table for a Hybrid join.
@@ -97,16 +112,47 @@ func NewHybrid(buckets int, diskSites, joinSites []int) (*PartTable, error) {
 		return nil, fmt.Errorf("split: invalid Hybrid table (%d buckets, %d disks, %d join nodes)",
 			buckets, len(diskSites), len(joinSites))
 	}
-	return &PartTable{Buckets: buckets, DiskSites: diskSites, JoinSites: joinSites}, nil
+	t := &PartTable{Buckets: buckets, DiskSites: diskSites, JoinSites: joinSites}
+	t.routes = t.routeSpace(len(joinSites) + (buckets-1)*len(diskSites))
+	for _, s := range joinSites {
+		t.routes = append(t.routes, route{0, int32(s)})
+	}
+	t.addDiskBuckets(1)
+	return t, nil
+}
+
+// routeSpace returns an empty route slice with room for n entries.
+func (t *PartTable) routeSpace(n int) []route {
+	if n <= len(t.inline) {
+		return t.inline[:0]
+	}
+	return make([]route, 0, n)
+}
+
+// addDiskBuckets appends the entries of disk buckets first..Buckets-1 in
+// bucket-major order: every fragment of bucket b, in disk-site order,
+// before bucket b+1's.
+func (t *PartTable) addDiskBuckets(first int) {
+	for b := first; b < t.Buckets; b++ {
+		for _, s := range t.DiskSites {
+			t.routes = append(t.routes, route{int32(b), int32(s)})
+		}
+	}
 }
 
 // Entries returns the number of split-table entries (which also determines
 // how many network packets are needed to ship the table to each producer).
-func (t *PartTable) Entries() int {
-	if t.JoinSites != nil {
-		return len(t.JoinSites) + (t.Buckets-1)*len(t.DiskSites)
-	}
-	return t.Buckets * len(t.DiskSites)
+func (t *PartTable) Entries() int { return len(t.routes) }
+
+// Entry returns the split-table entry a hashed attribute value indexes.
+// Producers that cache per-entry state (one output stream per entry) key
+// it on this index and resolve the entry's route with Route only once.
+func (t *PartTable) Entry(h uint64) int { return int(h % uint64(len(t.routes))) }
+
+// Route returns entry e's bucket and destination site (see Lookup).
+func (t *PartTable) Route(e int) (bucket, site int) {
+	r := t.routes[e]
+	return int(r.bucket), int(r.site)
 }
 
 // Lookup maps a hashed attribute value to (bucket, destination site).
@@ -114,24 +160,20 @@ func (t *PartTable) Entries() int {
 // a joining process; for every other bucket the destination is the disk site
 // storing that bucket fragment.
 func (t *PartTable) Lookup(h uint64) (bucket, site int) {
-	e := int(h % uint64(t.Entries()))
-	if t.JoinSites != nil {
-		j := len(t.JoinSites)
-		if e < j {
-			return 0, t.JoinSites[e]
-		}
-		e -= j
-		return 1 + e/len(t.DiskSites), t.DiskSites[e%len(t.DiskSites)]
-	}
-	return e / len(t.DiskSites), t.DiskSites[e%len(t.DiskSites)]
+	r := t.routes[h%uint64(len(t.routes))]
+	return int(r.bucket), int(r.site)
 }
 
 // LookupBatch maps a run of hashes to (bucket, site) pairs: buckets[i] and
 // sites[i] receive the routing for hashes[i]. Both output slices must be at
 // least as long as hashes; results are identical to per-element Lookup.
 func (t *PartTable) LookupBatch(hashes []uint64, buckets, sites []int) {
+	routes := t.routes
+	n := uint64(len(routes))
+	buckets, sites = buckets[:len(hashes)], sites[:len(hashes)]
 	for i, h := range hashes {
-		buckets[i], sites[i] = t.Lookup(h)
+		r := routes[h%n]
+		buckets[i], sites[i] = int(r.bucket), int(r.site)
 	}
 }
 

@@ -205,6 +205,21 @@ func (f *File) AppendBatch(a *cost.Acct, tuples []tuple.Tuple) {
 	f.mu.Unlock()
 }
 
+// AppendSelected appends tuples[i] for each i in sel, in sel's order,
+// under one lock acquisition, charging exactly what the equivalent sequence
+// of Append calls would. A filtering writer uses it to store the survivors
+// of one packet at once.
+func (f *File) AppendSelected(a *cost.Acct, tuples []tuple.Tuple, sel []int32) {
+	if len(sel) == 0 {
+		return
+	}
+	f.mu.Lock()
+	for _, i := range sel {
+		f.appendLocked(a, &tuples[i])
+	}
+	f.mu.Unlock()
+}
+
 // Flush charges the write of a trailing partial page, if any. Idempotent
 // only in the sense that calling it with no new appends charges at most one
 // extra partial-page write per call, so call it exactly once per writer.

@@ -233,3 +233,45 @@ func TestUpdateWhere(t *testing.T) {
 		t.Fatalf("no-op update wrote %d pages", w)
 	}
 }
+
+// TestAppendSelectedMatchesAppend: appending a packet's selected tuples
+// under one lock stores, charges and writes pages exactly as one Append per
+// selected tuple does, across page boundaries and with empty selections.
+func TestAppendSelectedMatchesAppend(t *testing.T) {
+	one, dOne, _ := testFile(t, "sel-one")
+	sel, dSel, _ := testFile(t, "sel-batch")
+	var aOne, aSel cost.Acct
+	var keep []int32
+	for p := 0; p < 60; p++ {
+		pkt := make([]tuple.Tuple, 9)
+		keep = keep[:0]
+		for i := range pkt {
+			pkt[i] = mkTuple(int32(p*9 + i))
+			if (p*9+i)%3 != 0 && p%7 != 0 {
+				keep = append(keep, int32(i))
+			}
+		}
+		for _, i := range keep {
+			one.Append(&aOne, pkt[i])
+		}
+		sel.AppendSelected(&aSel, pkt, keep)
+	}
+	one.Flush(&aOne)
+	sel.Flush(&aSel)
+	if aOne.CPU != aSel.CPU || aOne.Disk != aSel.Disk || aOne.Net != aSel.Net {
+		t.Fatalf("AppendSelected charged %+v, Append %+v", aSel, aOne)
+	}
+	if dOne.Counters() != dSel.Counters() {
+		t.Fatalf("disk counters %+v after AppendSelected, %+v after Append", dSel.Counters(), dOne.Counters())
+	}
+	if one.Len() != sel.Len() || one.Pages() != sel.Pages() || one.Len() == 0 {
+		t.Fatalf("AppendSelected stored %d tuples in %d pages, Append %d in %d", sel.Len(), sel.Pages(), one.Len(), one.Pages())
+	}
+	for i := int64(0); i < one.Len(); i++ {
+		x, _ := one.At(i)
+		y, _ := sel.At(i)
+		if *x != *y {
+			t.Fatalf("tuple %d differs: %d vs %d", i, y.Int(tuple.Unique1), x.Int(tuple.Unique1))
+		}
+	}
+}

@@ -14,11 +14,9 @@ import (
 // TestAllocsDoNotGrowWithInput requires a join's allocation count to stay
 // nearly flat when its input grows eightfold: packets, pages and table
 // entries are reused, so a cost paid per tuple or per page on the host shows
-// up here as a count that grows with the input. Sort-merge gets a looser
-// bound because its number of temporary runs grows with the input at these
-// sizes. The collector is off while a join is counted, so no collection
-// empties a sync.Pool mid-run; the race detector drops pool puts at random,
-// so this file is built without it.
+// up here as a count that grows with the input. The collector is off while
+// a join is counted, so no collection empties a sync.Pool mid-run; the race
+// detector drops pool puts at random, so this file is built without it.
 func TestAllocsDoNotGrowWithInput(t *testing.T) {
 	machines := []struct {
 		name     string
@@ -41,10 +39,7 @@ func TestAllocsDoNotGrowWithInput(t *testing.T) {
 		}
 		for _, alg := range allAlgs {
 			a, b := allocs(small, alg), allocs(large, alg)
-			bound := 1.25
-			if alg == SortMerge {
-				bound = 2
-			}
+			const bound = 1.25
 			t.Logf("%s %v: %.0f allocs at 4000x400, %.0f at 32000x3200 (%.2fx)", m.name, alg, a, b, b/a)
 			if b > bound*a {
 				t.Errorf("%s %v: %.0f allocs at 32000x3200 is %.2fx the %.0f at 4000x400, want at most %.2fx",

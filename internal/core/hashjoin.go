@@ -158,7 +158,7 @@ func (rc *runCtx) blockJoinLevel(name string, bucket int, rsrc, ssrc []fileAt) e
 // the joining split table and returns the overflow files feeding the next
 // level (empty when the inner fit in memory everywhere).
 func (rc *runCtx) joinLevel(name string, bucket int, rsrc, ssrc []fileAt, seed uint64, rPred, sPred pred.Pred) (rover, sover []fileAt, err error) {
-	jt, err := rc.joiningTable(rc.joinSites)
+	jt, route, err := rc.joining()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -168,7 +168,7 @@ func (rc *runCtx) joinLevel(name string, bucket int, rsrc, ssrc []fileAt, seed u
 	}
 	build := rc.newPhase(name+" build", opLabels{produce: "scan", consume: "build", write: "overflow write"}, bucket)
 	build.end.SplitEntries = jt.Entries()
-	rc.scan(&build, rsrc, rc.spec.RAttr, rPred, seed, false, partRoute(jt))
+	rc.scan(&build, rsrc, rc.spec.RAttr, rPred, seed, false, route)
 	rc.buildPass(&build, js)
 	if err := rc.runPhase(build); err != nil {
 		return nil, nil, err

@@ -164,6 +164,20 @@ func (rc *runCtx) joiningTable(sites []int) (*split.PartTable, error) {
 	return split.NewHybrid(1, rc.diskSites, sites)
 }
 
+// joining returns the joining table over rc.joinSites and its router. Every
+// bucket and overflow level of an attempt shares them: they are built on
+// first use and again after failover shrinks rc.joinSites.
+func (rc *runCtx) joining() (*split.PartTable, router, error) {
+	if rc.joinTable == nil {
+		jt, err := rc.joiningTable(rc.joinSites)
+		if err != nil {
+			return nil, router{}, err
+		}
+		rc.joinTable, rc.joinRoute = jt, partRoute(jt)
+	}
+	return rc.joinTable, rc.joinRoute, nil
+}
+
 // sinkFile is one temp file a fileSink writes: the disk site that appends to
 // it, the stream tag naming it, and the bit filter its tuples pass through,
 // if any.

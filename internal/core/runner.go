@@ -13,6 +13,7 @@ import (
 	"gammajoin/internal/gamma"
 	"gammajoin/internal/netsim"
 	"gammajoin/internal/pred"
+	"gammajoin/internal/split"
 	"gammajoin/internal/trace"
 	"gammajoin/internal/tuple"
 	"gammajoin/internal/wiss"
@@ -41,6 +42,10 @@ type runCtx struct {
 	diskSites  []int
 	memTotal   int64
 	memPerSite int64
+
+	// joinTable and joinRoute route to joinSites (joining builds them).
+	joinTable *split.PartTable
+	joinRoute router
 
 	netStart  netsim.Counters
 	diskStart disk.Counters
@@ -713,6 +718,7 @@ func (rc *runCtx) failover(sf *SiteFailure) bool {
 	}
 	c.MarkDead(sf.Site)
 	rc.joinSites = alive
+	rc.joinTable = nil // the next level routes to the survivors
 	rc.failedOver++
 	rc.deadSites = append(rc.deadSites, sf.Site)
 	rc.tr.Metrics().Counter("recovery.failover").Add(1)

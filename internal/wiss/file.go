@@ -10,7 +10,6 @@ package wiss
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 
 	"gammajoin/internal/cost"
@@ -25,10 +24,16 @@ import (
 // counter keeps ids — and everything keyed on them, like disk arm-movement
 // accounting and fault schedules — identical across repeated runs in one
 // process.
-func fileID(name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int64(h.Sum64())
+//
+// The hash is 64-bit FNV-1a, written out so a name held in a byte buffer
+// hashes without allocating.
+func fileID[T string | []byte](name T) int64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	return int64(h)
 }
 
 // idOwners guards against two distinct file names hashing to the same id:
@@ -55,6 +60,20 @@ func registerFileID(id int64, name string) {
 				"accounting stay per-file", owner, name, uint64(id)))
 	}
 	idOwners[id] = name
+}
+
+// runFileID returns the id of a sort run's name, registering the name on
+// its first use. A name already registered, as every run name is after the
+// first sort of a file, is looked up without allocating.
+func runFileID(name []byte) int64 {
+	id := fileID(name)
+	idOwnersMu.Lock()
+	owner, ok := idOwners[id]
+	idOwnersMu.Unlock()
+	if !ok || owner != string(name) {
+		registerFileID(id, string(name))
+	}
+	return id
 }
 
 // File is a page-structured sequential file of fixed-size tuples on one
@@ -125,9 +144,9 @@ func getPage(perPage int) []tuple.Tuple {
 
 // Recycle returns every page to the package page pool and empties the file.
 // Only call it when no pointer into the file's pages can still be live —
-// cursors, Scan callbacks, and At results all alias page memory. The sort
-// utility recycles its private run files this way; operator temp files are
-// not recycled because a redo may re-scan them.
+// cursors, Scan callbacks, and At results all alias page memory. A join
+// recycles its temp files when its attempt ends, not before: a redo may
+// re-scan them.
 func (f *File) Recycle() {
 	f.mu.Lock()
 	for _, pg := range f.pages {
@@ -293,8 +312,8 @@ func (f *File) UpdateWhere(a *cost.Acct, match func(t *tuple.Tuple) bool,
 	return updated
 }
 
-// Cursor is a forward-only reader over a file, used by merge joins and the
-// sort utility. It charges page reads and tuple fetches as it advances.
+// Cursor is a forward-only reader over a file, used by merge joins and
+// block joins. It charges page reads and tuple fetches as it advances.
 // The page directory is snapshotted on the first advance (files are fully
 // written before cursors read them), so Next costs no lock acquisition.
 type Cursor struct {

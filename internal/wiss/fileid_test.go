@@ -1,6 +1,7 @@
 package wiss
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -36,4 +37,35 @@ func TestRegisterFileIDSameNameIsIdempotent(t *testing.T) {
 	defer scrubFileID(id)
 	registerFileID(id, "A.frag0")
 	registerFileID(id, "A.frag0") // repeated runs re-register the same pair
+}
+
+// TestFileIDIsFNV64a pins fileID, over a string or a byte buffer, to 64-bit
+// FNV-1a: file ids key fault schedules and arm-switch accounting, so they
+// must not move.
+func TestFileIDIsFNV64a(t *testing.T) {
+	for _, name := range []string{"", "A.frag0", "q3.sm.tmpR.5.17.run12", "src.m2.14"} {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		want := int64(h.Sum64())
+		if got := fileID(name); got != want {
+			t.Errorf("fileID(%q) = %#x, want %#x", name, got, want)
+		}
+		if got := fileID([]byte(name)); got != want {
+			t.Errorf("fileID([]byte(%q)) = %#x, want %#x", name, got, want)
+		}
+	}
+}
+
+// TestRunFileIDRegisteredWithoutAllocating requires a sort run's id to be
+// looked up without allocating once its name is registered.
+func TestRunFileIDRegisteredWithoutAllocating(t *testing.T) {
+	name := []byte("alloc.src.run7")
+	id := runFileID(name)
+	defer scrubFileID(id)
+	if id != fileID("alloc.src.run7") {
+		t.Fatalf("runFileID = %#x, want fileID's %#x", id, fileID("alloc.src.run7"))
+	}
+	if n := testing.AllocsPerRun(100, func() { runFileID(name) }); n != 0 {
+		t.Fatalf("runFileID of a registered name allocates %.0f times", n)
+	}
 }

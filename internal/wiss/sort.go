@@ -2,8 +2,9 @@ package wiss
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"slices"
+	"strconv"
 	"sync"
 
 	"gammajoin/internal/cost"
@@ -24,162 +25,294 @@ type SortStats struct {
 // disk traffic (run files, merge passes) to a. dst must be empty and on the
 // same disk as src (Gamma sorts site-local temporary files in place).
 //
-// Run formation loads memory-sized chunks and quicksorts them; merging is
+// Run formation loads memory-sized chunks and sorts them; merging is
 // multiway with fan-in limited to the number of memory pages minus one
 // output buffer.
+//
+// The simulated runs are private to the sort, so on the host a run holds
+// only words: each tuple's sign-biased key above its position in src's page
+// order. Only the last pass copies tuples, once each, from src's pages into
+// dst. Every charge still lands as if each run were a file of tuples, named
+// <src>.run<k> or <src>.m<level>.<i>, written and read back a page at a time.
 func Sort(a *cost.Acct, src, dst *File, attr int, memBytes int64) (SortStats, error) {
 	var st SortStats
 	if dst.Len() != 0 {
 		return st, fmt.Errorf("wiss: Sort destination %q not empty", dst.Name())
 	}
 	m := src.model
-	runTuples := int(memBytes / tuple.Bytes)
-	if runTuples < 1 {
-		runTuples = 1
-	}
-	memPages := int(memBytes) / m.P.PageBytes
-	fanin := memPages - 1
-	if fanin < 2 {
-		fanin = 2
-	}
+	runTuples := max(int(memBytes/tuple.Bytes), 1)
+	fanin := max(int(memBytes)/m.P.PageBytes-1, 2)
 
-	// Pass 0: run formation.
-	var runs []*File
-	cur := make([]tuple.Tuple, 0, min(runTuples, int(src.Len())))
-	flushRun := func() {
-		if len(cur) == 0 {
-			return
-		}
-		sortChunk(a, m, cur, attr)
-		st.InitialRuns++
-		var out *File
-		if int64(len(cur)) == src.Len() && st.InitialRuns == 1 {
-			// Whole file fits in memory: write sorted output directly.
-			out = dst
-			st.FitInMemory = true
-		} else {
-			out = NewFile(fmt.Sprintf("%s.run%d", src.Name(), st.InitialRuns), src.dsk, m)
-		}
-		out.AppendBatch(a, cur)
-		out.Flush(a)
-		if out != dst {
-			runs = append(runs, out)
-		}
-		cur = cur[:0]
+	src.mu.Lock()
+	pages, n := src.pages, src.n
+	src.mu.Unlock()
+	if n > math.MaxUint32 {
+		return st, fmt.Errorf("wiss: Sort source %q has %d tuples, more than a run word can index", src.Name(), n)
 	}
-	src.Scan(a, func(t *tuple.Tuple) bool {
-		cur = append(cur, *t)
-		if len(cur) >= runTuples {
-			flushRun()
+	s := sortPool.Get().(*sorter)
+	defer s.release()
+	s.init(a, src, dst, pages, int(n))
+
+	// Pass 0: run formation, reading src's pages in place.
+	words := s.words
+	start, p := 0, 0
+	for _, pg := range pages {
+		src.dsk.ReadSeq(a, src.id)
+		for i := range pg {
+			a.AddCPU(m.ReadTuple)
+			words[p] = uint64(uint32(pg[i].Ints[attr])^0x80000000)<<32 | uint64(p)
+			p++
+			if p-start == runTuples {
+				s.formRun(&st, start, p)
+				start = p
+			}
 		}
-		return true
-	})
-	flushRun()
-	if st.FitInMemory {
+	}
+	if start < p {
+		s.formRun(&st, start, p)
+	}
+	if st.FitInMemory || len(s.ends) == 0 {
 		return st, nil
 	}
-	if len(runs) == 0 {
-		return st, nil // empty input
-	}
 
-	// Merge passes.
-	level := 0
-	for len(runs) > 1 {
+	// Merge passes: fanin runs at a time, until one pass's output is dst.
+	for level := 1; ; level++ {
 		st.MergePasses++
-		level++
-		var next []*File
-		for i := 0; i < len(runs); i += fanin {
-			group := runs[i:min(i+fanin, len(runs))]
-			var out *File
-			if len(runs) <= fanin && i == 0 {
-				out = dst
-			} else {
-				out = NewFile(fmt.Sprintf("%s.m%d.%d", src.Name(), level, i), src.dsk, m)
-			}
-			mergeRuns(a, m, group, out, attr)
-			// The group's runs are private to this Sort call and fully
-			// consumed; recycle their pages.
-			for _, r := range group {
-				r.Recycle()
-			}
-			if out != dst {
-				next = append(next, out)
-			}
+		runs := len(s.ends)
+		last := runs <= fanin
+		for i := 0; i < runs; i += fanin {
+			s.merge(i, min(i+fanin, runs), level, last)
 		}
-		if len(next) == 0 {
+		if last {
 			return st, nil
 		}
-		runs = next
-	}
-	// Single run left but dst not yet written (only happens when pass 0
-	// produced exactly one run that did not fit in memory bookkeeping).
-	st.MergePasses++
-	mergeRuns(a, m, runs, dst, attr)
-	for _, r := range runs {
-		r.Recycle()
-	}
-	return st, nil
-}
-
-// chunkScratch recycles the key and tuple scratch buffers sortChunk uses to
-// apply its permutation.
-var chunkScratch = sync.Pool{New: func() any { return new(chunkBufs) }}
-
-type chunkBufs struct {
-	keys []uint64
-	ts   []tuple.Tuple
-}
-
-// sortChunk sorts tuples in memory by attr and charges n*ceil(log2 n)
-// comparisons plus n moves. The sort is applied through a key permutation:
-// each tuple's sign-biased 32-bit key is packed above its index, so sorting
-// the packed words orders ties by original position — exactly the
-// permutation a stable sort of the tuples themselves would produce — while
-// the sort itself touches only 8-byte words, never whole tuples.
-func sortChunk(a *cost.Acct, m *cost.Model, ts []tuple.Tuple, attr int) {
-	n := len(ts)
-	if n > 1 {
-		bufs := chunkScratch.Get().(*chunkBufs)
-		if cap(bufs.keys) < n {
-			bufs.keys = make([]uint64, n)
-			bufs.ts = make([]tuple.Tuple, n)
-		}
-		keys, scratch := bufs.keys[:n], bufs.ts[:n]
-		for i := range keys {
-			keys[i] = uint64(uint32(ts[i].Ints[attr])^0x80000000)<<32 | uint64(uint32(i))
-		}
-		slices.Sort(keys)
-		copy(scratch, ts)
-		for i, k := range keys {
-			ts[i] = scratch[uint32(k)]
-		}
-		chunkScratch.Put(bufs)
-		lg := int64(bits.Len(uint(n - 1)))
-		a.AddCPU(cost.ScaleNs(int64(n)*lg, m.SortCompare))
-		a.AddCPU(cost.ScaleNs(n, m.SortMove))
+		s.words, s.next = s.next, s.words
+		s.ends, s.nextEnds = s.nextEnds, s.ends[:0]
+		s.ids, s.nextIDs = s.nextIDs, s.ids[:0]
 	}
 }
 
-// mergeItem holds the head of one run by pointer: the pointer aliases the
-// run file's page memory (stable until the run is recycled), so heap swaps
-// move 16 bytes instead of a whole tuple.
+// sortPool recycles sorters, so a warmed Sort allocates only dst's pages.
+var sortPool = sync.Pool{New: func() any { return new(sorter) }}
+
+// sorter is one Sort call's working memory. A run is a range of words plus
+// the file id its simulated pages are charged against: run r of the current
+// pass is words[ends[r-1]:ends[r]], and a merge pass writes its output runs
+// to the same offsets of next.
+type sorter struct {
+	a        *cost.Acct
+	m        *cost.Model
+	src, dst *File
+	pages    [][]tuple.Tuple // src's page directory
+	perPage  int
+
+	words, next    []uint64
+	ends, nextEnds []int
+	ids, nextIDs   []int64
+
+	h    mergeHeap
+	curs []runCursor
+	hist [4][256]int32
+}
+
+// runCursor is a merge's read position in one run. pageEnd is where the run's
+// next simulated page starts.
+type runCursor struct {
+	at, pageEnd, end int
+	id               int64
+}
+
+func (s *sorter) init(a *cost.Acct, src, dst *File, pages [][]tuple.Tuple, n int) {
+	s.a, s.m, s.src, s.dst, s.pages = a, src.model, src, dst, pages
+	s.perPage = src.perPage
+	if cap(s.words) < n {
+		s.words, s.next = make([]uint64, n), make([]uint64, n)
+	}
+	s.words, s.next = s.words[:n], s.next[:n]
+	s.ends, s.nextEnds = s.ends[:0], s.nextEnds[:0]
+	s.ids, s.nextIDs = s.ids[:0], s.nextIDs[:0]
+}
+
+// release drops the sorter's references to the caller's files and account
+// and returns it to the pool.
+func (s *sorter) release() {
+	s.a, s.src, s.dst, s.pages = nil, nil, nil, nil
+	sortPool.Put(s)
+}
+
+// tupleAt returns the src tuple a word names. Every page of a file but its
+// last is full, so a position's page and slot follow from perPage.
+func (s *sorter) tupleAt(w uint64) *tuple.Tuple {
+	p, per := uint(uint32(w)), uint(s.perPage)
+	return &s.pages[p/per][p%per]
+}
+
+// runStart is the offset of run r's first word.
+func (s *sorter) runStart(r int) int {
+	if r == 0 {
+		return 0
+	}
+	return s.ends[r-1]
+}
+
+// formRun sorts words[start:end], one memory load of k words, and charges
+// k*ceil(log2 k) comparisons plus k moves for it. The whole input in one run
+// goes straight to dst; any other run is charged as a written run file.
+func (s *sorter) formRun(st *SortStats, start, end int) {
+	a, m := s.a, s.m
+	run := s.words[start:end]
+	if k := len(run); k > 1 {
+		s.radixSort(run, s.next[start:end])
+		lg := int64(bits.Len(uint(k - 1)))
+		a.AddCPU(cost.ScaleNs(int64(k)*lg, m.SortCompare))
+		a.AddCPU(cost.ScaleNs(k, m.SortMove))
+	}
+	st.InitialRuns++
+	if len(run) == len(s.words) && st.InitialRuns == 1 {
+		st.FitInMemory = true
+		s.dst.mu.Lock()
+		for _, w := range run {
+			s.dst.appendLocked(a, s.tupleAt(w))
+		}
+		s.dst.mu.Unlock()
+		s.dst.Flush(a)
+		return
+	}
+	var buf [64]byte
+	id := runFileID(strconv.AppendInt(append(append(buf[:0], s.src.name...), ".run"...), int64(st.InitialRuns), 10))
+	for left := len(run); left > 0; left -= s.perPage {
+		a.AddCPU(cost.ScaleNs(min(left, s.perPage), m.WriteTuple))
+		s.src.dsk.WritePage(a, id)
+	}
+	s.ends = append(s.ends, end)
+	s.ids = append(s.ids, id)
+}
+
+// radixSort sorts run by key (each word's high 32 bits) with a stable LSD
+// radix sort, one pass per key byte, using tmp as scratch. run arrives in
+// position order, so equal keys stay in position order: the result is the
+// order of sorting the whole words. A byte every key shares costs no pass.
+func (s *sorter) radixSort(run, tmp []uint64) {
+	h := &s.hist
+	*h = [4][256]int32{}
+	for _, w := range run {
+		k := uint32(w >> 32)
+		h[0][uint8(k)]++
+		h[1][uint8(k>>8)]++
+		h[2][uint8(k>>16)]++
+		h[3][uint8(k>>24)]++
+	}
+	from, to := run, tmp
+	for d := range h {
+		c := &h[d]
+		shift := 32 + 8*uint(d)
+		if int(c[uint8(from[0]>>shift)]) == len(from) {
+			continue
+		}
+		var sum int32
+		for b, cnt := range c {
+			c[b] = sum
+			sum += cnt
+		}
+		for _, w := range from {
+			b := uint8(w >> shift)
+			to[c[b]] = w
+			c[b]++
+		}
+		from, to = to, from
+	}
+	if &from[0] != &run[0] {
+		copy(run, from)
+	}
+}
+
+// merge k-way merges runs [i, j) into dst (last) or into one run of the
+// next pass, charging ~log2(k) comparisons plus one move per tuple and all
+// page traffic.
+func (s *sorter) merge(i, j, level int, last bool) {
+	a, m, d, per := s.a, s.m, s.src.dsk, s.perPage
+	var outID int64
+	if !last {
+		var buf [64]byte
+		name := strconv.AppendInt(append(append(buf[:0], s.src.name...), ".m"...), int64(level), 10)
+		outID = runFileID(strconv.AppendInt(append(name, '.'), int64(i), 10))
+	}
+	h := &s.h
+	h.items, s.curs = h.items[:0], s.curs[:0]
+	for r := i; r < j; r++ {
+		start, end := s.runStart(r), s.ends[r]
+		d.ReadSeq(a, s.ids[r])
+		a.AddCPU(m.ReadTuple)
+		s.curs = append(s.curs, runCursor{at: start + 1, pageEnd: min(start+per, end), end: end, id: s.ids[r]})
+		h.items = append(h.items, mergeItem{w: s.words[start], run: r - i})
+	}
+	h.init()
+	step := cost.ScaleNs(int64(bits.Len(uint(max(j-i-1, 1)))), m.SortCompare) + m.SortMove
+	o := s.runStart(i)
+	outPageEnd := o + per
+	if last {
+		// The merge owns dst exclusively, so one lock covers the whole
+		// output stream instead of one acquisition per tuple.
+		s.dst.mu.Lock()
+	}
+	for len(h.items) > 0 {
+		it := h.items[0]
+		a.AddCPU(step)
+		if last {
+			s.dst.appendLocked(a, s.tupleAt(it.w))
+		} else {
+			a.AddCPU(m.WriteTuple)
+			s.next[o] = it.w
+			o++
+			if o == outPageEnd {
+				d.WritePage(a, outID)
+				outPageEnd += per
+			}
+		}
+		c := &s.curs[it.run]
+		if c.at == c.end {
+			h.popRoot()
+			continue
+		}
+		if c.at == c.pageEnd {
+			d.ReadSeq(a, c.id)
+			c.pageEnd = min(c.at+per, c.end)
+		}
+		a.AddCPU(m.ReadTuple)
+		h.items[0].w = s.words[c.at]
+		c.at++
+		h.down(0)
+	}
+	if last {
+		s.dst.mu.Unlock()
+		s.dst.Flush(a)
+		return
+	}
+	if o != outPageEnd-per {
+		d.WritePage(a, outID) // the partial last page
+	}
+	s.nextEnds = append(s.nextEnds, o)
+	s.nextIDs = append(s.nextIDs, outID)
+}
+
+// mergeItem is the head word of one run and the run's index in its merge
+// group.
 type mergeItem struct {
-	t   *tuple.Tuple
-	src int
+	w   uint64
+	run int
 }
 
-// mergeHeap is a hand-rolled min-heap over run heads. Its sift-down mirrors
-// container/heap's down() move for move, so the pop order of equal keys —
-// and therefore the byte-exact order of merged output — is identical to the
-// container/heap implementation it replaces; only the interface-dispatched
-// Less/Swap calls per comparison are gone.
+// mergeHeap is a hand-rolled min-heap over run heads that compares keys
+// only (w>>32), never positions. Its sift-down mirrors container/heap's
+// down() move for move, so the pop order of equal keys — and therefore the
+// byte-exact order of merged output — is that of a container/heap merge of
+// whole tuples by key.
 type mergeHeap struct {
 	items []mergeItem
-	attr  int
 }
 
 func (h *mergeHeap) less(i, j int) bool {
-	return h.items[i].t.Ints[h.attr] < h.items[j].t.Ints[h.attr]
+	return h.items[i].w>>32 < h.items[j].w>>32
 }
 
 // down is container/heap's down() specialized to mergeItem.
@@ -215,35 +348,4 @@ func (h *mergeHeap) popRoot() {
 	h.items[0], h.items[n] = h.items[n], h.items[0]
 	h.items = h.items[:n]
 	h.down(0)
-}
-
-// mergeRuns k-way merges the given sorted runs into out, charging ~log2(k)
-// comparisons plus one move per tuple, and all page traffic.
-func mergeRuns(a *cost.Acct, m *cost.Model, runs []*File, out *File, attr int) {
-	cursors := make([]*Cursor, len(runs))
-	h := &mergeHeap{attr: attr}
-	for i, r := range runs {
-		cursors[i] = r.NewCursor(a)
-		if t, ok := cursors[i].NextP(); ok {
-			h.items = append(h.items, mergeItem{t: t, src: i})
-		}
-	}
-	h.init()
-	lg := int64(bits.Len(uint(max(len(runs)-1, 1))))
-	// The merge owns out exclusively, so one lock covers the whole output
-	// stream instead of one acquisition per tuple.
-	out.mu.Lock()
-	for len(h.items) > 0 {
-		it := h.items[0]
-		a.AddCPU(cost.ScaleNs(lg, m.SortCompare) + m.SortMove)
-		out.appendLocked(a, it.t)
-		if t, ok := cursors[it.src].NextP(); ok {
-			h.items[0] = mergeItem{t: t, src: it.src}
-			h.down(0)
-		} else {
-			h.popRoot()
-		}
-	}
-	out.mu.Unlock()
-	out.Flush(a)
 }

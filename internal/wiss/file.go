@@ -49,31 +49,23 @@ var (
 // registerFileID records that name owns id, panicking loudly on a
 // cross-name collision. fnv64a collisions are astronomically unlikely for
 // the simulator's file-name population, so a hit is almost certainly a
-// naming bug (two code paths generating the same "unique" name).
-func registerFileID(id int64, name string) {
+// naming bug (two code paths generating the same "unique" name). A name
+// already registered, as every sort run's name is after the first sort of
+// its file, is looked up without allocating.
+func registerFileID[T string | []byte](id int64, name T) {
 	idOwnersMu.Lock()
 	defer idOwnersMu.Unlock()
-	if owner, ok := idOwners[id]; ok && owner != name {
+	owner, ok := idOwners[id]
+	if ok && owner == string(name) {
+		return
+	}
+	if ok {
 		panic(fmt.Sprintf(
 			"wiss: file id collision: %q and %q both hash to %#x; "+
 				"file names must be unique so fault schedules and disk "+
-				"accounting stay per-file", owner, name, uint64(id)))
+				"accounting stay per-file", owner, string(name), uint64(id)))
 	}
-	idOwners[id] = name
-}
-
-// runFileID returns the id of a sort run's name, registering the name on
-// its first use. A name already registered, as every run name is after the
-// first sort of a file, is looked up without allocating.
-func runFileID(name []byte) int64 {
-	id := fileID(name)
-	idOwnersMu.Lock()
-	owner, ok := idOwners[id]
-	idOwnersMu.Unlock()
-	if !ok || owner != string(name) {
-		registerFileID(id, string(name))
-	}
-	return id
+	idOwners[id] = string(name)
 }
 
 // File is a page-structured sequential file of fixed-size tuples on one

@@ -179,7 +179,9 @@ func (s *sorter) formRun(st *SortStats, start, end int) {
 		return
 	}
 	var buf [64]byte
-	id := runFileID(strconv.AppendInt(append(append(buf[:0], s.src.name...), ".run"...), int64(st.InitialRuns), 10))
+	name := strconv.AppendInt(append(append(buf[:0], s.src.name...), ".run"...), int64(st.InitialRuns), 10)
+	id := fileID(name)
+	registerFileID(id, name)
 	for left := len(run); left > 0; left -= s.perPage {
 		a.AddCPU(cost.ScaleNs(min(left, s.perPage), m.WriteTuple))
 		s.src.dsk.WritePage(a, id)
@@ -235,7 +237,9 @@ func (s *sorter) merge(i, j, level int, last bool) {
 	if !last {
 		var buf [64]byte
 		name := strconv.AppendInt(append(append(buf[:0], s.src.name...), ".m"...), int64(level), 10)
-		outID = runFileID(strconv.AppendInt(append(name, '.'), int64(i), 10))
+		name = strconv.AppendInt(append(name, '.'), int64(i), 10)
+		outID = fileID(name)
+		registerFileID(outID, name)
 	}
 	h := &s.h
 	h.items, s.curs = h.items[:0], s.curs[:0]

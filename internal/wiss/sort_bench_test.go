@@ -33,7 +33,8 @@ func BenchmarkSort(b *testing.B) {
 		b.Run(fmt.Sprintf("mem=1/%d", div), func(b *testing.B) {
 			dst := NewFile("bench.sort.dst", d, m)
 			b.ReportAllocs()
-			for b.Loop() {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				var a cost.Acct
 				if _, err := Sort(&a, src, dst, tuple.Unique1, mem); err != nil {
 					b.Fatal(err)

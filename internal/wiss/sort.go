@@ -49,7 +49,7 @@ func Sort(a *cost.Acct, src, dst *File, attr int, memBytes int64) (SortStats, er
 	if n > math.MaxUint32 {
 		return st, fmt.Errorf("wiss: Sort source %q has %d tuples, more than a run word can index", src.Name(), n)
 	}
-	s := sortPool.Get().(*sorter)
+	s := getSorter()
 	defer s.release()
 	s.init(a, src, dst, pages, int(n))
 
@@ -92,8 +92,32 @@ func Sort(a *cost.Acct, src, dst *File, attr int, memBytes int64) (SortStats, er
 	}
 }
 
-// sortPool recycles sorters, so a warmed Sort allocates only dst's pages.
-var sortPool = sync.Pool{New: func() any { return new(sorter) }}
+// idleSorters recycles sorters, so a warmed Sort allocates only dst's pages.
+// It is a free list, not a sync.Pool: a collection empties a sync.Pool, and
+// refilling it costs each sorter its two n-word buffers again, so what a
+// Sort allocated would depend on when the collector last ran. The list holds
+// at most as many sorters as ever ran at once (one per site of a sort phase),
+// and release drops a sorter whose buffers outgrew maxIdleWords.
+var idleSorters struct {
+	mu   sync.Mutex
+	list []*sorter
+}
+
+// maxIdleWords bounds the words a retained sorter's buffers hold: 2^18
+// words is 2 MiB a buffer, room for a 100k-tuple relation sorted whole.
+const maxIdleWords = 1 << 18
+
+func getSorter() *sorter {
+	idleSorters.mu.Lock()
+	defer idleSorters.mu.Unlock()
+	n := len(idleSorters.list)
+	if n == 0 {
+		return new(sorter)
+	}
+	s := idleSorters.list[n-1]
+	idleSorters.list = idleSorters.list[:n-1]
+	return s
+}
 
 // sorter is one Sort call's working memory. A run is a range of words plus
 // the file id its simulated pages are charged against: run r of the current
@@ -134,10 +158,15 @@ func (s *sorter) init(a *cost.Acct, src, dst *File, pages [][]tuple.Tuple, n int
 }
 
 // release drops the sorter's references to the caller's files and account
-// and returns it to the pool.
+// and returns it to the free list.
 func (s *sorter) release() {
 	s.a, s.src, s.dst, s.pages = nil, nil, nil, nil
-	sortPool.Put(s)
+	if cap(s.words) > maxIdleWords {
+		return
+	}
+	idleSorters.mu.Lock()
+	idleSorters.list = append(idleSorters.list, s)
+	idleSorters.mu.Unlock()
 }
 
 // tupleAt returns the src tuple a word names. Every page of a file but its

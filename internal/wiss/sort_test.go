@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -117,6 +118,28 @@ func TestSortRejectsDirtyDst(t *testing.T) {
 	dst.Append(a, mkTuple(1))
 	if _, err := Sort(a, src, dst, tuple.Unique1, 1<<20); err == nil {
 		t.Fatal("Sort into non-empty destination should error")
+	}
+}
+
+// TestIdleSorterOutlivesCollections requires an idle sorter, buffers and
+// all, to survive collections, so what a warmed Sort allocates does not
+// depend on when the collector last ran; a sorter whose buffers outgrew
+// maxIdleWords is not kept.
+func TestIdleSorterOutlivesCollections(t *testing.T) {
+	small, big := getSorter(), getSorter()
+	small.words = make([]uint64, 0, 1024)
+	big.words = make([]uint64, 0, maxIdleWords+1)
+	small.release()
+	big.release()
+	runtime.GC()
+	runtime.GC()
+	idleSorters.mu.Lock()
+	defer idleSorters.mu.Unlock()
+	if !slices.Contains(idleSorters.list, small) {
+		t.Error("an idle sorter did not survive two collections")
+	}
+	if slices.Contains(idleSorters.list, big) {
+		t.Errorf("a sorter holding %d words was kept idle, want at most %d", cap(big.words), maxIdleWords)
 	}
 }
 

@@ -1,0 +1,73 @@
+package gamma
+
+import (
+	"testing"
+
+	"gammajoin/internal/cost"
+	"gammajoin/internal/split"
+	"gammajoin/internal/tuple"
+)
+
+// BenchmarkHashTable builds one site's share of a paper-scale inner
+// relation, 1,250 tuples (10,000 over 8 sites), into a table that holds it
+// without overflow, and probes it with one site's outer fragment, 12,500
+// tuples of which 10% match, as joinABprime does. op=insert reports ns per
+// inserted tuple and op=probe ns per probing tuple, each with allocs/op.
+func BenchmarkHashTable(b *testing.B) {
+	const inner, outer = 1_250, 12_500
+	m := cost.Default()
+	attr := tuple.Unique1
+	build := make([]tuple.Tuple, inner)
+	buildH := make([]uint64, inner)
+	for i := range build {
+		build[i].SetInt(attr, int32(i))
+		buildH[i] = split.Hash(int32(i), 0)
+	}
+	probe := make([]tuple.Tuple, outer)
+	probeH := make([]uint64, outer)
+	for i := range probe {
+		key := int32(inner + i) // no match
+		if i%10 == 0 {
+			key = int32(i / 10) // every tenth tuple matches one inner tuple
+		}
+		probe[i].SetInt(attr, key)
+		probeH[i] = split.Hash(key, 0)
+	}
+	newTable := func(a *cost.Acct) *HashTable {
+		ht := NewHashTable(m, inner*tuple.Bytes, attr)
+		for i := range build {
+			if evicted := ht.Insert(a, &build[i], buildH[i]); len(evicted) != 0 {
+				b.Fatalf("a table sized for %d tuples evicted %d", inner, len(evicted))
+			}
+		}
+		return ht
+	}
+
+	b.Run("op=insert", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var a cost.Acct
+			newTable(&a).Release()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*inner), "ns/tuple")
+	})
+	b.Run("op=probe", func(b *testing.B) {
+		var load cost.Acct
+		ht := newTable(&load)
+		defer ht.Release()
+		matches := 0
+		onMatch := func(outer, match *tuple.Tuple) { matches++ }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var a cost.Acct
+			ht.ProbeBatch(&a, probe, probeH, attr, onMatch)
+		}
+		b.StopTimer()
+		if matches != b.N*outer/10 {
+			b.Fatalf("%d matches over %d probes of %d tuples, want %d", matches, b.N, outer, b.N*outer/10)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*outer), "ns/tuple")
+	})
+}

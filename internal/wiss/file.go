@@ -5,7 +5,9 @@
 //
 // Files store tuples in memory but are organized into pages; every page
 // flushed or fetched is charged to a cost.Acct through the owning simulated
-// disk, so file activity is visible in simulated response times.
+// disk, so file activity is visible in simulated response times. On the
+// host a file's pages sit back to back in fixed-size extents of
+// extentPages pages each.
 package wiss
 
 import (
@@ -14,7 +16,6 @@ import (
 
 	"gammajoin/internal/cost"
 	"gammajoin/internal/disk"
-	"gammajoin/internal/slicepool"
 	"gammajoin/internal/tuple"
 )
 
@@ -68,6 +69,35 @@ func registerFileID[T string | []byte](id int64, name T) {
 	idOwners[id] = string(name)
 }
 
+// extentPages is how many consecutive pages one extent holds. Larger
+// extents read and write longer stretches of memory and need fewer
+// directory entries, but a join writes many short temp files (a bucket,
+// an overflow level), each holding at least one extent: at 39 tuples a
+// page, 8 pages is 16 KB. 16-page extents raised the bytes allocated per
+// join on a workload that builds a fresh cluster on every pass, and
+// 32-page extents its peak heap (EXPERIMENTS.md, "Wall-clock").
+const extentPages = 8
+
+// extent holds extentPages consecutive pages of one file: page p of the
+// file is tuples [p*perPage, (p+1)*perPage) of its extents laid end to end.
+type extent struct {
+	t []tuple.Tuple // extentPages*perPage tuples, past the file's end unused
+}
+
+// extentPool recycles extents across files. Only files whose tuples are
+// provably unreferenced hand extents back (File.Recycle); everything else
+// lets the garbage collector reclaim them.
+var extentPool sync.Pool // *extent
+
+// getExtent returns an extent of n tuples.
+func getExtent(n int) *extent {
+	if e, _ := extentPool.Get().(*extent); e != nil && cap(e.t) >= n {
+		e.t = e.t[:n]
+		return e
+	}
+	return &extent{t: make([]tuple.Tuple, n)}
+}
+
 // File is a page-structured sequential file of fixed-size tuples on one
 // simulated disk.
 type File struct {
@@ -76,10 +106,18 @@ type File struct {
 	dsk     *disk.Disk
 	model   *cost.Model
 	perPage int
+	extLen  int // tuples per extent: extentPages*perPage
 
-	mu    sync.Mutex
-	pages [][]tuple.Tuple
-	n     int64
+	mu      sync.Mutex
+	extents []*extent // starts in dir, so a short file's directory costs no allocation
+	dir     [4]*extent
+	n       int64
+	// last is the last extent's tuples. tail counts those in use and
+	// pageEnd is where the page being filled ends, so tail == pageEnd when
+	// no page is partly filled. A file without extents has tail ==
+	// pageEnd == extLen, as if its last extent were full.
+	last          []tuple.Tuple
+	tail, pageEnd int
 }
 
 // NewFile creates an empty file on disk d. It fails loudly (panics) if the
@@ -87,13 +125,20 @@ type File struct {
 func NewFile(name string, d *disk.Disk, m *cost.Model) *File {
 	id := fileID(name)
 	registerFileID(id, name)
-	return &File{
+	perPage := m.TuplesPerPage(tuple.Bytes)
+	extLen := extentPages * perPage
+	f := &File{
 		id:      id,
 		name:    name,
 		dsk:     d,
 		model:   m,
-		perPage: m.TuplesPerPage(tuple.Bytes),
+		perPage: perPage,
+		extLen:  extLen,
+		tail:    extLen,
+		pageEnd: extLen,
 	}
+	f.extents = f.dir[:0]
+	return f
 }
 
 // ID returns the unique file id (used for disk arm-movement accounting).
@@ -117,35 +162,38 @@ func (f *File) Len() int64 {
 func (f *File) Pages() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.pages)
+	return int((f.n + int64(f.perPage) - 1) / int64(f.perPage))
 }
 
-// pagePool recycles page backing arrays across files. Only files whose
-// pages are provably unreferenced hand pages back (File.Recycle); everything
-// else lets the garbage collector reclaim them as before.
-var pagePool slicepool.Pool[tuple.Tuple]
-
-// getPage returns an empty page with at least perPage capacity.
-func getPage(perPage int) []tuple.Tuple {
-	pg := pagePool.Get()
-	if cap(pg) < perPage {
-		return make([]tuple.Tuple, 0, perPage)
-	}
-	return pg[:0]
-}
-
-// Recycle returns every page to the package page pool and empties the file.
-// Only call it when no pointer into the file's pages can still be live —
-// cursors, Scan callbacks, and At results all alias page memory. A join
-// recycles its temp files when its attempt ends, not before: a redo may
-// re-scan them.
+// Recycle returns every extent to the package extent pool and empties the
+// file. Only call it when no pointer into the file's tuples can still be
+// live — cursors, Scan callbacks, and At results all alias extent memory.
+// A join recycles its temp files when its attempt ends, not before: a redo
+// may re-scan them.
 func (f *File) Recycle() {
 	f.mu.Lock()
-	for _, pg := range f.pages {
-		pagePool.Put(pg)
+	for _, e := range f.extents {
+		extentPool.Put(e)
 	}
-	f.pages, f.n = nil, 0
+	clear(f.extents)
+	f.extents, f.n, f.last = f.extents[:0], 0, nil
+	f.tail, f.pageEnd = f.extLen, f.extLen
 	f.mu.Unlock()
+}
+
+// room returns how many tuples still fit on the page being filled, first
+// starting a page, and an extent when the last one is full, if none is
+// partly filled. f.mu must be held.
+func (f *File) room() int {
+	if f.tail == f.pageEnd {
+		if f.tail == f.extLen {
+			e := getExtent(f.extLen)
+			f.extents = append(f.extents, e)
+			f.last, f.tail, f.pageEnd = e.t, 0, 0
+		}
+		f.pageEnd += f.perPage
+	}
+	return f.pageEnd - f.tail
 }
 
 // Append adds one tuple, charging the tuple copy to a and a page write when
@@ -168,14 +216,11 @@ func (f *File) appendOne(a *cost.Acct, t *tuple.Tuple) {
 // lock over a whole output stream.
 func (f *File) appendLocked(a *cost.Acct, t *tuple.Tuple) {
 	a.AddCPU(f.model.WriteTuple)
-	last := len(f.pages) - 1
-	if last < 0 || len(f.pages[last]) >= f.perPage {
-		f.pages = append(f.pages, getPage(f.perPage))
-		last++
-	}
-	f.pages[last] = append(f.pages[last], *t)
+	f.room()
+	f.last[f.tail] = *t
+	f.tail++
 	f.n++
-	if len(f.pages[last]) >= f.perPage {
+	if f.tail == f.pageEnd {
 		f.dsk.WritePage(a, f.id)
 	}
 }
@@ -191,25 +236,17 @@ func (f *File) AppendBatch(a *cost.Acct, tuples []tuple.Tuple) {
 	}
 	f.mu.Lock()
 	for len(tuples) > 0 {
-		last := len(f.pages) - 1
-		if last < 0 || len(f.pages[last]) >= f.perPage {
-			f.pages = append(f.pages, getPage(f.perPage))
-			last++
-		}
 		// Copy a page-filling chunk at once. The WriteTuple charges within
 		// the chunk are commutative (no Note lands between them), so one
 		// scaled charge equals the per-tuple sum exactly, and the page write
 		// still lands at the same point in the charge sequence.
-		room := f.perPage - len(f.pages[last])
-		k := len(tuples)
-		if k > room {
-			k = room
-		}
+		room := f.room()
+		k := copy(f.last[f.tail:f.tail+room], tuples)
 		a.AddCPU(cost.ScaleNs(k, f.model.WriteTuple))
-		f.pages[last] = append(f.pages[last], tuples[:k]...)
+		f.tail += k
 		f.n += int64(k)
 		tuples = tuples[k:]
-		if len(f.pages[last]) >= f.perPage {
+		if f.tail == f.pageEnd {
 			f.dsk.WritePage(a, f.id)
 		}
 	}
@@ -236,11 +273,45 @@ func (f *File) AppendSelected(a *cost.Acct, tuples []tuple.Tuple, sel []int32) {
 // extra partial-page write per call, so call it exactly once per writer.
 func (f *File) Flush(a *cost.Acct) {
 	f.mu.Lock()
-	partial := len(f.pages) > 0 && len(f.pages[len(f.pages)-1]) < f.perPage
+	partial := f.tail != f.pageEnd
 	f.mu.Unlock()
 	if partial {
 		f.dsk.WritePage(a, f.id)
 	}
+}
+
+// pages returns an iterator over the file's pages as they stand now.
+// Appends made later do not show in it.
+func (f *File) pages() pageIter {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return pageIter{exts: f.extents, left: f.n, per: f.perPage}
+}
+
+// pageIter walks a file's pages in order: an extent's live tuples, cut
+// into pages of per tuples, with no division.
+type pageIter struct {
+	exts []*extent     // the extents after cur
+	cur  []tuple.Tuple // the current extent's tuples not yet returned
+	left int64         // live tuples in exts
+	per  int
+}
+
+// next returns the next page's tuples, or ok=false past the last page.
+func (it *pageIter) next() (pg []tuple.Tuple, ok bool) {
+	if len(it.cur) == 0 {
+		if it.left == 0 {
+			return nil, false
+		}
+		ts := it.exts[0].t
+		if int64(len(ts)) > it.left {
+			ts = ts[:it.left]
+		}
+		it.exts, it.cur, it.left = it.exts[1:], ts, it.left-int64(len(ts))
+	}
+	pg = it.cur[:min(it.per, len(it.cur))]
+	it.cur = it.cur[len(pg):]
+	return pg, true
 }
 
 // Scan iterates the file sequentially with one-page read-ahead semantics:
@@ -249,11 +320,13 @@ func (f *File) Flush(a *cost.Acct) {
 // not charged (this is how the sort-merge join's early termination on skewed
 // inner relations saves I/O).
 func (f *File) Scan(a *cost.Acct, fn func(t *tuple.Tuple) bool) {
-	f.mu.Lock()
-	pages := f.pages
-	f.mu.Unlock()
+	it := f.pages()
 	readNs := f.model.ReadTuple
-	for _, pg := range pages {
+	for {
+		pg, ok := it.next()
+		if !ok {
+			return
+		}
 		f.dsk.ReadSeq(a, f.id)
 		for i := range pg {
 			a.AddCPU(readNs)
@@ -273,7 +346,8 @@ func (f *File) At(pos int64) (*tuple.Tuple, bool) {
 	if pos < 0 || pos >= f.n {
 		return nil, false
 	}
-	return &f.pages[pos/int64(f.perPage)][pos%int64(f.perPage)], true
+	e := pos / int64(f.extLen)
+	return &f.extents[e].t[pos-e*int64(f.extLen)], true
 }
 
 // UpdateWhere scans the file, applies mutate to every tuple match accepts,
@@ -281,11 +355,13 @@ func (f *File) At(pos int64) (*tuple.Tuple, bool) {
 // Gamma's update operators. It returns the number of tuples modified.
 func (f *File) UpdateWhere(a *cost.Acct, match func(t *tuple.Tuple) bool,
 	mutate func(t *tuple.Tuple)) int64 {
-	f.mu.Lock()
-	pages := f.pages
-	f.mu.Unlock()
+	it := f.pages()
 	var updated int64
-	for _, pg := range pages {
+	for {
+		pg, ok := it.next()
+		if !ok {
+			return updated
+		}
 		f.dsk.ReadSeq(a, f.id)
 		dirty := false
 		for i := range pg {
@@ -301,20 +377,19 @@ func (f *File) UpdateWhere(a *cost.Acct, match func(t *tuple.Tuple) bool,
 			f.dsk.WritePage(a, f.id)
 		}
 	}
-	return updated
 }
 
 // Cursor is a forward-only reader over a file, used by merge joins and
 // block joins. It charges page reads and tuple fetches as it advances.
-// The page directory is snapshotted on the first advance (files are fully
+// The file's pages are snapshotted on the first advance (files are fully
 // written before cursors read them), so Next costs no lock acquisition.
 type Cursor struct {
 	f      *File
 	a      *cost.Acct
-	pages  [][]tuple.Tuple
-	page   int
-	slot   int
-	readNs cost.SimNs // cached f.model.ReadTuple (charged once per tuple)
+	it     pageIter
+	pg     []tuple.Tuple // the current page's tuples not yet returned
+	held   bool          // it holds a snapshot of a non-empty file
+	readNs cost.SimNs    // cached f.model.ReadTuple (charged once per tuple)
 }
 
 // NewCursor returns a cursor positioned before the first tuple.
@@ -332,35 +407,26 @@ func (c *Cursor) Next() (t tuple.Tuple, ok bool) {
 }
 
 // NextP is Next without the by-value copy: the returned pointer aliases the
-// file's page memory and stays valid while the file is neither mutated nor
-// recycled (merge inputs are fully written before cursors read them).
+// file's extent memory and stays valid while the file is neither mutated
+// nor recycled (merge inputs are fully written before cursors read them).
 func (c *Cursor) NextP() (t *tuple.Tuple, ok bool) {
-	pages := c.pages
-	if pages == nil {
-		c.f.mu.Lock()
-		c.pages = c.f.pages
-		c.f.mu.Unlock()
-		pages = c.pages
-		c.readNs = c.f.model.ReadTuple
-	}
-	for c.page < len(pages) {
-		pg := pages[c.page]
-		if c.slot == 0 && len(pg) > 0 {
-			c.f.dsk.ReadSeq(c.a, c.f.id)
+	if len(c.pg) == 0 {
+		if !c.held {
+			c.it = c.f.pages()
+			c.held = c.it.left > 0
+			c.readNs = c.f.model.ReadTuple
 		}
-		if c.slot < len(pg) {
-			c.a.AddCPU(c.readNs)
-			t = &pg[c.slot]
-			c.slot++
-			return t, true
+		if c.pg, ok = c.it.next(); !ok {
+			return nil, false
 		}
-		c.page++
-		c.slot = 0
+		c.f.dsk.ReadSeq(c.a, c.f.id)
 	}
-	return nil, false
+	c.a.AddCPU(c.readNs)
+	t, c.pg = &c.pg[0], c.pg[1:]
+	return t, true
 }
 
 // Reset rewinds the cursor to the beginning (subsequent reads are charged
-// again, as the pages must be re-fetched). The page-directory snapshot is
-// dropped so a reset cursor observes appends made since it was created.
-func (c *Cursor) Reset() { c.pages, c.page, c.slot = nil, 0, 0 }
+// again, as the pages must be re-fetched). The snapshot is dropped so a
+// reset cursor observes appends made since it was created.
+func (c *Cursor) Reset() { c.it, c.pg, c.held = pageIter{}, nil, false }

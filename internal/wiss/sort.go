@@ -30,10 +30,10 @@ type SortStats struct {
 // output buffer.
 //
 // The simulated runs are private to the sort, so on the host a run holds
-// only words: each tuple's sign-biased key above its position in src's page
-// order. Only the last pass copies tuples, once each, from src's pages into
-// dst. Every charge still lands as if each run were a file of tuples, named
-// <src>.run<k> or <src>.m<level>.<i>, written and read back a page at a time.
+// only words: each tuple's sign-biased key above its position in src. Only
+// the last pass copies tuples, once each, from src's extents into dst. Every
+// charge still lands as if each run were a file of tuples, named <src>.run<k>
+// or <src>.m<level>.<i>, written and read back a page at a time.
 func Sort(a *cost.Acct, src, dst *File, attr int, memBytes int64) (SortStats, error) {
 	var st SortStats
 	if dst.Len() != 0 {
@@ -43,20 +43,23 @@ func Sort(a *cost.Acct, src, dst *File, attr int, memBytes int64) (SortStats, er
 	runTuples := max(int(memBytes/tuple.Bytes), 1)
 	fanin := max(int(memBytes)/m.P.PageBytes-1, 2)
 
-	src.mu.Lock()
-	pages, n := src.pages, src.n
-	src.mu.Unlock()
+	pages := src.pages()
+	n := pages.left
 	if n > math.MaxUint32 {
 		return st, fmt.Errorf("wiss: Sort source %q has %d tuples, more than a run word can index", src.Name(), n)
 	}
 	s := getSorter()
 	defer s.release()
-	s.init(a, src, dst, pages, int(n))
+	s.init(a, src, dst, pages.exts, int(n))
 
 	// Pass 0: run formation, reading src's pages in place.
 	words := s.words
 	start, p := 0, 0
-	for _, pg := range pages {
+	for {
+		pg, ok := pages.next()
+		if !ok {
+			break
+		}
 		src.dsk.ReadSeq(a, src.id)
 		for i := range pg {
 			a.AddCPU(m.ReadTuple)
@@ -92,7 +95,7 @@ func Sort(a *cost.Acct, src, dst *File, attr int, memBytes int64) (SortStats, er
 	}
 }
 
-// idleSorters recycles sorters, so a warmed Sort allocates only dst's pages.
+// idleSorters recycles sorters, so a warmed Sort allocates only dst's extents.
 // It is a free list, not a sync.Pool: a collection empties a sync.Pool, and
 // refilling it costs each sorter its two n-word buffers again, so what a
 // Sort allocated would depend on when the collector last ran. The list holds
@@ -127,7 +130,8 @@ type sorter struct {
 	a        *cost.Acct
 	m        *cost.Model
 	src, dst *File
-	pages    [][]tuple.Tuple // src's page directory
+	exts     []*extent // src's extents
+	extLen   uint32    // tuples per extent of src
 	perPage  int
 
 	words, next    []uint64
@@ -146,10 +150,10 @@ type runCursor struct {
 	id               int64
 }
 
-func (s *sorter) init(a *cost.Acct, src, dst *File, pages [][]tuple.Tuple, n int) {
-	s.a, s.m, s.src, s.dst, s.pages = a, src.model, src, dst, pages
-	s.perPage = src.perPage
-	if cap(s.words) < n {
+func (s *sorter) init(a *cost.Acct, src, dst *File, exts []*extent, n int) {
+	s.a, s.m, s.src, s.dst, s.exts = a, src.model, src, dst, exts
+	s.extLen, s.perPage = uint32(src.extLen), src.perPage
+	if cap(s.words) < n || cap(s.next) < n {
 		s.words, s.next = make([]uint64, n), make([]uint64, n)
 	}
 	s.words, s.next = s.words[:n], s.next[:n]
@@ -160,7 +164,7 @@ func (s *sorter) init(a *cost.Acct, src, dst *File, pages [][]tuple.Tuple, n int
 // release drops the sorter's references to the caller's files and account
 // and returns it to the free list.
 func (s *sorter) release() {
-	s.a, s.src, s.dst, s.pages = nil, nil, nil, nil
+	s.a, s.src, s.dst, s.exts = nil, nil, nil, nil
 	if cap(s.words) > maxIdleWords {
 		return
 	}
@@ -169,11 +173,12 @@ func (s *sorter) release() {
 	idleSorters.mu.Unlock()
 }
 
-// tupleAt returns the src tuple a word names. Every page of a file but its
-// last is full, so a position's page and slot follow from perPage.
+// tupleAt returns the src tuple a word names. Every extent of a file but
+// its last is full, so a position's extent and slot follow from extLen.
 func (s *sorter) tupleAt(w uint64) *tuple.Tuple {
-	p, per := uint(uint32(w)), uint(s.perPage)
-	return &s.pages[p/per][p%per]
+	p := uint32(w)
+	e := p / s.extLen
+	return &s.exts[e].t[p-e*s.extLen]
 }
 
 // runStart is the offset of run r's first word.

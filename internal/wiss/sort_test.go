@@ -127,6 +127,7 @@ func TestSortRejectsDirtyDst(t *testing.T) {
 // maxIdleWords is not kept.
 func TestIdleSorterOutlivesCollections(t *testing.T) {
 	small, big := getSorter(), getSorter()
+	dropIdleSorters(t, small, big)
 	small.words = make([]uint64, 0, 1024)
 	big.words = make([]uint64, 0, maxIdleWords+1)
 	small.release()
@@ -140,6 +141,38 @@ func TestIdleSorterOutlivesCollections(t *testing.T) {
 	}
 	if slices.Contains(idleSorters.list, big) {
 		t.Errorf("a sorter holding %d words was kept idle, want at most %d", cap(big.words), maxIdleWords)
+	}
+}
+
+// dropIdleSorters takes the given sorters off the idle list when the test
+// ends, so buffers a test planted in them reach no later Sort.
+func dropIdleSorters(t *testing.T, planted ...*sorter) {
+	t.Cleanup(func() {
+		idleSorters.mu.Lock()
+		defer idleSorters.mu.Unlock()
+		idleSorters.list = slices.DeleteFunc(idleSorters.list, func(s *sorter) bool {
+			return slices.Contains(planted, s)
+		})
+	})
+}
+
+// TestSortRegrowsUnevenSorterBuffers: an idle sorter whose two word
+// buffers differ in size sorts an input longer than the shorter one. Sort
+// once sized both buffers by the first alone and sliced the second past
+// its capacity.
+func TestSortRegrowsUnevenSorterBuffers(t *testing.T) {
+	s := getSorter()
+	dropIdleSorters(t, s)
+	s.words, s.next = make([]uint64, 0, 1024), make([]uint64, 0, 64)
+	s.release() // the next getSorter returns s
+	const n = 365
+	src, dst, a := sortFixture(t, n, 6)
+	if _, err := Sort(a, src, dst, tuple.Unique1, 24<<10); err != nil {
+		t.Fatal(err)
+	}
+	checkSorted(t, dst, a, n)
+	if cap(s.words) < n || cap(s.next) < n {
+		t.Fatalf("the planted sorter holds %d and %d words after sorting %d tuples", cap(s.words), cap(s.next), n)
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 //     call, or a call that passes a *cost.Acct to a priced primitive
 //     (delegation);
 //  2. calling (*gamma.Exchange).Deliver directly is always flagged: batches
-//     must be built and priced by a netsim.Sender (passing ex.Deliver as the
-//     sender's delivery callback is the sanctioned path and is not a call);
+//     must be built and priced by a netsim.Sender (passing ex.DeliverFunc(),
+//     the exchange's Deliver bound once, as the sender's delivery callback
+//     is the sanctioned path and calls nothing);
 //  3. sending a netsim.Batch (or *netsim.Batch, or a batched-transport run
 //     []*netsim.Batch) on a raw channel is flagged for the same reason;
 //  4. constructing a netsim.Batch composite literal outside internal/netsim

@@ -14,7 +14,10 @@ import (
 // of the scheduler on every faulted run.
 //
 // For each `go` statement the analyzer accepts two join disciplines, checked
-// within the launching function:
+// within the launching function on the launched literal — written at the
+// go statement, or held by a local variable that is assigned exactly once,
+// from a literal, and never has its address taken (`run := func() {...}`
+// then `go run()`):
 //
 //  1. WaitGroup: the goroutine body defers wg.Done() on some
 //     sync.WaitGroup, wg.Add is called before the launch, and wg.Wait is
@@ -87,12 +90,19 @@ func checkLeakUnit(p *Pass, body *ast.BlockStmt, allowed map[int]bool) {
 
 // checkLaunch validates one go statement against the two join disciplines.
 func checkLaunch(p *Pass, body *ast.BlockStmt, g *ast.GoStmt) {
-	lit, ok := g.Call.Fun.(*ast.FuncLit)
+	lit, ok := unparen(g.Call.Fun).(*ast.FuncLit)
 	if !ok {
-		// `go method()` with no literal body: the analyzer cannot see a
-		// Done/close inside, so it cannot prove a join.
-		p.Reportf(g.Pos(), "goroutine launched without a visible join; launch a literal that defers wg.Done() or closes a channel, or justify with //gammavet:leakcheck")
-		return
+		var v types.Object
+		if lit, v = launchedVariable(p, body, g); lit == nil {
+			if v != nil {
+				p.Reportf(g.Pos(), "goroutine launches %s, which is not assigned exactly once from a function literal; the analyzer cannot tell which body runs", v.Name())
+				return
+			}
+			// `go method()` with no literal body: the analyzer cannot see a
+			// Done/close inside, so it cannot prove a join.
+			p.Reportf(g.Pos(), "goroutine launched without a visible join; launch a literal, or a local variable assigned once from one, that defers wg.Done() or closes a channel, or justify with //gammavet:leakcheck")
+			return
+		}
 	}
 	if wg := deferredDoneTarget(p, lit.Body); wg != nil {
 		addBefore := callsMethodOn(p, body, wg, "Add", g.Pos())
@@ -117,6 +127,58 @@ func checkLaunch(p *Pass, body *ast.BlockStmt, g *ast.GoStmt) {
 		return
 	}
 	p.Reportf(g.Pos(), "goroutine body neither defers a WaitGroup Done() nor signals a channel; every launch needs a join the phase can wait on")
+}
+
+// launchedVariable resolves `go run()` where run is a local variable of the
+// launching function. It returns the variable and, when the function
+// assigns it exactly once, from a function literal, and never takes its
+// address, that literal; a variable declared outside body returns neither.
+func launchedVariable(p *Pass, body *ast.BlockStmt, g *ast.GoStmt) (*ast.FuncLit, types.Object) {
+	id, ok := unparen(g.Call.Fun).(*ast.Ident)
+	if !ok {
+		return nil, nil
+	}
+	v, ok := p.Info.Uses[id].(*types.Var)
+	if !ok || v.Pos() < body.Pos() || v.Pos() >= body.End() {
+		return nil, nil
+	}
+	var lit *ast.FuncLit
+	assigns, addressed := 0, false
+	assign := func(lhs []ast.Expr, rhs []ast.Expr) {
+		for i, l := range lhs {
+			if lid, ok := unparen(l).(*ast.Ident); !ok || p.objOf(lid) != v {
+				continue
+			}
+			assigns++
+			if len(rhs) == len(lhs) {
+				lit, _ = unparen(rhs[i]).(*ast.FuncLit)
+			}
+		}
+	}
+	// Function literals are searched too: a closure may reassign it.
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			assign(n.Lhs, n.Rhs)
+		case *ast.ValueSpec:
+			if len(n.Values) > 0 {
+				lhs := make([]ast.Expr, len(n.Names))
+				for i, name := range n.Names {
+					lhs[i] = name
+				}
+				assign(lhs, n.Values)
+			}
+		case *ast.UnaryExpr:
+			if x, ok := unparen(n.X).(*ast.Ident); ok && n.Op == token.AND && p.objOf(x) == v {
+				addressed = true
+			}
+		}
+		return true
+	})
+	if assigns != 1 || addressed {
+		return nil, v
+	}
+	return lit, v
 }
 
 // deferredDoneTarget returns the *sync.WaitGroup variable whose Done() the

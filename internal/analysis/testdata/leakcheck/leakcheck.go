@@ -1,7 +1,10 @@
 // Package leakcheck seeds goroutine-leak shapes for the leakcheck analyzer.
 package leakcheck
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // unjoined launches a worker nothing ever waits for.
 func unjoined(work func()) {
@@ -79,6 +82,71 @@ func joinedByWaitGroup(work []func()) {
 			fn()
 		}(fn)
 	}
+	wg.Wait()
+}
+
+// joinedByLaunchVariable launches one literal, held by a variable assigned
+// once, for every worker; each claims its work by an atomic index.
+func joinedByLaunchVariable(work []func()) {
+	var wg sync.WaitGroup
+	var next atomic.Int32
+	run := func() {
+		defer wg.Done()
+		work[next.Add(1)-1]()
+	}
+	wg.Add(len(work))
+	for range work {
+		go run()
+	}
+	wg.Wait()
+}
+
+// reassignedLaunchVariable launches a variable that no longer holds the
+// joined literal.
+func reassignedLaunchVariable(work func()) {
+	var wg sync.WaitGroup
+	run := func() {
+		defer wg.Done()
+		work()
+	}
+	run = work
+	wg.Add(1)
+	go run() // want `goroutine launches run, which is not assigned exactly once from a function literal`
+	wg.Wait()
+}
+
+// addressedLaunchVariable launches a variable whose address escapes, so
+// any callee may have replaced the literal.
+func addressedLaunchVariable(work func(), swap func(*func())) {
+	var wg sync.WaitGroup
+	run := func() {
+		defer wg.Done()
+		work()
+	}
+	swap(&run)
+	wg.Add(1)
+	go run() // want `goroutine launches run, which is not assigned exactly once`
+	wg.Wait()
+}
+
+// launchVariableWithoutDone launches a variable whose literal calls Done
+// without defer.
+func launchVariableWithoutDone(work func()) {
+	var wg sync.WaitGroup
+	run := func() {
+		work()
+		wg.Done()
+	}
+	wg.Add(1)
+	go run() // want `neither defers a WaitGroup Done\(\) nor signals a channel`
+	wg.Wait()
+}
+
+// launchParameter launches a function it was handed: its body is out of
+// sight.
+func launchParameter(wg *sync.WaitGroup, run func()) {
+	wg.Add(1)
+	go run() // want `goroutine launched without a visible join`
 	wg.Wait()
 }
 

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"gammajoin/internal/bitfilter"
 	"gammajoin/internal/split"
@@ -67,11 +67,11 @@ func (rc *runCtx) runGrace() error {
 // groupLabel names a join group by its 1-based members ("bucket 3",
 // "partition 1+2").
 func groupLabel(kind string, group []int) string {
-	label := fmt.Sprintf("%s %d", kind, group[0]+1)
+	label := strconv.AppendInt(append([]byte(kind), ' '), int64(group[0]+1), 10)
 	for _, b := range group[1:] {
-		label += fmt.Sprintf("+%d", b+1)
+		label = strconv.AppendInt(append(label, '+'), int64(b+1), 10)
 	}
-	return label
+	return string(label)
 }
 
 // bucketGroups returns the joining order of buckets: one bucket per group
@@ -165,10 +165,10 @@ func (rc *runCtx) bucketSinks(name string, first, n int) (r, s *fileSink, err er
 	nf := (n - first) * len(rc.diskSites)
 	r = &fileSink{rc: rc, files: make([]sinkFile, 0, nf), forming: true, building: true}
 	s = &fileSink{rc: rc, files: make([]sinkFile, 0, nf), forming: true}
-	create := func(sink *fileSink, rel string) error {
+	create := func(sink *fileSink, suffix string) error {
 		for b := first; b < n; b++ {
 			for _, ds := range rc.diskSites {
-				f, err := rc.newTempFile(fmt.Sprintf("%s.%s.b%d", name, rel, b), ds)
+				f, err := rc.newTempFile(ds, name, suffix, b)
 				if err != nil {
 					return err
 				}
@@ -177,10 +177,10 @@ func (rc *runCtx) bucketSinks(name string, first, n int) (r, s *fileSink, err er
 		}
 		return nil
 	}
-	if err := create(r, "r"); err != nil {
+	if err := create(r, ".r.b"); err != nil {
 		return nil, nil, err
 	}
-	if err := create(s, "s"); err != nil {
+	if err := create(s, ".s.b"); err != nil {
 		return nil, nil, err
 	}
 	if rc.spec.BitFilter && rc.spec.FilterForming {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -569,7 +568,7 @@ func (rc *runCtx) dynPartitionFiles(name string, np, tagBase int) ([]*wiss.File,
 	sink := &fileSink{rc: rc, files: make([]sinkFile, 0, np), forming: true}
 	for p := range files {
 		home := rc.dynHome(p, np)
-		f, err := rc.newTempFile(fmt.Sprintf("%s.p%d", name, p), home)
+		f, err := rc.newTempFile(home, name, ".p", p)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -382,10 +382,10 @@ func (rc *runCtx) newJoinStates(prefix string) ([]joinState, error) {
 		}
 		home := rc.c.OverflowDiskSite(j)
 		var err error
-		if st.rover, err = rc.newTempFile(prefix+".rover", home); err != nil {
+		if st.rover, err = rc.newTempFile(home, prefix, ".rover", -1); err != nil {
 			return nil, err
 		}
-		if st.sover, err = rc.newTempFile(prefix+".sover", home); err != nil {
+		if st.sover, err = rc.newTempFile(home, prefix, ".sover", -1); err != nil {
 			return nil, err
 		}
 	}

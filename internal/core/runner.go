@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -89,6 +90,12 @@ type runCtx struct {
 
 	errMu    sync.Mutex
 	firstErr error
+
+	// stageWG joins a phase stage's goroutines and stageNext hands them
+	// their processes (runStage). Stages run one at a time, so one pair
+	// serves every stage of the attempt.
+	stageWG   sync.WaitGroup
+	stageNext atomic.Int32
 
 	fileSeq int
 
@@ -407,19 +414,29 @@ type fileAt struct {
 	f    *wiss.File
 }
 
-// newTempFile creates a temporary file on a disk site's disk. Workload
-// queries (QueryID != 0) prefix the name so two concurrent queries of the
-// same shape get distinct file-id hashes.
-func (rc *runCtx) newTempFile(name string, site int) (*wiss.File, error) {
+// newTempFile creates a temporary file on a disk site's disk, named name,
+// suffix and idx (left out when negative), then "#" and the attempt's file
+// sequence number. Workload queries (QueryID != 0) prefix the name with
+// "q<id>." so two concurrent queries of the same shape get distinct file-id
+// hashes. The name is built in a stack buffer and interned by wiss, so a
+// name an earlier join already used costs no allocation.
+func (rc *runCtx) newTempFile(site int, name, suffix string, idx int) (*wiss.File, error) {
+	var buf [64]byte
+	b := buf[:0]
+	if rc.spec.QueryID != 0 {
+		b = append(strconv.AppendInt(append(b, 'q'), int64(rc.spec.QueryID), 10), '.')
+	}
+	base := len(b)
+	b = append(append(b, name...), suffix...)
+	if idx >= 0 {
+		b = strconv.AppendInt(b, int64(idx), 10)
+	}
 	d, err := rc.c.Disk(site)
 	if err != nil {
-		return nil, fmt.Errorf("core: temp file %q: %w", name, err)
+		return nil, fmt.Errorf("core: temp file %q: %w", string(b[base:]), err)
 	}
 	rc.fileSeq++
-	if rc.spec.QueryID != 0 {
-		name = fmt.Sprintf("q%d.%s", rc.spec.QueryID, name)
-	}
-	full := fmt.Sprintf("%s#%d", name, rc.fileSeq)
+	full := wiss.InternName(strconv.AppendInt(append(b, '#'), int64(rc.fileSeq), 10))
 	rc.c.RegisterTempFile(full)
 	rc.tempFiles = append(rc.tempFiles, full)
 	f := wiss.NewFile(full, d, rc.m)
@@ -615,15 +632,24 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 }
 
 // runStage runs one stage's processes, a goroutine each, and returns at the
-// stage's barrier.
+// stage's barrier. One closure launches them all: each goroutine claims the
+// next process by an atomic index, so a process costs no closure or
+// WaitGroup of its own. Which goroutine runs which process does not
+// matter: every process charges only its own account, and its span was
+// registered before the launch.
 func (rc *runCtx) runStage(procs []proc, ps *phaseSpec, ex1, ex2 *gamma.Exchange) {
-	var wg sync.WaitGroup
-	for i := range procs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rc.runProc(&procs[i], ps, ex1, ex2)
-		}()
+	if len(procs) == 0 {
+		return
+	}
+	wg, next := &rc.stageWG, &rc.stageNext
+	next.Store(0)
+	run := func() {
+		defer wg.Done()
+		rc.runProc(&procs[next.Add(1)-1], ps, ex1, ex2)
+	}
+	wg.Add(len(procs))
+	for range procs {
+		go run()
 	}
 	wg.Wait()
 }
@@ -634,7 +660,7 @@ func (rc *runCtx) runProc(pr *proc, ps *phaseSpec, ex1, ex2 *gamma.Exchange) {
 	a, site := pr.a, pr.site
 	switch pr.role {
 	case "produce":
-		snd := rc.newPhaseSender(a, site, ex1.Deliver)
+		snd := rc.newPhaseSender(a, site, ex1.DeliverFunc())
 		for _, fn := range ps.produce[site] {
 			fn(a, snd)
 		}
@@ -645,7 +671,7 @@ func (rc *runCtx) runProc(pr *proc, ps *phaseSpec, ex1, ex2 *gamma.Exchange) {
 			fn(a)
 		}
 	case "consume":
-		snd := rc.newPhaseSender(a, site, ex2.Deliver)
+		snd := rc.newPhaseSender(a, site, ex2.DeliverFunc())
 		batches := drain(rc.c.Net, a, ex1.Take(site))
 		defer netsim.PutBatches(batches)
 		ps.consume[site](a, snd, batches)

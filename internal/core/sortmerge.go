@@ -41,16 +41,16 @@ func (rc *runCtx) runSortMerge() error {
 	tmpS := &fileSink{rc: rc, files: make([]sinkFile, 0, n), forming: true}
 	tmpRF, srtR, tmpSF, srtS := make([]*wiss.File, n), make([]*wiss.File, n), make([]*wiss.File, n), make([]*wiss.File, n)
 	for i, s := range sites {
-		if tmpRF[i], err = rc.newTempFile("sm.tmpR", s); err != nil {
+		if tmpRF[i], err = rc.newTempFile(s, "sm", ".tmpR", -1); err != nil {
 			return err
 		}
-		if srtR[i], err = rc.newTempFile("sm.srtR", s); err != nil {
+		if srtR[i], err = rc.newTempFile(s, "sm", ".srtR", -1); err != nil {
 			return err
 		}
-		if tmpSF[i], err = rc.newTempFile("sm.tmpS", s); err != nil {
+		if tmpSF[i], err = rc.newTempFile(s, "sm", ".tmpS", -1); err != nil {
 			return err
 		}
-		if srtS[i], err = rc.newTempFile("sm.srtS", s); err != nil {
+		if srtS[i], err = rc.newTempFile(s, "sm", ".srtS", -1); err != nil {
 			return err
 		}
 		var flt *bitfilter.Filter

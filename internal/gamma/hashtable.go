@@ -2,6 +2,7 @@ package gamma
 
 import (
 	"math"
+	"slices"
 
 	"gammajoin/internal/cost"
 	"gammajoin/internal/slicepool"
@@ -47,6 +48,10 @@ type HashTable struct {
 
 	probes      int64
 	chainVisits int64
+
+	// evicted is the eviction buffer: Insert and Resize return the tuples
+	// they evicted in it, valid until the table's next Insert or Resize.
+	evicted []tuple.Tuple
 }
 
 type htEntry struct {
@@ -157,7 +162,8 @@ func (ht *HashTable) BytesUsed() int64 { return int64(len(ht.entries)) * tuple.B
 // is only borrowed for the call. If the insert exceeds capacity, one or more
 // clearing passes run and the evicted tuples are returned for the caller to
 // write to its overflow file; the histogram, CPU costs, and cutoff are
-// maintained here.
+// maintained here. The returned slice is the table's eviction buffer: it
+// is valid until the next Insert or Resize.
 func (ht *HashTable) Insert(a *cost.Acct, t *tuple.Tuple, h uint64) []tuple.Tuple {
 	key := OverflowKey(h)
 	if key >= ht.cutoff {
@@ -168,16 +174,10 @@ func (ht *HashTable) Insert(a *cost.Acct, t *tuple.Tuple, h uint64) []tuple.Tupl
 	ht.entries = append(ht.entries, htEntry{h: h, key: key, next: ht.heads[s] - 1, t: *t})
 	ht.heads[s] = int32(len(ht.entries))
 	ht.hist[key>>56]++
-
-	var evicted []tuple.Tuple
-	for ht.BytesUsed() > ht.capBytes {
-		ev := ht.clearTenPercent(a)
-		if len(ev) == 0 {
-			break // cannot clear further (degenerate single-range table)
-		}
-		evicted = append(evicted, ev...)
+	if ht.BytesUsed() <= ht.capBytes {
+		return nil
 	}
-	return evicted
+	return ht.shed(a)
 }
 
 // Resize changes the table's capacity mid-build — the memory-pressure
@@ -185,27 +185,33 @@ func (ht *HashTable) Insert(a *cost.Acct, t *tuple.Tuple, h uint64) []tuple.Tupl
 // left alone; chains grow longer, which the per-visit Chain charge already
 // prices). Shrinking runs clearing passes until the payload fits, and the
 // evicted tuples are returned for the caller to demote to its overflow
-// file, exactly as for a capacity-exceeding Insert.
+// file, exactly as for a capacity-exceeding Insert and in the same buffer.
 func (ht *HashTable) Resize(a *cost.Acct, capBytes int64) []tuple.Tuple {
 	if capBytes < tuple.Bytes {
 		capBytes = tuple.Bytes
 	}
 	ht.capBytes = capBytes
-	var evicted []tuple.Tuple
+	return ht.shed(a)
+}
+
+// shed runs clearing passes until the payload fits the capacity and
+// returns every tuple they evicted, in the table's eviction buffer.
+func (ht *HashTable) shed(a *cost.Acct) []tuple.Tuple {
+	ev := ht.evicted[:0]
 	for ht.BytesUsed() > ht.capBytes {
-		ev := ht.clearTenPercent(a)
-		if len(ev) == 0 {
+		n := len(ev)
+		if ev = ht.clearTenPercent(a, ev); len(ev) == n {
 			break // cannot clear further (degenerate single-range table)
 		}
-		evicted = append(evicted, ev...)
 	}
-	return evicted
+	ht.evicted = ev
+	return ev
 }
 
 // clearTenPercent picks a new, lower cutoff from the histogram that frees
 // about 10% of the table's capacity, evicts every entry at or above it, and
-// returns the evicted tuples.
-func (ht *HashTable) clearTenPercent(a *cost.Acct) []tuple.Tuple {
+// appends the evicted tuples to ev.
+func (ht *HashTable) clearTenPercent(a *cost.Acct, ev []tuple.Tuple) []tuple.Tuple {
 	target := int32(ht.capBytes / tuple.Bytes / 10)
 	if target < 1 {
 		target = 1
@@ -228,7 +234,7 @@ func (ht *HashTable) clearTenPercent(a *cost.Acct) []tuple.Tuple {
 		// All remaining tuples share the lowest range; clear that whole
 		// range (cutoff cannot be lowered below range granularity).
 		if covered == 0 {
-			return nil
+			return ev
 		}
 	}
 	ht.cutoff = newCutoff
@@ -236,13 +242,13 @@ func (ht *HashTable) clearTenPercent(a *cost.Acct) []tuple.Tuple {
 
 	// Examine every tuple in the table and evict qualifying ones. covered
 	// counts exactly the live tuples in ranges >= the new cutoff, so it
-	// presizes the eviction buffer without regrowth.
+	// sizes the eviction buffer's growth for the whole pass.
 	a.AddCPU(cost.ScaleNs(len(ht.entries), ht.model.Chain))
 	kept := ht.entries[:0]
-	evicted := make([]tuple.Tuple, 0, covered)
+	ev = slices.Grow(ev, int(covered))
 	for _, e := range ht.entries {
 		if e.key >= ht.cutoff {
-			evicted = append(evicted, e.t)
+			ev = append(ev, e.t)
 			ht.hist[e.key>>56]--
 		} else {
 			kept = append(kept, e)
@@ -258,7 +264,7 @@ func (ht *HashTable) clearTenPercent(a *cost.Acct) []tuple.Tuple {
 		ht.entries[i].next = ht.heads[s] - 1
 		ht.heads[s] = int32(i + 1)
 	}
-	return evicted
+	return ev
 }
 
 // SpillAll drains the whole table — the dynamic Hybrid spill path, which

@@ -37,13 +37,6 @@ func NewMemPool(total int64) *MemPool {
 	return &MemPool{total: total}
 }
 
-// JoinMemPool builds the cluster's join-memory pool: perSite bytes at each
-// of the default join processors (diskless sites in the remote
-// configuration, disk sites in the local one).
-func (c *Cluster) JoinMemPool(perSite int64) *MemPool {
-	return NewMemPool(perSite * int64(len(c.JoinSites())))
-}
-
 // Total returns the pool's aggregate size.
 func (p *MemPool) Total() int64 { return p.total }
 

@@ -75,14 +75,3 @@ func TestMemPoolRevokeRegrant(t *testing.T) {
 		t.Fatalf("ledger after release: %d/%d/%d", p.Revoked(), p.Regranted(), p.Revokes())
 	}
 }
-
-func TestJoinMemPoolSizing(t *testing.T) {
-	c := NewRemote(4, 4, nil)
-	if got := c.JoinMemPool(1000).Total(); got != 4000 {
-		t.Fatalf("remote pool sized by diskless join sites: got %d, want 4000", got)
-	}
-	l := NewLocal(8, nil)
-	if got := l.JoinMemPool(1000).Total(); got != 8000 {
-		t.Fatalf("local pool sized by disk sites: got %d, want 8000", got)
-	}
-}

@@ -192,10 +192,11 @@ func (p *Phase) End(opts EndOpts) cost.SimNs {
 // Run granularity remains a wall-clock transport optimization only —
 // receive-side accounting stays per packet (netsim.Network.Recv).
 type Exchange struct {
-	n     int
-	lanes []lane            // by source site
-	last  []int64           // Seq of the last packet delivered, by src*n+dst
-	taken [][]*netsim.Batch // per destination, the packets Take hands out
+	n       int
+	lanes   []lane            // by source site
+	last    []int64           // Seq of the last packet delivered, by src*n+dst
+	taken   [][]*netsim.Batch // per destination, the packets Take hands out
+	deliver func(dst int, run []*netsim.Batch)
 }
 
 // lane holds one source's packets in delivery order, and where each
@@ -227,6 +228,7 @@ func (c *Cluster) NewExchange() *Exchange {
 	c.exMu.Unlock()
 	n := len(c.Sites)
 	e := &Exchange{n: n, lanes: make([]lane, n), last: make([]int64, n*n), taken: make([][]*netsim.Batch, n)}
+	e.deliver = e.Deliver
 	// Every lane starts with room for laneRuns runs, all in one array.
 	runs := make([]laneRun, n*laneRuns)
 	for i := range e.lanes {
@@ -283,6 +285,12 @@ func (e *Exchange) Deliver(dst int, run []*netsim.Batch) {
 	}
 	netsim.PutRun(run)
 }
+
+// DeliverFunc returns Deliver bound to the exchange, for a netsim.Sender's
+// delivery callback. The exchange binds it once, when it is made, so the
+// phase's senders share one function value instead of each allocating an
+// e.Deliver method value.
+func (e *Exchange) DeliverFunc() func(dst int, run []*netsim.Batch) { return e.deliver }
 
 // panicLane reports a run delivered out of sequence order from src to dst.
 func panicLane(src, dst int, first, last int64) {

@@ -86,6 +86,7 @@ type Recorder struct {
 	phase     int        // per-attempt phase ordinal, -1 between attempts
 	phaseName string
 	spans     []*Span
+	slab      []Span // spans not yet handed out; newSpan carves from it
 	instants  []Instant
 
 	metrics *Metrics
@@ -169,7 +170,7 @@ func (r *Recorder) BeginPhase(name string) {
 func (r *Recorder) EndPhase(work, sched cost.SimNs) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.spans = append(r.spans, &Span{
+	*r.newSpan() = Span{
 		Attempt:   r.attempt,
 		Phase:     r.phase,
 		PhaseName: r.phaseName,
@@ -180,7 +181,7 @@ func (r *Recorder) EndPhase(work, sched cost.SimNs) {
 		Start:     r.now + work,
 		Dur:       sched,
 		CPU:       sched,
-	})
+	}
 	r.now += work + sched
 	r.metrics.Sample(r.attempt, r.phase, r.phaseName, r.now.Nanoseconds())
 }
@@ -192,7 +193,8 @@ func (r *Recorder) EndPhase(work, sched cost.SimNs) {
 func (r *Recorder) Start(site int, op, role string, bucket int) *Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := &Span{
+	s := r.newSpan()
+	*s = Span{
 		Attempt:   r.attempt,
 		Phase:     r.phase,
 		PhaseName: r.phaseName,
@@ -202,6 +204,23 @@ func (r *Recorder) Start(site int, op, role string, bucket int) *Span {
 		Bucket:    bucket,
 		Start:     r.now,
 	}
+	return s
+}
+
+// spanSlab is how many spans one slab holds: a paper-scale join records
+// about 205, one per operator process and one scheduler span per phase,
+// so it carves them from four slabs.
+const spanSlab = 64
+
+// newSpan records a new zero span, carved from the recorder's slab. Spans
+// are never freed one by one, so a slab lives as long as the recorder.
+// The caller holds r.mu.
+func (r *Recorder) newSpan() *Span {
+	if len(r.slab) == 0 {
+		r.slab = make([]Span, spanSlab)
+	}
+	s := &r.slab[0]
+	r.slab = r.slab[1:]
 	r.spans = append(r.spans, s)
 	return s
 }

@@ -48,17 +48,18 @@ var (
 )
 
 // registerFileID records that name owns id, panicking loudly on a
-// cross-name collision. fnv64a collisions are astronomically unlikely for
-// the simulator's file-name population, so a hit is almost certainly a
-// naming bug (two code paths generating the same "unique" name). A name
-// already registered, as every sort run's name is after the first sort of
-// its file, is looked up without allocating.
-func registerFileID[T string | []byte](id int64, name T) {
+// cross-name collision, and returns the name as the registry holds it.
+// fnv64a collisions are astronomically unlikely for the simulator's
+// file-name population, so a hit is almost certainly a naming bug (two code
+// paths generating the same "unique" name). A name already registered, as
+// every sort run's name is after the first sort of its file, is looked up
+// without allocating.
+func registerFileID[T string | []byte](id int64, name T) string {
 	idOwnersMu.Lock()
 	defer idOwnersMu.Unlock()
 	owner, ok := idOwners[id]
 	if ok && owner == string(name) {
-		return
+		return owner
 	}
 	if ok {
 		panic(fmt.Sprintf(
@@ -66,8 +67,16 @@ func registerFileID[T string | []byte](id int64, name T) {
 				"file names must be unique so fault schedules and disk "+
 				"accounting stay per-file", owner, string(name), uint64(id)))
 	}
-	idOwners[id] = string(name)
+	owner = string(name)
+	idOwners[id] = owner
+	return owner
 }
+
+// InternName registers a file name held in a byte buffer and returns it as
+// a string. A name registered before comes back as the string the registry
+// already holds, so a caller that builds a recurring name, such as a temp
+// file's, in a reused buffer allocates only the first time.
+func InternName(name []byte) string { return registerFileID(fileID(name), name) }
 
 // extentPages is how many consecutive pages one extent holds. Larger
 // extents read and write longer stretches of memory and need fewer

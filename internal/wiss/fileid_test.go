@@ -75,3 +75,28 @@ func TestRunFileIDRegisteredWithoutAllocating(t *testing.T) {
 		t.Fatalf("registering an already registered run name allocates %.0f times", n)
 	}
 }
+
+// TestInternNameReturnsRegisteredName requires a name built in a byte
+// buffer to come back as the registered string, and a name registered
+// before, from a buffer or a string, to be interned without allocating.
+func TestInternNameReturnsRegisteredName(t *testing.T) {
+	name := []byte("q3.grace.r.b2#7")
+	s := InternName(name)
+	defer scrubFileID(fileID(s))
+	if s != string(name) {
+		t.Fatalf("InternName(%q) = %q", name, s)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var buf [64]byte // as newTempFile builds a temp file's name
+		if got := InternName(append(buf[:0], name...)); got != s {
+			t.Fatalf("InternName(%q) = %q, want %q", name, got, s)
+		}
+	}); n != 0 {
+		t.Fatalf("interning a registered name allocates %.0f times", n)
+	}
+	f, _, _ := testFile(t, "intern.frag0")
+	defer scrubFileID(f.ID())
+	if n := testing.AllocsPerRun(100, func() { InternName([]byte("intern.frag0")) }); n != 0 {
+		t.Fatalf("interning a name NewFile registered allocates %.0f times", n)
+	}
+}

@@ -95,22 +95,27 @@ func (rc *runCtx) scan(ps *phaseSpec, srcs []fileAt, attr int, p pred.Pred, seed
 				a.AddCPU(rc.m.PacketProto)
 			}
 			streams := snd.StreamCache(r.slots)
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, p, t) {
-					return true
+			readNs, hashNs := rc.m.ReadTuple, rc.m.Hash
+			f.ScanPages(a, func(pg []tuple.Tuple) bool {
+				for k := range pg {
+					t := &pg[k]
+					a.AddCPU(readNs)
+					if !rc.scanPred(a, p, t) {
+						continue
+					}
+					a.AddCPU(hashNs)
+					h := split.Hash(t.Int(attr), seed)
+					i, ok := r.route(a, h)
+					if !ok {
+						continue
+					}
+					out := streams[i]
+					if out == nil {
+						out = snd.Stream(r.stream(i))
+						streams[i] = out
+					}
+					snd.SendTo(out, t, h)
 				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(attr), seed)
-				i, ok := r.route(a, h)
-				if !ok {
-					return true
-				}
-				out := streams[i]
-				if out == nil {
-					out = snd.Stream(r.stream(i))
-					streams[i] = out
-				}
-				snd.SendTo(out, t, h)
 				return true
 			})
 		})
@@ -118,13 +123,22 @@ func (rc *runCtx) scan(ps *phaseSpec, srcs []fileAt, attr int, p pred.Pred, seed
 }
 
 // cachedStream returns the handle in cache slot i, resolving stream
-// (dst, tag) into the slot on first use.
+// (dst, tag) into the slot on first use. It is small enough to inline, so a
+// producer's per-tuple lookup makes no call.
 func cachedStream(snd *netsim.Sender, cache []*netsim.Stream, i, dst, tag int) *netsim.Stream {
-	out := cache[i]
-	if out == nil {
-		out = snd.Stream(dst, tag)
-		cache[i] = out
+	if out := cache[i]; out != nil {
+		return out
 	}
+	return resolveStream(snd, cache, i, dst, tag)
+}
+
+// resolveStream resolves stream (dst, tag) into cache slot i. It stays out
+// of line so that cachedStream inlines.
+//
+//go:noinline
+func resolveStream(snd *netsim.Sender, cache []*netsim.Stream, i, dst, tag int) *netsim.Stream {
+	out := snd.Stream(dst, tag)
+	cache[i] = out
 	return out
 }
 
@@ -471,32 +485,37 @@ func (rc *runCtx) probePass(ps *phaseSpec, js []joinState, srcs []fileAt, p pred
 			// Slot e holds entry e's bucket or probe stream, slot ne+e its
 			// outer overflow stream.
 			streams := snd.StreamCache(2 * ne)
-			f.Scan(a, func(t *tuple.Tuple) bool {
-				if !rc.scanPred(a, p, t) {
-					return true
-				}
-				a.AddCPU(rc.m.Hash)
-				h := split.Hash(t.Int(attr), seed)
-				e := pt.Entry(h)
-				b, dst := pt.Route(e)
-				if b != 0 {
-					snd.SendTo(cachedStream(snd, streams, e, dst, b), t, h)
-					return true
-				}
-				st := bySite[dst]
-				if st.flt != nil {
-					a.AddCPU(rc.m.FilterBit)
-					if !st.flt.Test(h) {
-						dropped++
-						return true
+			readNs, hashNs, filterNs := rc.m.ReadTuple, rc.m.Hash, rc.m.FilterBit
+			f.ScanPages(a, func(pg []tuple.Tuple) bool {
+				for k := range pg {
+					t := &pg[k]
+					a.AddCPU(readNs)
+					if !rc.scanPred(a, p, t) {
+						continue
 					}
+					a.AddCPU(hashNs)
+					h := split.Hash(t.Int(attr), seed)
+					e := pt.Entry(h)
+					b, dst := pt.Route(e)
+					if b != 0 {
+						snd.SendTo(cachedStream(snd, streams, e, dst, b), t, h)
+						continue
+					}
+					st := bySite[dst]
+					if st.flt != nil {
+						a.AddCPU(filterNs)
+						if !st.flt.Test(h) {
+							dropped++
+							continue
+						}
+					}
+					if gamma.AboveCutoff(st.cutoff, h) {
+						over++
+						snd.SendTo(cachedStream(snd, streams, ne+e, rc.c.OverflowDiskSite(dst), tagSOverBase+dst), t, h)
+						continue
+					}
+					snd.SendTo(cachedStream(snd, streams, e, dst, tagProbe), t, h)
 				}
-				if gamma.AboveCutoff(st.cutoff, h) {
-					over++
-					snd.SendTo(cachedStream(snd, streams, ne+e, rc.c.OverflowDiskSite(dst), tagSOverBase+dst), t, h)
-					return true
-				}
-				snd.SendTo(cachedStream(snd, streams, e, dst, tagProbe), t, h)
 				return true
 			})
 			rc.filterDropped.Add(dropped)

@@ -399,11 +399,14 @@ func (rc *runCtx) applyMemPressure(a *cost.Acct, snd *netsim.Sender, over *netsi
 }
 
 // scanPred charges and evaluates an optional scan predicate; a nil
-// predicate always passes for free.
+// predicate always passes for free. It is small enough to inline, so a scan
+// without a predicate makes no call per tuple.
 func (rc *runCtx) scanPred(a *cost.Acct, p pred.Pred, t *tuple.Tuple) bool {
-	if p == nil {
-		return true
-	}
+	return p == nil || rc.evalPred(a, p, t)
+}
+
+// evalPred charges and evaluates scan predicate p.
+func (rc *runCtx) evalPred(a *cost.Acct, p pred.Pred, t *tuple.Tuple) bool {
 	a.AddCPU(cost.ScaleNs(p.Nodes(), rc.m.PredEval))
 	return p.Eval(t)
 }

@@ -39,15 +39,12 @@ type HashTable struct {
 	capBytes int64
 	attr     int
 
-	heads   []int32
+	slots   []htSlot
 	entries []htEntry
 	hist    [256]int32 // live tuples per top-byte hash range
 
 	cutoff    uint64 // tuples with h >= cutoff overflow; starts at max
 	overflows int    // number of clearing passes performed
-
-	probes      int64
-	chainVisits int64
 
 	// evicted is the eviction buffer: Insert and Resize return the tuples
 	// they evicted in it, valid until the table's next Insert or Resize.
@@ -61,13 +58,49 @@ type htEntry struct {
 	t    tuple.Tuple
 }
 
-// headsPool and entriesPool recycle the table's two backing arrays across
+// htSlot is one chain of the table: head is its first entry's index plus
+// one (0 for an empty chain), and meta summarizes the chain. meta's low 8
+// bits count its entries, saturating at chainLenMask; each of the 24 bits
+// above them stands for a group of join keys (keyBit), and a chain's bits
+// are the OR over its entries' keys. A probe whose key bit is clear on a
+// chain of known length knows the chain holds no match without walking it.
+type htSlot struct {
+	head int32
+	meta uint32
+}
+
+const chainLenMask = 0xFF
+
+// keyBit returns the bit of a slot's meta that stands for join key k: one
+// of the 24 bits above the chain length, chosen by a multiplicative hash of
+// k (the join key, not the routing hash, so a stored tuple and its probe
+// agree whatever hashes they were routed under).
+func keyBit(k int32) uint32 {
+	return 1 << (8 + uint32(uint64(uint32(k)*0x9E3779B9)*24>>32))
+}
+
+// add counts one more entry with join key k on the slot's chain.
+func (s *htSlot) add(k int32) {
+	if s.meta&chainLenMask != chainLenMask {
+		s.meta++
+	}
+	s.meta |= keyBit(k)
+}
+
+// misses reports whether the chain provably holds no entry with join key
+// k: k's bit is clear and the length has not saturated, so a probe can
+// charge the walk without making it.
+func (s htSlot) misses(k int32) bool {
+	return s.meta&keyBit(k) == 0 && s.meta&chainLenMask != chainLenMask
+}
+
+// slotsPool and entriesPool recycle the table's two backing arrays across
 // join levels: a table's entry array is multi-megabyte at benchmark
 // capacities and each overflow level (and each dynamic-Hybrid partition)
 // would otherwise allocate a fresh one. Only Release hands arrays back, and
 // only callers that provably hold the last reference call it.
 var (
-	headsPool   slicepool.Pool[int32]
+	slotsPool   slicepool.Pool[htSlot]
 	entriesPool slicepool.Pool[htEntry]
 )
 
@@ -80,14 +113,12 @@ func NewHashTable(m *cost.Model, capBytes int64, attr int, fill ...int) *HashTab
 	if nb < 16 {
 		nb = 16
 	}
-	heads := headsPool.Get()
-	if cap(heads) < nb {
-		heads = make([]int32, nb)
+	slots := slotsPool.Get()
+	if cap(slots) < nb {
+		slots = make([]htSlot, nb)
 	} else {
-		heads = heads[:nb]
-		for i := range heads {
-			heads[i] = 0
-		}
+		slots = slots[:nb]
+		clear(slots)
 	}
 	// Pre-size the entry array toward the expected fill (by default the
 	// table's capacity) so builds do not pay repeated append-grow copies of
@@ -110,7 +141,7 @@ func NewHashTable(m *cost.Model, capBytes int64, attr int, fill ...int) *HashTab
 		model:    m,
 		capBytes: capBytes,
 		attr:     attr,
-		heads:    heads,
+		slots:    slots,
 		entries:  entries,
 		cutoff:   math.MaxUint64,
 	}
@@ -124,9 +155,9 @@ func (ht *HashTable) Release() {
 	if ht == nil {
 		return
 	}
-	headsPool.Put(ht.heads)
+	slotsPool.Put(ht.slots)
 	entriesPool.Put(ht.entries)
-	ht.heads, ht.entries = nil, nil
+	ht.slots, ht.entries = nil, nil
 }
 
 // slot remixes the routing hash before taking it modulo the chain count:
@@ -136,7 +167,20 @@ func (ht *HashTable) Release() {
 const slotSalt = 0x00C0FFEE
 
 func (ht *HashTable) slot(h uint64) int {
-	return int(xrand.Mix64(h^slotSalt) % uint64(len(ht.heads)))
+	return int(xrand.Mix64(h^slotSalt) % uint64(len(ht.slots)))
+}
+
+// relink rebuilds every chain and its summary from the entries, in entry
+// order, as a run of Inserts into empty chains would leave them.
+func (ht *HashTable) relink() {
+	clear(ht.slots)
+	for i := range ht.entries {
+		e := &ht.entries[i]
+		s := &ht.slots[ht.slot(e.h)]
+		e.next = s.head - 1
+		s.head = int32(i + 1)
+		s.add(e.t.Int(ht.attr))
+	}
 }
 
 // Cutoff returns the current overflow cutoff: tuples whose hash is >= the
@@ -170,9 +214,10 @@ func (ht *HashTable) Insert(a *cost.Acct, t *tuple.Tuple, h uint64) []tuple.Tupl
 		panic("gamma: Insert called with hash above cutoff")
 	}
 	a.AddCPU(ht.model.Insert + ht.model.Histogram)
-	s := ht.slot(h)
-	ht.entries = append(ht.entries, htEntry{h: h, key: key, next: ht.heads[s] - 1, t: *t})
-	ht.heads[s] = int32(len(ht.entries))
+	s := &ht.slots[ht.slot(h)]
+	ht.entries = append(ht.entries, htEntry{h: h, key: key, next: s.head - 1, t: *t})
+	s.head = int32(len(ht.entries))
+	s.add(t.Int(ht.attr))
 	ht.hist[key>>56]++
 	if ht.BytesUsed() <= ht.capBytes {
 		return nil
@@ -255,15 +300,7 @@ func (ht *HashTable) clearTenPercent(a *cost.Acct, ev []tuple.Tuple) []tuple.Tup
 		}
 	}
 	ht.entries = kept
-	// Rebuild chains after compaction.
-	for i := range ht.heads {
-		ht.heads[i] = 0
-	}
-	for i := range ht.entries {
-		s := ht.slot(ht.entries[i].h)
-		ht.entries[i].next = ht.heads[s] - 1
-		ht.heads[s] = int32(i + 1)
-	}
+	ht.relink()
 	return ev
 }
 
@@ -286,21 +323,23 @@ func (ht *HashTable) SpillAll(a *cost.Acct) ([]tuple.Tuple, []uint64) {
 		hashes[i] = ht.entries[i].h
 	}
 	ht.entries = ht.entries[:0]
-	for i := range ht.heads {
-		ht.heads[i] = 0
-	}
+	clear(ht.slots)
 	ht.hist = [256]int32{}
 	return tuples, hashes
 }
 
 // Probe looks up every stored tuple matching the key and calls fn for each,
-// charging the probe and per-chain-element costs.
+// charging the probe and per-chain-element costs. A chain whose summary
+// rules the key out is charged as walked but not walked.
 func (ht *HashTable) Probe(a *cost.Acct, h uint64, key int32, fn func(match *tuple.Tuple)) {
+	s := ht.slots[ht.slot(h)]
+	if s.misses(key) {
+		a.AddCPU(ht.model.Probe + cost.ScaleNs(int(s.meta&chainLenMask), ht.model.Chain))
+		return
+	}
 	a.AddCPU(ht.model.Probe)
-	ht.probes++
-	for i := ht.heads[ht.slot(h)] - 1; i >= 0; i = ht.entries[i].next {
+	for i := s.head - 1; i >= 0; i = ht.entries[i].next {
 		a.AddCPU(ht.model.Chain)
-		ht.chainVisits++
 		if ht.entries[i].t.Int(ht.attr) == key {
 			fn(&ht.entries[i].t)
 		}
@@ -310,41 +349,59 @@ func (ht *HashTable) Probe(a *cost.Acct, h uint64, key int32, fn func(match *tup
 // ProbeBatch probes the table with a whole run of outer tuples: outer tuple
 // i (with routing hash hashes[i]) is compared on its integer attribute attr
 // against the build side, and fn is called for every match. The charge
-// sequence — one Probe per outer tuple, one Chain per visited entry, with
+// sequence — one Probe per outer tuple, one Chain per chain entry, with
 // fn's own charges landing between them exactly where the matches occur —
 // is identical to calling Probe in a loop; what batching removes is the
 // per-tuple closure allocation and call overhead of the serial form.
+//
+// Most probes miss, and a walk that ends after an unpredictable number of
+// entries costs a mispredicted branch, so a probe whose key the chain's
+// summary rules out charges Probe plus one Chain per entry and moves on.
+// The charges gather in a local total that reaches a before every call of
+// fn, which may note an event stamped with a's elapsed time, and at the
+// end.
 func (ht *HashTable) ProbeBatch(a *cost.Acct, tuples []tuple.Tuple, hashes []uint64, attr int,
 	fn func(outer, match *tuple.Tuple)) {
 	// fn never mutates the table (match callbacks only emit), so the hot
 	// loop can work from locals instead of reloading fields after each call.
-	heads, entries := ht.heads, ht.entries
+	slots, entries := ht.slots, ht.entries
 	battr := ht.attr
 	probeNs, chainNs := ht.model.Probe, ht.model.Chain
-	nheads := uint64(len(heads))
+	hashes = hashes[:len(tuples)] // one bounds check, not one per tuple
+	var cpu cost.SimNs
 	for i := range tuples {
-		a.AddCPU(probeNs)
-		ht.probes++
 		key := tuples[i].Int(attr)
-		for e := heads[int(xrand.Mix64(hashes[i]^slotSalt)%nheads)] - 1; e >= 0; e = entries[e].next {
-			a.AddCPU(chainNs)
-			ht.chainVisits++
+		s := slots[xrand.Mix64(hashes[i]^slotSalt)%uint64(len(slots))]
+		if s.misses(key) {
+			cpu += probeNs + cost.ScaleNs(int(s.meta&chainLenMask), chainNs)
+			continue
+		}
+		cpu += probeNs
+		for e := s.head - 1; e >= 0; e = entries[e].next {
+			cpu += chainNs
 			if entries[e].t.Int(battr) == key {
+				a.AddCPU(cpu)
+				cpu = 0
 				fn(&tuples[i], &entries[e].t)
 			}
 		}
 	}
+	a.AddCPU(cpu)
 }
 
 // ChainStats returns the average and maximum hash-chain length over
 // non-empty chains (the paper reports 3.3 average / 16 max for the skewed
-// inner relation).
+// inner relation). It reads the lengths from the chain summaries and walks
+// only the chains whose count saturated.
 func (ht *HashTable) ChainStats() (avg float64, maxLen int) {
 	total, chains := 0, 0
-	for _, head := range ht.heads {
-		l := 0
-		for e := head - 1; e >= 0; e = ht.entries[e].next {
-			l++
+	for _, s := range ht.slots {
+		l := int(s.meta & chainLenMask)
+		if l == chainLenMask {
+			l = 0
+			for e := s.head - 1; e >= 0; e = ht.entries[e].next {
+				l++
+			}
 		}
 		if l == 0 {
 			continue

@@ -1,6 +1,7 @@
 package gamma
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -14,7 +15,12 @@ import (
 // refInsert, refResize and refClearTenPercent are HashTable's Insert,
 // Resize and clearTenPercent as they were before the table owned an
 // eviction buffer: every clearing pass returns a fresh slice, and Insert
-// and Resize concatenate them. TestHashTableMatchesReference and
+// and Resize concatenate them. refSpillAll, refProbeBatch and
+// refChainStats are SpillAll, ProbeBatch and ChainStats as they were
+// before chains carried summaries: every probe walks its chain, and chain
+// lengths are counted by walking. The reference functions set only a
+// slot's head, so a reference table's summaries stay zero.
+// TestHashTableMatchesReference, TestProbeBatchMatchesReference and
 // FuzzHashTableMatchesReference hold the table to them.
 func refInsert(ht *HashTable, a *cost.Acct, t *tuple.Tuple, h uint64) []tuple.Tuple {
 	key := OverflowKey(h)
@@ -23,8 +29,8 @@ func refInsert(ht *HashTable, a *cost.Acct, t *tuple.Tuple, h uint64) []tuple.Tu
 	}
 	a.AddCPU(ht.model.Insert + ht.model.Histogram)
 	s := ht.slot(h)
-	ht.entries = append(ht.entries, htEntry{h: h, key: key, next: ht.heads[s] - 1, t: *t})
-	ht.heads[s] = int32(len(ht.entries))
+	ht.entries = append(ht.entries, htEntry{h: h, key: key, next: ht.slots[s].head - 1, t: *t})
+	ht.slots[s].head = int32(len(ht.entries))
 	ht.hist[key>>56]++
 
 	var evicted []tuple.Tuple
@@ -91,20 +97,163 @@ func refClearTenPercent(ht *HashTable, a *cost.Acct) []tuple.Tuple {
 		}
 	}
 	ht.entries = kept
-	for i := range ht.heads {
-		ht.heads[i] = 0
-	}
+	clear(ht.slots)
 	for i := range ht.entries {
 		s := ht.slot(ht.entries[i].h)
-		ht.entries[i].next = ht.heads[s] - 1
-		ht.heads[s] = int32(i + 1)
+		ht.entries[i].next = ht.slots[s].head - 1
+		ht.slots[s].head = int32(i + 1)
 	}
 	return evicted
 }
 
+func refSpillAll(ht *HashTable, a *cost.Acct) ([]tuple.Tuple, []uint64) {
+	if len(ht.entries) == 0 {
+		return nil, nil
+	}
+	a.AddCPU(cost.ScaleNs(len(ht.entries), ht.model.Chain))
+	tuples := make([]tuple.Tuple, len(ht.entries))
+	hashes := make([]uint64, len(ht.entries))
+	for i := range ht.entries {
+		tuples[i] = ht.entries[i].t
+		hashes[i] = ht.entries[i].h
+	}
+	ht.entries = ht.entries[:0]
+	clear(ht.slots)
+	ht.hist = [256]int32{}
+	return tuples, hashes
+}
+
+func refProbeBatch(ht *HashTable, a *cost.Acct, tuples []tuple.Tuple, hashes []uint64, attr int,
+	fn func(outer, match *tuple.Tuple)) {
+	for i := range tuples {
+		a.AddCPU(ht.model.Probe)
+		key := tuples[i].Int(attr)
+		for e := ht.slots[ht.slot(hashes[i])].head - 1; e >= 0; e = ht.entries[e].next {
+			a.AddCPU(ht.model.Chain)
+			if ht.entries[e].t.Int(ht.attr) == key {
+				fn(&tuples[i], &ht.entries[e].t)
+			}
+		}
+	}
+}
+
+func refChainStats(ht *HashTable) (avg float64, maxLen int) {
+	total, chains := 0, 0
+	for _, s := range ht.slots {
+		l := 0
+		for e := s.head - 1; e >= 0; e = ht.entries[e].next {
+			l++
+		}
+		if l == 0 {
+			continue
+		}
+		total += l
+		chains++
+		if l > maxLen {
+			maxLen = l
+		}
+	}
+	if chains == 0 {
+		return 0, 0
+	}
+	return float64(total) / float64(chains), maxLen
+}
+
+// checkSummaries requires every slot's summary to equal a walk of its
+// chain: the entry count, saturated at chainLenMask, and the OR of the
+// entries' key bits.
+func checkSummaries(t *testing.T, step int, ht *HashTable) {
+	t.Helper()
+	for i, s := range ht.slots {
+		var l, bits uint32
+		for e := s.head - 1; e >= 0; e = ht.entries[e].next {
+			l++
+			bits |= keyBit(ht.entries[e].t.Int(ht.attr))
+		}
+		if want := min(l, chainLenMask) | bits; s.meta != want {
+			t.Fatalf("step %d: slot %d summary %#x, its chain of %d entries %#x", step, i, s.meta, l, want)
+		}
+	}
+}
+
+// probeMatch is one match a probe check records: the outer tuple's index
+// in its batch and the matched entry's Unique2.
+type probeMatch struct{ outer, match int32 }
+
+// checkProbes probes got with ProbeBatch and with a Probe loop, and want
+// with refProbeBatch, each into a fresh account through a callback that
+// charges and notes, as a join's emitter does when a packet seals under a
+// net fault. It requires the same matches in the same order and the same
+// account, events and their stamps included.
+func checkProbes(t *testing.T, step int, got, want *HashTable, outer []tuple.Tuple, hashes []uint64) {
+	t.Helper()
+	m := got.model
+	var matches [3][]probeMatch
+	var accts [3]cost.Acct
+	onMatch := func(k int, outer, match *tuple.Tuple) {
+		matches[k] = append(matches[k], probeMatch{outer.Int(tuple.Unique2), match.Int(tuple.Unique2)})
+		accts[k].AddCPU(m.WriteTuple)
+		accts[k].Note("match", int64(match.Int(tuple.Unique2)))
+	}
+	got.ProbeBatch(&accts[0], outer, hashes, tuple.Unique1, func(o, mt *tuple.Tuple) { onMatch(0, o, mt) })
+	for i := range outer {
+		o := &outer[i]
+		got.Probe(&accts[1], hashes[i], o.Int(tuple.Unique1), func(mt *tuple.Tuple) { onMatch(1, o, mt) })
+	}
+	refProbeBatch(want, &accts[2], outer, hashes, tuple.Unique1, func(o, mt *tuple.Tuple) { onMatch(2, o, mt) })
+	for k, name := range []string{"ProbeBatch", "Probe"} {
+		if !slices.Equal(matches[k], matches[2]) {
+			t.Fatalf("step %d: %s matched %v, reference %v", step, name, matches[k], matches[2])
+		}
+		if d := acctDiff(accts[k], accts[2]); d != "" {
+			t.Fatalf("step %d: %s %s", step, name, d)
+		}
+	}
+}
+
+// acctDiff describes how account got differs from want: their resource
+// times, or their first differing event; it is empty when they are equal.
+func acctDiff(got, want cost.Acct) string {
+	if got.CPU != want.CPU || got.Disk != want.Disk || got.Net != want.Net {
+		return fmt.Sprintf("account cpu %d disk %d net %d, reference cpu %d disk %d net %d",
+			got.CPU, got.Disk, got.Net, want.CPU, want.Disk, want.Net)
+	}
+	for i := range min(len(got.Events), len(want.Events)) {
+		if got.Events[i] != want.Events[i] {
+			return fmt.Sprintf("event %d of %d: %+v, reference %+v", i, len(want.Events), got.Events[i], want.Events[i])
+		}
+	}
+	if len(got.Events) != len(want.Events) {
+		return fmt.Sprintf("noted %d events, reference %d", len(got.Events), len(want.Events))
+	}
+	return ""
+}
+
+// probeSet makes the outer tuples of a probe check from the last inserted
+// (key, hash) pairs: each pair as inserted, which matches unless the tuple
+// was evicted; a key outside the workload's domain on the same chain,
+// which the summary rules out unless its key bit collides; and the key
+// under a neighbouring hash, usually on another chain.
+func probeSet(recent []htOp) ([]tuple.Tuple, []uint64) {
+	outer := make([]tuple.Tuple, 0, 3*len(recent))
+	hashes := make([]uint64, 0, 3*len(recent))
+	for _, op := range recent {
+		for _, p := range [3]struct {
+			key int32
+			h   uint64
+		}{{op.key, op.h}, {op.key + 1<<20, op.h}, {op.key, op.h + 1}} {
+			tp := mk(p.key)
+			tp.SetInt(tuple.Unique2, int32(len(outer)))
+			outer = append(outer, tp)
+			hashes = append(hashes, p.h)
+		}
+	}
+	return outer, hashes
+}
+
 // htOp is one step of a hash-table workload: an Insert of key with routing
-// hash h, a Resize to capBytes, or, as the next overflow level does, a
-// fresh table in place of the last.
+// hash h, a Resize to capBytes, a SpillAll, or, as the next overflow level
+// does, a fresh table in place of the last.
 type htOp struct {
 	kind     htOpKind
 	capBytes int64
@@ -117,6 +266,7 @@ type htOpKind int
 const (
 	htInsert htOpKind = iota
 	htResize
+	htSpill
 	htLevel
 )
 
@@ -135,12 +285,18 @@ func belowCutoff(cutoff, h uint64) (uint64, bool) {
 	return 0, false
 }
 
-// checkHashTableMatchesReference runs ops on a table through Insert and
-// Resize and on a twin through the reference, and requires the same
-// evicted tuples in order, cutoff, clearing passes, length and account
-// after every step, and the same chains at the end of each table. An
-// Insert moves to the next hash below the cutoff (belowCutoff), or is
-// skipped. Every table starts at capBytes.
+// probeWindow is how many of the last inserted (key, hash) pairs a probe
+// check draws on.
+const probeWindow = 16
+
+// checkHashTableMatchesReference runs ops on a table through Insert,
+// Resize and SpillAll and on a twin through the reference, and requires
+// the same evicted or spilled tuples in order, cutoff, clearing passes,
+// length and account after every step, and the same chains at the end of
+// each table. After every step it also checks the table's chain summaries
+// (checkSummaries) and probes both tables (checkProbes) around the last
+// probeWindow inserts. An Insert moves to the next hash below the cutoff
+// (belowCutoff), or is skipped. Every table starts at capBytes.
 func checkHashTableMatchesReference(t *testing.T, capBytes int64, ops []htOp) {
 	t.Helper()
 	m := cost.Default()
@@ -148,10 +304,11 @@ func checkHashTableMatchesReference(t *testing.T, capBytes int64, ops []htOp) {
 	want := NewHashTable(m, capBytes, tuple.Unique1)
 	var ga, wa cost.Acct
 	inserts, evicted, passes := 0, 0, 0
+	var recent []htOp // the last probeWindow inserts, as inserted
 	endTable := func() {
 		t.Helper()
 		gAvg, gMax := got.ChainStats()
-		wAvg, wMax := want.ChainStats()
+		wAvg, wMax := refChainStats(want)
 		if gAvg != wAvg || gMax != wMax {
 			t.Fatalf("chains (%v, %d), reference (%v, %d)", gAvg, gMax, wAvg, wMax)
 		}
@@ -162,6 +319,13 @@ func checkHashTableMatchesReference(t *testing.T, capBytes int64, ops []htOp) {
 		switch op.kind {
 		case htResize:
 			gev, wev = got.Resize(&ga, op.capBytes), refResize(want, &wa, op.capBytes)
+		case htSpill:
+			var gh, wh []uint64
+			gev, gh = got.SpillAll(&ga)
+			wev, wh = refSpillAll(want, &wa)
+			if !slices.Equal(gh, wh) {
+				t.Fatalf("step %d: spilled hashes %v, reference %v", i, gh, wh)
+			}
 		case htLevel:
 			endTable()
 			got.Release()
@@ -177,6 +341,10 @@ func checkHashTableMatchesReference(t *testing.T, capBytes int64, ops []htOp) {
 			tp.SetInt(tuple.Unique2, int32(i)) // tells duplicate keys apart
 			gev, wev = got.Insert(&ga, &tp, h), refInsert(want, &wa, &tp, h)
 			inserts++
+			if len(recent) == probeWindow {
+				recent = recent[1:]
+			}
+			recent = append(recent, htOp{key: op.key, h: h})
 		}
 		evicted += len(wev)
 		if !slices.Equal(gev, wev) {
@@ -189,6 +357,9 @@ func checkHashTableMatchesReference(t *testing.T, capBytes int64, ops []htOp) {
 		if !reflect.DeepEqual(ga, wa) {
 			t.Fatalf("step %d (%+v): account %+v, reference %+v", i, op, ga, wa)
 		}
+		checkSummaries(t, i, got)
+		outer, hashes := probeSet(recent)
+		checkProbes(t, i, got, want, outer, hashes)
 	}
 	endTable()
 	t.Logf("%d steps: %d inserts, %d evicted in %d clearing passes", len(ops), inserts, evicted, passes)
@@ -214,7 +385,7 @@ var resizeFactors = []float64{0, 0.25, 0.5, 0.9, 1, 1.1, 2, 3}
 // tuples: inserts over a key domain about twice the capacity (so keys
 // repeat), their hashes drawn from hashes when it is not empty, about one
 // step in forty a Resize by one of resizeFactors, and about one in 400 a
-// fresh table.
+// SpillAll and one in 400 a fresh table.
 func htOps(r *xrand.Source, count, capTuples int, hashes []uint64) []htOp {
 	ops := make([]htOp, count)
 	for i := range ops {
@@ -222,6 +393,9 @@ func htOps(r *xrand.Source, count, capTuples int, hashes []uint64) []htOp {
 		switch r.Intn(400) {
 		case 0:
 			op.kind = htLevel
+			continue
+		case 11:
+			op.kind = htSpill
 			continue
 		case 1, 2, 3, 4, 5, 6, 7, 8, 9, 10:
 			op.kind = htResize
@@ -275,10 +449,59 @@ func TestHashTableMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzHashTableMatchesReference holds the table to the reference on
-// random workloads of up to 2,000 steps, for tables of 0 to 511 tuples,
-// with hashes spread over every histogram range or confined to one to
-// four of them.
+// TestProbeBatchMatchesReference probes tables after inserts that overrun
+// the capacity, after Resize swings, after SpillAll with later inserts (as
+// dynamic Hybrid resurrects a spilled partition), and on one chain of more
+// than chainLenMask entries, whose count saturates so every probe of it
+// walks. The checker probes after every step.
+func TestProbeBatchMatchesReference(t *testing.T) {
+	spread := func(n, domain int, extra ...htOp) []htOp {
+		ops := make([]htOp, 0, n+len(extra))
+		for i := 0; i < n; i++ {
+			k := int32((i * 7919) % domain)
+			ops = append(ops, htOp{key: k, h: split.Hash(k, 7)})
+		}
+		for i, op := range extra {
+			ops = slices.Insert(ops, (i+1)*n/(len(extra)+1), op)
+		}
+		return ops
+	}
+	resize := func(f float64, capTuples int) htOp {
+		return htOp{kind: htResize, capBytes: int64(f * float64(capTuples*tuple.Bytes))}
+	}
+	spill := htOp{kind: htSpill}
+	// One key under one hash makes one chain; other keys join it under the
+	// same hash.
+	var long []htOp
+	for i := 0; i < 400; i++ {
+		k := int32(5)
+		if i%50 == 49 {
+			k = int32(1000 + i)
+		}
+		long = append(long, htOp{key: k, h: 12345})
+	}
+	long = append(long, spread(200, 600)...)
+	for _, tc := range []struct {
+		name      string
+		capTuples int
+		ops       []htOp
+	}{
+		{"overflow", 120, spread(1500, 600)},
+		{"resize-swings", 300, spread(1200, 700, resize(0.25, 300), resize(3, 300), resize(0.5, 300), resize(0, 300), resize(2, 300))},
+		{"spill", 200, spread(1000, 300, spill, spill, resize(0.5, 200), spill)},
+		{"long-chain", 700, long},
+		{"long-chain-overflow", 300, long},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkHashTableMatchesReference(t, int64(tc.capTuples)*tuple.Bytes, tc.ops)
+		})
+	}
+}
+
+// FuzzHashTableMatchesReference holds the table, its summaries and its
+// probes to the reference on random workloads of up to 2,000 steps, for
+// tables of 0 to 511 tuples, with hashes spread over every histogram range
+// or confined to one to four of them.
 func FuzzHashTableMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint16(500), uint16(100), uint8(0))
 	f.Add(uint64(2), uint16(2000), uint16(300), uint8(1))

@@ -44,6 +44,11 @@ type Query struct {
 	// and End publishes the phase's network and disk activity as per-phase
 	// gauges.
 	Trace *trace.Recorder
+
+	// workers is the span list of the query's phases: NewPhase takes it,
+	// and End clears it and hands it back, so the query's phases register
+	// their workers into one array rather than each growing its own.
+	workers []*trace.Span
 }
 
 // NewQuery starts a query on the cluster, recording onto tr.
@@ -84,15 +89,19 @@ type Phase struct {
 	diskStart disk.Counters
 }
 
-// NewPhase begins a phase.
+// NewPhase begins a phase. The phase registers its workers in the query's
+// span list until End hands the list back.
 func (q *Query) NewPhase(name string) *Phase {
 	q.Trace.BeginPhase(name)
-	return &Phase{
+	p := &Phase{
 		q:         q,
 		name:      name,
+		workers:   q.workers[:0],
 		netStart:  q.C.Net.Counters(),
 		diskStart: q.C.DiskCounters(),
 	}
+	q.workers = nil
+	return p
 }
 
 // Worker registers one operator process running at site: it opens the
@@ -132,6 +141,8 @@ func (p *Phase) End(opts EndOpts) cost.SimNs {
 		a.Merge(*sp.Acct())
 		perSite[sp.Site] = a
 	}
+	clear(p.workers)
+	p.q.workers, p.workers = p.workers[:0], nil
 	var work cost.SimNs
 	for _, a := range perSite {
 		work = max(work, a.Elapsed())

@@ -323,27 +323,42 @@ func (it *pageIter) next() (pg []tuple.Tuple, ok bool) {
 	return pg, true
 }
 
-// Scan iterates the file sequentially with one-page read-ahead semantics:
-// each page is charged as a sequential read, each tuple as a ReadTuple. The
-// callback may return false to stop early; pages past the stopping point are
-// not charged (this is how the sort-merge join's early termination on skewed
-// inner relations saves I/O).
-func (f *File) Scan(a *cost.Acct, fn func(t *tuple.Tuple) bool) {
+// ScanPages iterates the file a page at a time with one-page read-ahead
+// semantics: each page is charged as a sequential read and then handed to
+// fn whole, in file order. fn charges its own per-tuple work, a ReadTuple
+// per tuple it reads included, and may return false to stop early; pages
+// past the stopping point are not charged. The page aliases the file's
+// extent memory, as a Scan callback's tuple does.
+func (f *File) ScanPages(a *cost.Acct, fn func(pg []tuple.Tuple) bool) {
 	it := f.pages()
-	readNs := f.model.ReadTuple
 	for {
 		pg, ok := it.next()
 		if !ok {
 			return
 		}
 		f.dsk.ReadSeq(a, f.id)
+		if !fn(pg) {
+			return
+		}
+	}
+}
+
+// Scan iterates the file sequentially with one-page read-ahead semantics:
+// each page is charged as a sequential read, each tuple as a ReadTuple. The
+// callback may return false to stop early; pages past the stopping point are
+// not charged (this is how the sort-merge join's early termination on skewed
+// inner relations saves I/O).
+func (f *File) Scan(a *cost.Acct, fn func(t *tuple.Tuple) bool) {
+	readNs := f.model.ReadTuple
+	f.ScanPages(a, func(pg []tuple.Tuple) bool {
 		for i := range pg {
 			a.AddCPU(readNs)
 			if !fn(&pg[i]) {
-				return
+				return false
 			}
 		}
-	}
+		return true
+	})
 }
 
 // At returns a pointer to the tuple at a linear position (page-major),

@@ -3,6 +3,7 @@ package wiss
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gammajoin/internal/cost"
@@ -554,14 +555,13 @@ type fileRun struct {
 	disk, backup disk.Counters
 }
 
-// runFileOps runs ops against a file that open makes on a fresh disk
-// behaving as mode says, with a page of pageBytes.
-func runFileOps(open func(string, *disk.Disk, *cost.Model) fileUnderTest,
-	ops []fileOp, mode sortDisk, pageBytes int) fileRun {
+// diffDisk returns a model with a page of pageBytes and a fresh disk d
+// behaving as mode says, with b its mirror when mode is mirrorDown.
+func diffDisk(mode sortDisk, pageBytes int) (m *cost.Model, d, b *disk.Disk) {
 	p := cost.DefaultParams()
 	p.PageBytes = pageBytes
-	m := cost.NewModel(p)
-	d, b := disk.New(0, m), disk.New(1, m)
+	m = cost.NewModel(p)
+	d, b = disk.New(0, m), disk.New(1, m)
 	switch mode {
 	case faultyDisk:
 		d.SetFaults(fault.NewRegistry(fault.Spec{Seed: 1989, DiskReadRate: 0.3, RetryBackoffNs: 250_000}))
@@ -569,6 +569,14 @@ func runFileOps(open func(string, *disk.Disk, *cost.Model) fileUnderTest,
 		d.SetBackup(b)
 		d.SetDown(true)
 	}
+	return m, d, b
+}
+
+// runFileOps runs ops against a file that open makes on a fresh disk
+// behaving as mode says, with a page of pageBytes.
+func runFileOps(open func(string, *disk.Disk, *cost.Model) fileUnderTest,
+	ops []fileOp, mode sortDisk, pageBytes int) fileRun {
+	m, d, b := diffDisk(mode, pageBytes)
 	f := open("diff.file", d, m)
 	var run fileRun
 	a := &run.acct
@@ -725,6 +733,105 @@ func TestFileMatchesReference(t *testing.T) {
 					checkFileMatchesReference(t, ops, mode, pageBytes)
 				})
 			}
+		}
+	}
+}
+
+// scanFunc scans a file, calling fn on each tuple until it returns false.
+type scanFunc func(f fileUnderTest, a *cost.Acct, fn func(t *tuple.Tuple) bool)
+
+// scanStops are where the scans of a scanRun stop: after the first tuple,
+// mid-page, at the end of a page, one past it, and never.
+var scanStops = []int{1, 5, 2 * 9, 2*9 + 1, 0}
+
+// runScans fills a file that open makes on a fresh disk behaving as mode
+// says, with a page of pageBytes, then scans it with scan once per
+// scanStops entry, through a callback that charges CPU and notes every
+// seventh tuple, so a charge moved within a page shifts a stamp. It logs
+// each tuple a scan sees.
+func runScans(open func(string, *disk.Disk, *cost.Model) fileUnderTest, scan scanFunc,
+	mode sortDisk, pageBytes int) fileRun {
+	m, d, b := diffDisk(mode, pageBytes)
+	f := open("scan.file", d, m)
+	var run fileRun
+	a := &run.acct
+	tuples := make([]tuple.Tuple, 5*39+3) // five full pages at any page size here, and a partial one
+	for i := range tuples {
+		tuples[i] = mkTuple(int32(i))
+	}
+	f.AppendBatch(a, tuples)
+	f.Flush(a)
+	for _, stop := range scanStops {
+		n := 0
+		scan(f, a, func(t *tuple.Tuple) bool {
+			run.log = append(run.log, int64(t.Int(tuple.Unique1)))
+			a.AddCPU(m.Hash)
+			if n++; n%7 == 0 {
+				a.Note("seen", int64(n))
+			}
+			return n != stop
+		})
+		run.log = append(run.log, -1)
+	}
+	run.disk, run.backup = d.Counters(), b.Counters()
+	return run
+}
+
+// TestScanPagesMatchesScan holds a page loop over ScanPages that charges a
+// ReadTuple per tuple to Scan, and both to the page-directory reference's
+// Scan: the same tuples in the same order, the same early stops, and the
+// same account, events and their stamps included, and disk counters, at
+// three page sizes on a plain, a faulty and a failed-over mirrored disk.
+func TestScanPagesMatchesScan(t *testing.T) {
+	newFile := func(name string, d *disk.Disk, m *cost.Model) fileUnderTest { return NewFile(name, d, m) }
+	pageLoop := func(f fileUnderTest, a *cost.Acct, fn func(t *tuple.Tuple) bool) {
+		ff := f.(*File)
+		readNs := ff.model.ReadTuple
+		ff.ScanPages(a, func(pg []tuple.Tuple) bool {
+			for i := range pg {
+				a.AddCPU(readNs)
+				if !fn(&pg[i]) {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	scan := func(f fileUnderTest, a *cost.Acct, fn func(t *tuple.Tuple) bool) { f.Scan(a, fn) }
+	for _, pageBytes := range filePageSizes {
+		for _, mode := range []sortDisk{plainDisk, faultyDisk, mirrorDown} {
+			t.Run(fmt.Sprintf("page=%d/%v", pageBytes, mode), func(t *testing.T) {
+				want := runScans(func(name string, d *disk.Disk, m *cost.Model) fileUnderTest {
+					return newRefFile(name, d, m)
+				}, scan, mode, pageBytes)
+				diskEvents := 0
+				for _, ev := range want.acct.Events {
+					if ev.Kind != "seen" {
+						diskEvents++
+					}
+				}
+				if (mode == plainDisk) != (diskEvents == 0) {
+					t.Fatalf("%v disk noted %d disk events", mode, diskEvents)
+				}
+				for _, c := range []struct {
+					name string
+					run  fileRun
+				}{
+					{"ScanPages", runScans(newFile, pageLoop, mode, pageBytes)},
+					{"Scan", runScans(newFile, scan, mode, pageBytes)},
+				} {
+					if !slices.Equal(c.run.log, want.log) {
+						t.Fatalf("%s saw %v, reference %v", c.name, c.run.log, want.log)
+					}
+					if !reflect.DeepEqual(c.run.acct, want.acct) {
+						t.Fatalf("%s account %+v, reference %+v", c.name, c.run.acct, want.acct)
+					}
+					if c.run.disk != want.disk || c.run.backup != want.backup {
+						t.Fatalf("%s disk counters %+v / backup %+v, reference %+v / backup %+v", c.name,
+							c.run.disk, c.run.backup, want.disk, want.backup)
+					}
+				}
+			})
 		}
 	}
 }

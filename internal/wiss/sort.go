@@ -288,16 +288,28 @@ func (s *sorter) merge(i, j, level int, last bool) {
 	step := cost.ScaleNs(int64(bits.Len(uint(max(j-i-1, 1)))), m.SortCompare) + m.SortMove
 	o := s.runStart(i)
 	outPageEnd := o + per
+	dst := s.dst
 	if last {
 		// The merge owns dst exclusively, so one lock covers the whole
 		// output stream instead of one acquisition per tuple.
-		s.dst.mu.Lock()
+		dst.mu.Lock()
 	}
 	for len(h.items) > 0 {
 		it := h.items[0]
 		a.AddCPU(step)
 		if last {
-			s.dst.appendLocked(a, s.tupleAt(it.w))
+			// dst.appendLocked, written out so the loop makes no call per
+			// tuple: a page is started only once the last one is full.
+			a.AddCPU(dst.model.WriteTuple)
+			if dst.tail == dst.pageEnd {
+				dst.room()
+			}
+			dst.last[dst.tail] = *s.tupleAt(it.w)
+			dst.tail++
+			dst.n++
+			if dst.tail == dst.pageEnd {
+				dst.dsk.WritePage(a, dst.id)
+			}
 		} else {
 			a.AddCPU(m.WriteTuple)
 			s.next[o] = it.w
@@ -322,8 +334,8 @@ func (s *sorter) merge(i, j, level int, last bool) {
 		h.down(0)
 	}
 	if last {
-		s.dst.mu.Unlock()
-		s.dst.Flush(a)
+		dst.mu.Unlock()
+		dst.Flush(a)
 		return
 	}
 	if o != outPageEnd-per {

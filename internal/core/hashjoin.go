@@ -115,11 +115,12 @@ func (rc *runCtx) blockJoinLevel(name string, bucket int, rsrc, ssrc []fileAt) e
 			// per probed tuple so the closure is allocated once, not per
 			// tuple.
 			var outer *tuple.Tuple
-			var tbl *gamma.HashTable
 			onMatch := func(match *tuple.Tuple) { em.emit(a, match, outer) }
 			cur := rfile.NewCursor(a)
 			for {
-				tbl = gamma.NewHashTable(rc.m, int64(chunkCap+1)*tuple.Bytes, rc.spec.RAttr)
+				// Each chunk's table lives in this iteration only, so no
+				// reference outlasts its Release.
+				tbl := gamma.NewHashTable(rc.m, int64(chunkCap+1)*tuple.Bytes, rc.spec.RAttr)
 				n := 0
 				for n < chunkCap {
 					t, ok := cur.Next()

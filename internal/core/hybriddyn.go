@@ -449,11 +449,13 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 	}
 	// The probe barrier has passed, so no worker still holds pointers into
 	// the per-partition tables; the disk-join phases that follow read only
-	// the partition files. Recycle the table arrays (error paths leave them
-	// to the GC — the redo machinery rebuilds fresh state).
+	// the partition files. Recycle the tables (error paths leave them to
+	// the GC — the redo machinery rebuilds fresh state) and clear the slice
+	// every site shares, so no stale pointer reaches a reused table.
 	for _, tbl := range tables {
 		tbl.Release()
 	}
+	clear(tables)
 	return rFiles, sFiles, spilled, nil
 }
 

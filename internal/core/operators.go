@@ -551,6 +551,7 @@ func (rc *runCtx) endPass(js []joinState) (rover, sover []fileAt) {
 	for i := range js {
 		st := &js[i]
 		st.tbl.Release()
+		st.tbl = nil
 		if st.rover.Len() > 0 {
 			home := rc.c.OverflowDiskSite(st.site)
 			rover = append(rover, fileAt{site: home, f: st.rover})

@@ -14,6 +14,7 @@ import (
 	"gammajoin/internal/cost"
 	"gammajoin/internal/disk"
 	"gammajoin/internal/fault"
+	"gammajoin/internal/freelist"
 	"gammajoin/internal/netsim"
 	"gammajoin/internal/trace"
 )
@@ -55,6 +56,10 @@ type Cluster struct {
 	hosts []int
 	dead  []bool
 
+	// siteLabels names each site's trace track (NewTraceRecorder); sites
+	// never change after construction, so they are formatted once.
+	siteLabels []string
+
 	// tempLive is the ledger of live temp-file names: internal/core
 	// registers each temp wiss file at creation and drops all of them on
 	// every Run exit path (success, restart, failover, retry-budget
@@ -66,8 +71,7 @@ type Cluster struct {
 
 	// exPool recycles phase exchanges (and their lanes' backing arrays);
 	// see NewExchange/PutExchange.
-	exMu   sync.Mutex
-	exPool []*Exchange
+	exPool freelist.List[*Exchange]
 
 	// runMu serializes whole-query executions on this cluster. The shared
 	// physical state — network and disk counters, the fault registry's
@@ -163,8 +167,14 @@ func newCluster(numDisks, numDiskless int, m *cost.Model) *Cluster {
 	}
 	c.hosts = make([]int, len(c.Sites))
 	c.dead = make([]bool, len(c.Sites))
-	for i := range c.hosts {
+	c.siteLabels = make([]string, len(c.Sites))
+	for i, st := range c.Sites {
 		c.hosts[i] = i
+		class := "diskless"
+		if st.HasDisk() {
+			class = "disk"
+		}
+		c.siteLabels[i] = fmt.Sprintf("site %d (%s)", st.ID, class)
 	}
 	return c
 }
@@ -295,15 +305,7 @@ func (c *Cluster) Colocated(src int) func(dst int) bool {
 // machine: one per site, labelled by id and processor class. Attach it to a
 // query via Query.Trace to put the execution on the simulated timeline.
 func (c *Cluster) NewTraceRecorder() *trace.Recorder {
-	labels := make([]string, len(c.Sites))
-	for i, s := range c.Sites {
-		class := "diskless"
-		if s.HasDisk() {
-			class = "disk"
-		}
-		labels[i] = fmt.Sprintf("site %d (%s)", s.ID, class)
-	}
-	return trace.NewRecorder(labels)
+	return trace.NewRecorder(c.siteLabels)
 }
 
 // DiskSites returns the ids of sites with attached disks, in order.

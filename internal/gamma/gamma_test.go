@@ -1,6 +1,7 @@
 package gamma
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -183,6 +184,20 @@ func TestExchange(t *testing.T) {
 	ex2 := c.NewExchange()
 	if rest := ex2.Take(1); len(rest) != 0 {
 		t.Fatalf("recycled exchange held %d stale batches", len(rest))
+	}
+}
+
+// TestReturnedExchangeOutlivesCollections: an exchange handed back stays
+// on its cluster's free list through collections, so the next phase reuses
+// it and its lanes' arrays whenever the collector last ran.
+func TestReturnedExchangeOutlivesCollections(t *testing.T) {
+	c := NewLocal(3, nil)
+	ex := c.NewExchange()
+	c.PutExchange(ex)
+	runtime.GC()
+	runtime.GC()
+	if c.NewExchange() != ex {
+		t.Fatal("a returned exchange did not survive two collections")
 	}
 }
 

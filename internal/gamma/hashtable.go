@@ -3,9 +3,9 @@ package gamma
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"gammajoin/internal/cost"
-	"gammajoin/internal/slicepool"
 	"gammajoin/internal/tuple"
 	"gammajoin/internal/xrand"
 )
@@ -94,31 +94,43 @@ func (s htSlot) misses(k int32) bool {
 	return s.meta&keyBit(k) == 0 && s.meta&chainLenMask != chainLenMask
 }
 
-// slotsPool and entriesPool recycle the table's two backing arrays across
-// join levels: a table's entry array is multi-megabyte at benchmark
-// capacities and each overflow level (and each dynamic-Hybrid partition)
-// would otherwise allocate a fresh one. Only Release hands arrays back, and
+// tablePool recycles whole tables, their slot, entry and eviction arrays
+// included, across join levels: a table's entry array is multi-megabyte at
+// benchmark capacities, and each overflow level (and each dynamic-Hybrid
+// partition) would otherwise allocate a fresh one. It is the simulator's
+// one sync.Pool, not a free list, because a collection may empty it:
+// dynamic Hybrid holds more than a hundred tables at once, and on the host
+// benchmark's recovery-traced workload a free list that kept every idle
+// table raised the peak heap from 79 to 104 MB, and one capped at 16
+// tables to 83 MB while allocating 20% more bytes per join. It holds
+// pointers, so a Put boxes nothing. Only Release hands tables back, and
 // only callers that provably hold the last reference call it.
-var (
-	slotsPool   slicepool.Pool[htSlot]
-	entriesPool slicepool.Pool[htEntry]
-)
+var tablePool = sync.Pool{New: func() any { return new(HashTable) }}
 
-// NewHashTable creates a table holding at most capBytes of tuples, keyed on
-// integer attribute attr. fill, when given, is how many tuples the caller
-// expects the table to hold; it sizes only the preallocated entry array, so
-// chains, cutoffs and charges still follow capBytes alone.
+// NewHashTable returns an empty table holding at most capBytes of tuples,
+// keyed on integer attribute attr. fill, when given, is how many tuples the
+// caller expects the table to hold; it sizes only the preallocated entry
+// array, so chains, cutoffs and charges still follow capBytes alone.
 func NewHashTable(m *cost.Model, capBytes int64, attr int, fill ...int) *HashTable {
+	ht := tablePool.Get().(*HashTable)
+	ht.reset(m, capBytes, attr, fill...)
+	return ht
+}
+
+// reset makes ht the table NewHashTable describes, as if freshly made,
+// keeping only the storage of its arrays.
+func (ht *HashTable) reset(m *cost.Model, capBytes int64, attr int, fill ...int) {
+	slots, entries, evicted := ht.slots, ht.entries, ht.evicted
+	*ht = HashTable{model: m, capBytes: capBytes, attr: attr, cutoff: math.MaxUint64, evicted: evicted[:0]}
 	nb := int(capBytes / tuple.Bytes)
 	if nb < 16 {
 		nb = 16
 	}
-	slots := slotsPool.Get()
 	if cap(slots) < nb {
-		slots = make([]htSlot, nb)
+		ht.slots = make([]htSlot, nb)
 	} else {
-		slots = slots[:nb]
-		clear(slots)
+		ht.slots = slots[:nb]
+		clear(ht.slots)
 	}
 	// Pre-size the entry array toward the expected fill (by default the
 	// table's capacity) so builds do not pay repeated append-grow copies of
@@ -126,38 +138,27 @@ func NewHashTable(m *cost.Model, capBytes int64, attr int, fill ...int) *HashTab
 	// Insert charge is per tuple either way). 8192 bounds the up-front
 	// allocation. Dynamic Hybrid states a fill: its per-partition tables
 	// have generous capacities they rarely approach, and arrays preallocated
-	// at capacity stay reachable in entriesPool long after the join.
+	// at capacity stay reachable in tablePool long after the join.
 	prealloc := min(nb, 8192)
 	if len(fill) > 0 {
 		prealloc = min(prealloc, fill[0])
 	}
-	entries := entriesPool.Get()
 	if cap(entries) < prealloc {
-		entries = make([]htEntry, 0, prealloc)
+		ht.entries = make([]htEntry, 0, prealloc)
 	} else {
-		entries = entries[:0]
-	}
-	return &HashTable{
-		model:    m,
-		capBytes: capBytes,
-		attr:     attr,
-		slots:    slots,
-		entries:  entries,
-		cutoff:   math.MaxUint64,
+		ht.entries = entries[:0]
 	}
 }
 
-// Release returns the table's backing arrays to the package pools and empties
-// the table. Only call it when no pointer into the entry array can still be
-// live — Probe/ProbeBatch callbacks receive such pointers, so releasing is
-// legal only after the phase that probed the table has reached its barrier.
+// Release hands the table back for a later NewHashTable to reuse. Only call
+// it when no pointer into the entry array can still be live — Probe and
+// ProbeBatch callbacks receive such pointers, so releasing is legal only
+// after the phase that probed the table has reached its barrier — and drop
+// every reference to the table: another join may own it next.
 func (ht *HashTable) Release() {
-	if ht == nil {
-		return
+	if ht != nil {
+		tablePool.Put(ht)
 	}
-	slotsPool.Put(ht.slots)
-	entriesPool.Put(ht.entries)
-	ht.slots, ht.entries = nil, nil
 }
 
 // slot remixes the routing hash before taking it modulo the chain count:

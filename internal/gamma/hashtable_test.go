@@ -2,6 +2,7 @@ package gamma
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -296,15 +297,51 @@ const probeWindow = 16
 // each table. After every step it also checks the table's chain summaries
 // (checkSummaries) and probes both tables (checkProbes) around the last
 // probeWindow inserts. An Insert moves to the next hash below the cutoff
-// (belowCutoff), or is skipped. Every table starts at capBytes.
+// (belowCutoff), or is skipped. Every table starts at capBytes. It runs
+// twice: on fresh tables, and on tables reset from dirty ones, as
+// NewHashTable reuses a released table (a new level resets the table that
+// ran the last); the reference tables are always fresh.
 func checkHashTableMatchesReference(t *testing.T, capBytes int64, ops []htOp) {
 	t.Helper()
+	for _, reuse := range []bool{false, true} {
+		name := "fresh"
+		if reuse {
+			name = "reused"
+		}
+		t.Run(name, func(t *testing.T) { checkTableBuild(t, capBytes, ops, reuse) })
+	}
+}
+
+// checkTableBuild is one run of checkHashTableMatchesReference.
+func checkTableBuild(t *testing.T, capBytes int64, ops []htOp, reuse bool) {
+	t.Helper()
 	m := cost.Default()
-	got := NewHashTable(m, capBytes, tuple.Unique1)
-	want := NewHashTable(m, capBytes, tuple.Unique1)
+	fresh := func() *HashTable {
+		ht := new(HashTable)
+		ht.reset(m, capBytes, tuple.Unique1)
+		return ht
+	}
+	got, want := fresh(), fresh()
+	if reuse {
+		got = dirtyTable(t, m)
+		got.reset(m, capBytes, tuple.Unique1)
+	}
 	var ga, wa cost.Acct
 	inserts, evicted, passes := 0, 0, 0
 	var recent []htOp // the last probeWindow inserts, as inserted
+	checkState := func(step int, op htOp) {
+		t.Helper()
+		if got.Cutoff() != want.Cutoff() || got.Overflows() != want.Overflows() || got.Len() != want.Len() {
+			t.Fatalf("step %d (%+v): cutoff %#x overflows %d len %d, reference %#x %d %d", step, op,
+				got.Cutoff(), got.Overflows(), got.Len(), want.Cutoff(), want.Overflows(), want.Len())
+		}
+		if !reflect.DeepEqual(ga, wa) {
+			t.Fatalf("step %d (%+v): account %+v, reference %+v", step, op, ga, wa)
+		}
+		checkSummaries(t, step, got)
+		outer, hashes := probeSet(recent)
+		checkProbes(t, step, got, want, outer, hashes)
+	}
 	endTable := func() {
 		t.Helper()
 		gAvg, gMax := got.ChainStats()
@@ -314,6 +351,7 @@ func checkHashTableMatchesReference(t *testing.T, capBytes int64, ops []htOp) {
 		}
 		passes += want.Overflows()
 	}
+	checkState(-1, htOp{kind: htLevel})
 	for i, op := range ops {
 		var gev, wev []tuple.Tuple
 		switch op.kind {
@@ -328,9 +366,12 @@ func checkHashTableMatchesReference(t *testing.T, capBytes int64, ops []htOp) {
 			}
 		case htLevel:
 			endTable()
-			got.Release()
-			want.Release()
-			got, want = NewHashTable(m, capBytes, tuple.Unique1), NewHashTable(m, capBytes, tuple.Unique1)
+			if want = fresh(); reuse {
+				got.reset(m, capBytes, tuple.Unique1)
+			} else {
+				got = fresh()
+			}
+			checkState(i, op)
 			continue
 		default:
 			h, ok := belowCutoff(want.Cutoff(), op.h)
@@ -350,19 +391,38 @@ func checkHashTableMatchesReference(t *testing.T, capBytes int64, ops []htOp) {
 		if !slices.Equal(gev, wev) {
 			t.Fatalf("step %d (%+v): evicted %d tuples %v, reference %d %v", i, op, len(gev), gev, len(wev), wev)
 		}
-		if got.Cutoff() != want.Cutoff() || got.Overflows() != want.Overflows() || got.Len() != want.Len() {
-			t.Fatalf("step %d (%+v): cutoff %#x overflows %d len %d, reference %#x %d %d", i, op,
-				got.Cutoff(), got.Overflows(), got.Len(), want.Cutoff(), want.Overflows(), want.Len())
-		}
-		if !reflect.DeepEqual(ga, wa) {
-			t.Fatalf("step %d (%+v): account %+v, reference %+v", i, op, ga, wa)
-		}
-		checkSummaries(t, i, got)
-		outer, hashes := probeSet(recent)
-		checkProbes(t, i, got, want, outer, hashes)
+		checkState(i, op)
 	}
 	endTable()
 	t.Logf("%d steps: %d inserts, %d evicted in %d clearing passes", len(ops), inserts, evicted, passes)
+}
+
+// dirtyTable returns a table that has been through every kind of step: it
+// has overflowed and lowered its cutoff, been resized and spilled, and
+// holds tuples, histogram counts and evictions, keyed on another attribute
+// and over more slots than most cases use. A reset must leave none of it.
+func dirtyTable(t *testing.T, m *cost.Model) *HashTable {
+	t.Helper()
+	ht := new(HashTable)
+	ht.reset(m, 600*tuple.Bytes, tuple.Unique2)
+	var a cost.Acct
+	fill := func(n int) {
+		for i := range n {
+			if h, ok := belowCutoff(ht.Cutoff(), split.Hash(int32(i), 3)); ok {
+				tp := mk(int32(i))
+				ht.Insert(&a, &tp, h)
+			}
+		}
+	}
+	fill(700)
+	ht.Resize(&a, 300*tuple.Bytes)
+	ht.SpillAll(&a)
+	fill(400)
+	if !ht.Overflowed() || ht.Cutoff() == math.MaxUint64 || ht.Len() == 0 || len(ht.evicted) == 0 {
+		t.Fatalf("dirty table: %d overflows, cutoff %#x, %d tuples, %d evicted",
+			ht.Overflows(), ht.Cutoff(), ht.Len(), len(ht.evicted))
+	}
+	return ht
 }
 
 // rangeHashes returns n routing hashes whose overflow keys all fall in

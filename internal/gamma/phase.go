@@ -229,14 +229,9 @@ type laneRun struct {
 // Callers hand exchanges back with PutExchange once every consumer has
 // finished.
 func (c *Cluster) NewExchange() *Exchange {
-	c.exMu.Lock()
-	if n := len(c.exPool); n > 0 {
-		e := c.exPool[n-1]
-		c.exPool = c.exPool[:n-1]
-		c.exMu.Unlock()
+	if e, ok := c.exPool.Get(); ok {
 		return e
 	}
-	c.exMu.Unlock()
 	n := len(c.Sites)
 	e := &Exchange{n: n, lanes: make([]lane, n), last: make([]int64, n*n), taken: make([][]*netsim.Batch, n)}
 	e.deliver = e.Deliver
@@ -258,21 +253,15 @@ const laneRuns = 64
 // after the consuming workers' barrier. The packet pointers themselves are
 // recycled separately (netsim.PutBatches) by the consumers.
 func (c *Cluster) PutExchange(e *Exchange) {
-	// Clearing the stale packet pointers lets the collector take slabs
-	// their pools have dropped while the exchange waits in its pool.
 	for i := range e.lanes {
 		l := &e.lanes[i]
-		clear(l.pkts)
 		l.pkts, l.runs = l.pkts[:0], l.runs[:0]
 	}
 	clear(e.last)
 	for i := range e.taken {
-		clear(e.taken[i])
 		e.taken[i] = e.taken[i][:0]
 	}
-	c.exMu.Lock()
-	c.exPool = append(c.exPool, e)
-	c.exMu.Unlock()
+	c.exPool.Put(e)
 }
 
 // Deliver appends a run of packets from one sender to its source's lane

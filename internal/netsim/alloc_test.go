@@ -1,10 +1,6 @@
-//go:build !race
-
 package netsim
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"gammajoin/internal/cost"
@@ -13,9 +9,9 @@ import (
 // TestWarmSendToAllocatesNothing: once a sender's handles are resolved and
 // its first slabs carved, sending through a handle allocates nothing per
 // tuple — packets come from recycled slabs, runs from the run pool, and the
-// stream is one cache load away. The collector is off while counting so no
-// collection empties a pool mid-loop; the race detector drops pool puts at
-// random, so this file is built without it.
+// stream is one cache load away. Slabs, runs and senders sit on free
+// lists, which neither a collection nor the race detector empties, so the
+// count holds under -race too.
 func TestWarmSendToAllocatesNothing(t *testing.T) {
 	for _, runLen := range []int{1, 32} {
 		net := New(cost.Default())
@@ -38,11 +34,7 @@ func TestWarmSendToAllocatesNothing(t *testing.T) {
 			}
 		}
 		send() // warm: slabs carved and recycled, runs pooled
-		runtime.GC()
-		allocs := func() float64 {
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			return testing.AllocsPerRun(20, send)
-		}()
+		allocs := testing.AllocsPerRun(20, send)
 		s.FlushAll()
 		s.Release()
 		if allocs != 0 {

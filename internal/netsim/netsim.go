@@ -18,12 +18,11 @@ package netsim
 import (
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"gammajoin/internal/cost"
 	"gammajoin/internal/fault"
-	"gammajoin/internal/slicepool"
+	"gammajoin/internal/freelist"
 	"gammajoin/internal/tuple"
 )
 
@@ -225,12 +224,9 @@ type slab struct {
 	pkts   [slabPackets]Batch
 }
 
-// slabPools recycles slabs across senders, phases and queries, one pool
+// slabPools recycles slabs across senders, phases and queries, one list
 // per kind.
-var slabPools = [2]sync.Pool{
-	plainSlab:  {New: func() any { return &slab{kind: plainSlab} }},
-	joinedSlab: {New: func() any { return &slab{kind: joinedSlab} }},
-}
+var slabPools [2]freelist.List[*slab]
 
 // slabsOut counts slabs handed to senders and not yet recycled, so tests
 // can check that every exit path returns the slabs it touched.
@@ -244,7 +240,10 @@ func SlabsOut() int64 { return slabsOut.Load() }
 // getSlab returns an uncarved slab of the kind whose packets hold per
 // tuples each.
 func getSlab(kind slabKind, per int) *slab {
-	sl := slabPools[kind].Get().(*slab)
+	sl, ok := slabPools[kind].Get()
+	if !ok {
+		sl = &slab{kind: kind}
+	}
 	if sl.per != per {
 		sl.per = per
 		if kind == plainSlab {
@@ -285,17 +284,17 @@ func PutBatches(bs []*Batch) {
 }
 
 // runPool recycles the []*Batch run slices that travel through exchanges.
-var runPool slicepool.Pool[*Batch]
+var runPool freelist.List[[]*Batch]
 
 func getRun() []*Batch {
-	if run := runPool.Get(); run != nil {
+	if run, ok := runPool.Get(); ok {
 		return run
 	}
 	return make([]*Batch, 0, DefaultRunLength)
 }
 
 // PutRun recycles a delivery-run slice (not the batches inside it).
-func PutRun(run []*Batch) { runPool.Put(run) }
+func PutRun(run []*Batch) { runPool.Put(run[:0]) }
 
 // Recv charges the receive-side protocol cost for one batch to a.
 // Consumers call it once per batch before processing the tuples.
@@ -415,7 +414,7 @@ func (s *Sender) local(dst int) bool {
 // handles, tag directories, handle caches and pending-run arrays — across
 // phase workers. A query creates a sender per worker per phase, so without
 // pooling these small objects dominate the allocation profile.
-var senderPool = sync.Pool{New: func() any { return new(Sender) }}
+var senderPool freelist.List[*Sender]
 
 // NewSender creates a sender for producing site src. Every full delivery
 // run is handed to deliver, which typically appends it to the current
@@ -426,7 +425,10 @@ func (n *Network) NewSender(a *cost.Acct, src int, deliver func(dst int, run []*
 	if rl < 1 {
 		rl = 1
 	}
-	s := senderPool.Get().(*Sender)
+	s, ok := senderPool.Get()
+	if !ok {
+		s = new(Sender)
+	}
 	s.net, s.a, s.src, s.out = n, a, src, deliver
 	s.capT = n.model.TuplesPerPacket(tuple.Bytes)
 	s.capJ = n.model.TuplesPerPacket(tuple.JoinedBytes)

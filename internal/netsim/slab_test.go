@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -271,6 +272,44 @@ func TestSlabKindMismatchPanics(t *testing.T) {
 		s.Release()
 		if got := slabsOut.Load() - base; got != 0 {
 			t.Errorf("%s: %d slabs out after Release", tc.name, got)
+		}
+	}
+}
+
+// TestReleasedSenderAndSlabsOutliveCollections: a released sender, and a
+// slab of each kind once its packets came back, stay on their free lists
+// through collections, so the next sender and its first slabs are the same
+// objects whenever the collector last ran.
+func TestReleasedSenderAndSlabsOutliveCollections(t *testing.T) {
+	net := New(cost.Default())
+	net.SetRunLength(1)
+	var a cost.Acct
+	var pkts []*Batch
+	send := func() (*Sender, [2]*slab) {
+		pkts = pkts[:0]
+		s := net.NewSender(&a, 0, collectInto(&pkts))
+		tp := mkTuple(1)
+		s.Send(1, 0, &tp, 1)
+		s.SendJoinedTo(s.Stream(2, 1), &tp, &tp)
+		s.FlushAll()
+		var slabs [2]*slab
+		for _, b := range pkts {
+			slabs[b.slab.kind] = b.slab
+		}
+		s.Release()
+		PutBatches(pkts)
+		return s, slabs
+	}
+	s, slabs := send()
+	runtime.GC()
+	runtime.GC()
+	s2, slabs2 := send()
+	if s2 != s {
+		t.Error("a released sender did not survive two collections")
+	}
+	for k, sl := range slabs {
+		if slabs2[k] != sl {
+			t.Errorf("a recycled %s slab did not survive two collections", slabKind(k))
 		}
 	}
 }

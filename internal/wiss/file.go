@@ -16,6 +16,7 @@ import (
 
 	"gammajoin/internal/cost"
 	"gammajoin/internal/disk"
+	"gammajoin/internal/freelist"
 	"gammajoin/internal/tuple"
 )
 
@@ -96,11 +97,11 @@ type extent struct {
 // extentPool recycles extents across files. Only files whose tuples are
 // provably unreferenced hand extents back (File.Recycle); everything else
 // lets the garbage collector reclaim them.
-var extentPool sync.Pool // *extent
+var extentPool freelist.List[*extent]
 
 // getExtent returns an extent of n tuples.
 func getExtent(n int) *extent {
-	if e, _ := extentPool.Get().(*extent); e != nil && cap(e.t) >= n {
+	if e, ok := extentPool.Get(); ok && cap(e.t) >= n {
 		e.t = e.t[:n]
 		return e
 	}

@@ -3,6 +3,7 @@ package wiss
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -25,6 +26,25 @@ func mkTuple(u1 int32) tuple.Tuple {
 	tp.SetInt(tuple.Unique1, u1)
 	tp.SetInt(tuple.Unique2, u1*7)
 	return tp
+}
+
+// TestRecycledExtentOutlivesCollections: an extent handed back by Recycle
+// stays on the free list through collections, so the next file to need one
+// reuses it whenever the collector last ran.
+func TestRecycledExtentOutlivesCollections(t *testing.T) {
+	f, d, m := testFile(t, "recycled-extent.a")
+	var a cost.Acct
+	f.Append(&a, mkTuple(1))
+	e := f.extents[0]
+	f.Recycle()
+	runtime.GC()
+	runtime.GC()
+	g := NewFile("recycled-extent.b", d, m)
+	g.Append(&a, mkTuple(2))
+	defer g.Recycle()
+	if g.extents[0] != e {
+		t.Fatal("a recycled extent did not survive two collections")
+	}
 }
 
 func TestAppendScanRoundTrip(t *testing.T) {

@@ -5,9 +5,9 @@ import (
 	"math"
 	"math/bits"
 	"strconv"
-	"sync"
 
 	"gammajoin/internal/cost"
+	"gammajoin/internal/freelist"
 	"gammajoin/internal/tuple"
 )
 
@@ -101,25 +101,17 @@ func Sort(a *cost.Acct, src, dst *File, attr int, memBytes int64) (SortStats, er
 // Sort allocated would depend on when the collector last ran. The list holds
 // at most as many sorters as ever ran at once (one per site of a sort phase),
 // and release drops a sorter whose buffers outgrew maxIdleWords.
-var idleSorters struct {
-	mu   sync.Mutex
-	list []*sorter
-}
+var idleSorters freelist.List[*sorter]
 
 // maxIdleWords bounds the words a retained sorter's buffers hold: 2^18
 // words is 2 MiB a buffer, room for a 100k-tuple relation sorted whole.
 const maxIdleWords = 1 << 18
 
 func getSorter() *sorter {
-	idleSorters.mu.Lock()
-	defer idleSorters.mu.Unlock()
-	n := len(idleSorters.list)
-	if n == 0 {
-		return new(sorter)
+	if s, ok := idleSorters.Get(); ok {
+		return s
 	}
-	s := idleSorters.list[n-1]
-	idleSorters.list = idleSorters.list[:n-1]
-	return s
+	return new(sorter)
 }
 
 // sorter is one Sort call's working memory. A run is a range of words plus
@@ -168,9 +160,7 @@ func (s *sorter) release() {
 	if cap(s.words) > maxIdleWords {
 		return
 	}
-	idleSorters.mu.Lock()
-	idleSorters.list = append(idleSorters.list, s)
-	idleSorters.mu.Unlock()
+	idleSorters.Put(s)
 }
 
 // tupleAt returns the src tuple a word names. Every extent of a file but

@@ -134,13 +134,34 @@ func TestIdleSorterOutlivesCollections(t *testing.T) {
 	big.release()
 	runtime.GC()
 	runtime.GC()
-	idleSorters.mu.Lock()
-	defer idleSorters.mu.Unlock()
-	if !slices.Contains(idleSorters.list, small) {
+	idle := drainIdleSorters()
+	defer refillIdleSorters(idle)
+	if !slices.Contains(idle, small) {
 		t.Error("an idle sorter did not survive two collections")
 	}
-	if slices.Contains(idleSorters.list, big) {
+	if slices.Contains(idle, big) {
 		t.Errorf("a sorter holding %d words was kept idle, want at most %d", cap(big.words), maxIdleWords)
+	}
+}
+
+// drainIdleSorters takes every sorter off the idle list and returns them,
+// the one a getSorter would take first at the end.
+func drainIdleSorters() []*sorter {
+	var idle []*sorter
+	for {
+		s, ok := idleSorters.Get()
+		if !ok {
+			slices.Reverse(idle)
+			return idle
+		}
+		idle = append(idle, s)
+	}
+}
+
+// refillIdleSorters puts back what drainIdleSorters took, in its order.
+func refillIdleSorters(idle []*sorter) {
+	for _, s := range idle {
+		idleSorters.Put(s)
 	}
 }
 
@@ -148,11 +169,9 @@ func TestIdleSorterOutlivesCollections(t *testing.T) {
 // ends, so buffers a test planted in them reach no later Sort.
 func dropIdleSorters(t *testing.T, planted ...*sorter) {
 	t.Cleanup(func() {
-		idleSorters.mu.Lock()
-		defer idleSorters.mu.Unlock()
-		idleSorters.list = slices.DeleteFunc(idleSorters.list, func(s *sorter) bool {
+		refillIdleSorters(slices.DeleteFunc(drainIdleSorters(), func(s *sorter) bool {
 			return slices.Contains(planted, s)
-		})
+		}))
 	})
 }
 

@@ -69,8 +69,7 @@ func main() {
 
 	fmt.Printf("%s: %d tuples (%d bytes), %s-declustered on %s across %d disks\n",
 		*name, rel.N, rel.Bytes(), strategy, *attr, *disks)
-	for _, site := range rel.FragmentSites() {
-		f := rel.Fragments[site]
+	for site, f := range rel.Fragments {
 		fmt.Printf("  site %d: %6d tuples, %4d pages", site, f.Len(), f.Pages())
 		if *out != "" {
 			path := filepath.Join(*out, fmt.Sprintf("%s.f%d.bin", *name, site))

@@ -18,6 +18,10 @@ import (
 //     goroutine launch, or a write to something that escapes the iterating
 //     function.
 //
+// Rule 3 also follows a call to a local variable bound once to a function
+// literal: the literal's writes to variables declared outside it run in map
+// order too.
+//
 // Rule 3 exempts the order-independent shapes the simulator relies on:
 // writes keyed by the loop key (m2[k] = ...), commutative integer
 // accumulation (n += v and friends — but not floats, whose addition is not
@@ -31,7 +35,9 @@ var Determinism = &Analyzer{
 		"whose order escapes the function in simulator packages",
 	Run: runDeterminism,
 	Scope: []string{"internal/core", "internal/netsim", "internal/cost", "internal/disk",
-		"internal/fault", "internal/trace"},
+		"internal/fault", "internal/trace", "internal/gamma", "internal/sched",
+		"internal/profile", "internal/experiments", "internal/split", "internal/wiss",
+		"internal/optimizer", "internal/gammaql", "internal/mva", "cmd/gammabench"},
 }
 
 func runDeterminism(p *Pass) error {
@@ -178,13 +184,6 @@ func (u *funcUnit) checkMapRange(rs *ast.RangeStmt) {
 	keyObj := u.rangeVar(rs.Key)
 	valObj := u.rangeVar(rs.Value)
 
-	type violation struct {
-		pos    token.Pos
-		detail string
-		// appendTarget is set for x = append(x, ...) findings, which are
-		// forgiven if x is sorted after the loop.
-		appendTarget types.Object
-	}
 	var violations []violation
 
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
@@ -198,6 +197,10 @@ func (u *funcUnit) checkMapRange(rs *ast.RangeStmt) {
 			violations = append(violations, violation{n.Pos(), "a channel send happens in map order", nil})
 		case *ast.GoStmt:
 			violations = append(violations, violation{n.Pos(), "goroutines are launched in map order", nil})
+		case *ast.CallExpr:
+			if lit, v := calledVariable(u.p, u.body, n); lit != nil {
+				violations = append(violations, u.closureWrites(n.Pos(), v, lit)...)
+			}
 		case *ast.IncDecStmt:
 			if v, ok := u.checkWrite(rs, keyObj, valObj, n.X, n.Tok, nil); ok {
 				violations = append(violations, violation{n.Pos(), v, nil})
@@ -230,6 +233,55 @@ func (u *funcUnit) checkMapRange(rs *ast.RangeStmt) {
 		u.p.Reportf(v.pos, "map iteration order over %s escapes this function (%s); "+
 			"range over sorted keys or justify with //gammavet:ordered", exprString(rs.X), v.detail)
 	}
+}
+
+// violation is one order-dependent effect found in a map-range body.
+type violation struct {
+	pos    token.Pos
+	detail string
+	// appendTarget is set for x = append(x, ...) findings, which are
+	// forgiven if x is sorted after the loop.
+	appendTarget types.Object
+}
+
+// closureWrites lists the writes that lit, bound to the local variable fn
+// and called at pos in a map-range body, makes to variables declared
+// outside it: the call runs them in map order. Commutative integer
+// accumulation is exempt, as in the body itself.
+func (u *funcUnit) closureWrites(pos token.Pos, fn types.Object, lit *ast.FuncLit) []violation {
+	var found []violation
+	write := func(lhs, rhs ast.Expr, tok token.Token) {
+		base := baseIdent(unparen(lhs))
+		if base == nil {
+			return
+		}
+		obj, ok := u.p.objOf(base).(*types.Var)
+		if !ok || obj.Pos() >= lit.Pos() && obj.Pos() < lit.End() ||
+			isCommutativeIntOp(tok, u.p.Info.Types[lhs].Type) {
+			return
+		}
+		if tgt := appendSelfTarget(u.p, lhs, rhs, tok); tgt != nil {
+			found = append(found, violation{pos, "the call to " + fn.Name() + " appends to " + obj.Name(), tgt})
+			return
+		}
+		found = append(found, violation{pos, "the call to " + fn.Name() + " writes " + obj.Name(), nil})
+	}
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.IncDecStmt:
+			write(n.X, nil, n.Tok)
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				var rhs ast.Expr
+				if len(n.Rhs) == len(n.Lhs) {
+					rhs = n.Rhs[i]
+				}
+				write(lhs, rhs, n.Tok)
+			}
+		}
+		return true
+	})
+	return found
 }
 
 func (u *funcUnit) rangeVar(e ast.Expr) types.Object {

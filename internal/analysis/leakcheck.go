@@ -93,7 +93,7 @@ func checkLaunch(p *Pass, body *ast.BlockStmt, g *ast.GoStmt) {
 	lit, ok := unparen(g.Call.Fun).(*ast.FuncLit)
 	if !ok {
 		var v types.Object
-		if lit, v = launchedVariable(p, body, g); lit == nil {
+		if lit, v = calledVariable(p, body, g.Call); lit == nil {
 			if v != nil {
 				p.Reportf(g.Pos(), "goroutine launches %s, which is not assigned exactly once from a function literal; the analyzer cannot tell which body runs", v.Name())
 				return
@@ -129,12 +129,13 @@ func checkLaunch(p *Pass, body *ast.BlockStmt, g *ast.GoStmt) {
 	p.Reportf(g.Pos(), "goroutine body neither defers a WaitGroup Done() nor signals a channel; every launch needs a join the phase can wait on")
 }
 
-// launchedVariable resolves `go run()` where run is a local variable of the
-// launching function. It returns the variable and, when the function
-// assigns it exactly once, from a function literal, and never takes its
-// address, that literal; a variable declared outside body returns neither.
-func launchedVariable(p *Pass, body *ast.BlockStmt, g *ast.GoStmt) (*ast.FuncLit, types.Object) {
-	id, ok := unparen(g.Call.Fun).(*ast.Ident)
+// calledVariable resolves a call `run()` (launched by `go run()`, say)
+// where run is a local variable of the function whose body is body. It
+// returns the variable and, when the function assigns it exactly once, from
+// a function literal, and never takes its address, that literal; a variable
+// declared outside body returns neither.
+func calledVariable(p *Pass, body *ast.BlockStmt, call *ast.CallExpr) (*ast.FuncLit, types.Object) {
+	id, ok := unparen(call.Fun).(*ast.Ident)
 	if !ok {
 		return nil, nil
 	}

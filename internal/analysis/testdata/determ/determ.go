@@ -63,6 +63,28 @@ func capturedWrite(m map[string]int) func() int {
 	}
 }
 
+// closureAppend sums per-key accounts and appends them through a local
+// closure: the order escapes through the call, not through a write in the
+// range body.
+func closureAppend(sites map[int]*[3]int64) []float64 {
+	var out []float64
+	add := func(ns int64) {
+		if ns > 0 {
+			out = append(out, float64(ns))
+		}
+	}
+	for _, s := range sites {
+		add(s[0]) // want `map iteration order over sites escapes this function \(the call to add appends to out\)`
+		add(s[1]) // want `the call to add appends to out`
+	}
+	last := 0.0
+	note := func(v float64) { last = v }
+	for _, s := range sites {
+		note(float64(s[2])) // want `the call to note writes last`
+	}
+	return append(out, last)
+}
+
 // cleanRanges shows the order-independent idioms that must NOT be flagged.
 func cleanRanges(m map[int]int64) ([]int, int64) {
 	// Collect-then-sort: iteration order never escapes.
@@ -89,6 +111,30 @@ func cleanRanges(m map[int]int64) ([]int, int64) {
 		scratch := v * 2
 		_ = scratch
 	}
+
+	// A closure that writes only its own locals leaks no order, nor does
+	// one that counts into an integer.
+	double := func(v int64) int64 {
+		d := v
+		d *= 2
+		return d
+	}
+	count := 0
+	tally := func() { count++ }
+	for _, v := range m {
+		_ = double(v)
+		tally()
+	}
+	sum += int64(count)
+
+	// Collect-then-sort through a closure.
+	var viaClosure []int
+	collect := func(k int) { viaClosure = append(viaClosure, k) }
+	for k := range m {
+		collect(k)
+	}
+	sort.Ints(viaClosure)
+	keys = append(keys, viaClosure...)
 
 	// A justified site: max over values is order-independent.
 	var maxV int64

@@ -28,14 +28,16 @@ func TestPhaseLedger(t *testing.T) {
 }
 
 // checkLedger asserts, for each phase i of rep's last attempt, that
-// PerSite[site] is the sum of CPU, disk and net over the phase's spans at
-// that site, Work is the largest per-site elapsed time, and Sched is the
+// PerSite has one entry per cluster site and PerSite[site] is the sum of
+// CPU, disk and net over the phase's spans at that site (zero where none
+// ran), Work is the largest per-site elapsed time, and Sched is the
 // scheduler span's duration; and that the phases' elapsed times sum to the
 // response.
 func checkLedger(t *testing.T, name string, rep *Report) {
 	t.Helper()
+	n := len(rep.Trace.SiteLabels()) // one trace track per cluster site
 	last := rep.Trace.Attempt()
-	sites := map[int]map[int]cost.Acct{} // phase ordinal -> site -> span sums
+	sites := map[int][]cost.Acct{} // phase ordinal -> span sums by site
 	sched := map[int]cost.SimNs{}
 	for _, sp := range rep.Trace.Spans() {
 		if sp.Attempt != last {
@@ -46,13 +48,12 @@ func checkLedger(t *testing.T, name string, rep *Report) {
 			continue
 		}
 		if sites[sp.Phase] == nil {
-			sites[sp.Phase] = map[int]cost.Acct{}
+			sites[sp.Phase] = make([]cost.Acct, n)
 		}
-		a := sites[sp.Phase][sp.Site]
+		a := &sites[sp.Phase][sp.Site]
 		a.CPU += sp.CPU
 		a.Disk += sp.Disk
 		a.Net += sp.Net
-		sites[sp.Phase][sp.Site] = a
 	}
 	if len(sched) != len(rep.Phases) {
 		t.Fatalf("%s: %d scheduler spans for %d phases", name, len(sched), len(rep.Phases))
@@ -60,8 +61,12 @@ func checkLedger(t *testing.T, name string, rep *Report) {
 	var total cost.SimNs
 	for i, ph := range rep.Phases {
 		want := sites[i]
-		if len(ph.PerSite) != len(want) {
-			t.Errorf("%s: phase %d %q: %d sites in PerSite, %d in the spans", name, i, ph.Name, len(ph.PerSite), len(want))
+		if want == nil { // no worker spans: a detection phase
+			want = make([]cost.Acct, n)
+		}
+		if len(ph.PerSite) != n {
+			t.Errorf("%s: phase %d %q: %d PerSite entries for %d sites", name, i, ph.Name, len(ph.PerSite), n)
+			continue
 		}
 		var work cost.SimNs
 		for site, w := range want {

@@ -55,10 +55,9 @@ func chain(role []stageFn, site int, fn stageFn) {
 
 // relSources lists a base relation's fragments at the sites holding them.
 func relSources(rel *gamma.Relation) []fileAt {
-	sites := rel.FragmentSites()
-	src := make([]fileAt, len(sites))
-	for i, s := range sites {
-		src[i] = fileAt{site: s, f: rel.Fragments[s]}
+	src := make([]fileAt, len(rel.Fragments))
+	for s, f := range rel.Fragments {
+		src[s] = fileAt{site: s, f: f}
 	}
 	return src
 }

@@ -98,8 +98,7 @@ func RunSelect(c *gamma.Cluster, s SelectSpec) (*OpReport, []tuple.Tuple, error)
 
 	perPage := rc.m.TuplesPerPage(tuple.Bytes)
 	ps := rc.newPhase("select "+s.Rel.Name, opLabels{produce: "scan", consume: "store"}, -1)
-	for _, site := range s.Rel.FragmentSites() {
-		f := s.Rel.Fragments[site]
+	for site, f := range s.Rel.Fragments {
 		ps.produce[site] = append(ps.produce[site], func(a *cost.Acct, snd *netsim.Sender) {
 			rr := site
 			sl := &rc.slots[site]
@@ -316,8 +315,7 @@ func RunAggregate(c *gamma.Cluster, s AggSpec) (*OpReport, []AggGroup, error) {
 	ps := rc.newPhase(fmt.Sprintf("aggregate %s(%s)", s.Fn, tuple.IntAttrNames[s.AggAttr]),
 		opLabels{produce: "partial agg", consume: "merge agg"}, -1)
 	ps.end.SplitEntries = jt.Entries()
-	for _, site := range s.Rel.FragmentSites() {
-		f := s.Rel.Fragments[site]
+	for site, f := range s.Rel.Fragments {
 		ps.produce[site] = append(ps.produce[site], func(a *cost.Acct, snd *netsim.Sender) {
 			local := make(map[int32]*partial)
 			var order []int32

@@ -86,8 +86,7 @@ func TestRunSelectNilPredSelectsAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	var scanOrder, indexOrder []tuple.Tuple
-	for _, site := range rel.FragmentSites() {
-		f := rel.Fragments[site]
+	for _, f := range rel.Fragments {
 		var frag []tuple.Tuple
 		for pos := int64(0); pos < f.Len(); pos++ {
 			tp, _ := f.At(pos)
@@ -239,7 +238,7 @@ func TestAggregateOnDisklessSites(t *testing.T) {
 	found := false
 	for _, p := range rep.Phases {
 		for _, js := range c.DisklessSites() {
-			if acct, ok := p.PerSite[js]; ok && acct.CPU > 0 {
+			if p.PerSite[js].CPU > 0 {
 				found = true
 			}
 		}

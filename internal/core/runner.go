@@ -99,16 +99,15 @@ type runCtx struct {
 
 	fileSeq int
 
-	// tempFiles lists the temp wiss files this attempt created (by their
-	// registered name), so every Run exit path — success, restart, budget
-	// exhaustion — can drop them from the cluster's live-file ledger.
-	// Appended only from coordinator code (newTempFile runs between
-	// phases), like fileSeq. tempHandles holds the same files by handle so
-	// dropTempFiles can recycle their pages: nothing a Run returns aliases
-	// temp-file memory (results and collected rows are copied out), and redo
-	// units only re-read files from the same attempt, which is over by then.
-	tempFiles   []string
-	tempHandles []*wiss.File
+	// tempFiles lists the temp wiss files this attempt created, so every
+	// Run exit path — success, restart, budget exhaustion — can drop their
+	// registered names from the cluster's live-file ledger and recycle
+	// their pages. Appended only from coordinator code (newTempFile runs
+	// between phases), like fileSeq. Recycling is safe: nothing a Run
+	// returns aliases temp-file memory (results and collected rows are
+	// copied out), and redo units only re-read files from the same attempt,
+	// which is over by then.
+	tempFiles []*wiss.File
 
 	// Recovery-ladder state for this attempt (docs/FAULTS.md). failover
 	// moves a crashed site's roles to its ring neighbor instead of
@@ -272,12 +271,10 @@ func (rc *runCtx) report() *Report {
 	// ledger per site. Each PerSite entry is the sum of that phase's worker
 	// spans at the site, so the numbers are the trace's own (the trace *is*
 	// the audit trail for the paper's Section 4.5 utilization claims).
-	totals := make(map[int]cost.Acct)
+	totals := make([]cost.Acct, len(rc.c.Sites))
 	for _, ph := range rc.q.Phases {
-		for site, a := range ph.PerSite { //gammavet:ordered integer sums are order-independent
-			t := totals[site]
-			t.Merge(a)
-			totals[site] = t
+		for site, a := range ph.PerSite {
+			totals[site].Merge(a)
 		}
 	}
 	if resp > 0 {
@@ -299,7 +296,7 @@ func (rc *runCtx) report() *Report {
 		}
 	}
 	var maxBusy cost.SimNs
-	for _, t := range totals { //gammavet:ordered max fold is order-independent
+	for _, t := range totals {
 		maxBusy = max(maxBusy, t.CPU+t.Disk+t.Net)
 	}
 	r.BottleneckBusy = maxBusy.Dur()
@@ -441,25 +438,21 @@ func (rc *runCtx) newTempFile(site int, name, suffix string, idx int) (*wiss.Fil
 	rc.fileSeq++
 	full := wiss.InternName(strconv.AppendInt(append(b, '#'), int64(rc.fileSeq), 10))
 	rc.c.RegisterTempFile(full)
-	rc.tempFiles = append(rc.tempFiles, full)
 	f := wiss.NewFile(full, d, rc.m)
-	rc.tempHandles = append(rc.tempHandles, f)
+	rc.tempFiles = append(rc.tempFiles, f)
 	return f, nil
 }
 
 // dropTempFiles deletes every temp file this attempt created from the
-// cluster's live-file ledger. Run calls it at the end of every attempt —
-// success, restart, or an error — so Cluster.LiveTempFiles is empty
-// whenever no query is mid-flight.
+// cluster's live-file ledger and recycles its pages. Run calls it at the
+// end of every attempt — success, restart, or an error — so
+// Cluster.LiveTempFiles is empty whenever no query is mid-flight.
 func (rc *runCtx) dropTempFiles() {
-	for _, name := range rc.tempFiles {
-		rc.c.DropTempFile(name)
-	}
-	rc.tempFiles = nil
-	for _, f := range rc.tempHandles {
+	for _, f := range rc.tempFiles {
+		rc.c.DropTempFile(f.Name())
 		f.Recycle()
 	}
-	rc.tempHandles = nil
+	rc.tempFiles = nil
 }
 
 // producerFn produces tuples into the phase's first exchange via snd.

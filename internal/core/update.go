@@ -42,8 +42,7 @@ func RunUpdate(c *gamma.Cluster, s UpdateSpec) (*OpReport, error) {
 	}
 
 	ps := rc.newPhase("update "+s.Rel.Name, opLabels{solo: "update"}, -1)
-	for _, site := range s.Rel.FragmentSites() {
-		f := s.Rel.Fragments[site]
+	for site, f := range s.Rel.Fragments {
 		ps.solo[site] = append(ps.solo[site], func(a *cost.Acct) {
 			rc.slots[site].n = f.UpdateWhere(a,
 				func(t *tuple.Tuple) bool { return rc.scanPred(a, p, t) },
@@ -136,7 +135,7 @@ func RunIndexSelect(c *gamma.Cluster, ix *gamma.Index, p pred.Pred, collect bool
 	defer c.ReleaseRun()
 	rc := newBareCtx(c, nil)
 	ps := rc.newPhase("index select "+ix.Rel.Name, opLabels{solo: "index select"}, -1)
-	for _, site := range ix.Rel.FragmentSites() {
+	for site := range ix.Rel.Fragments {
 		ps.solo[site] = append(ps.solo[site], func(a *cost.Acct) {
 			sl := &rc.slots[site]
 			err := ix.LookupRange(c, site, a, lo, hi, func(t *tuple.Tuple) bool {

@@ -152,7 +152,7 @@ func TestIndexTreeValid(t *testing.T) {
 	c, rel, _ := opsFixture(t)
 	ix, _ := gamma.BuildIndex(c, rel, tuple.OnePercent) // duplicate-heavy
 	total := 0
-	for _, site := range rel.FragmentSites() {
+	for site := range rel.Fragments {
 		bt := ix.Tree(site)
 		if err := bt.Validate(); err != nil {
 			t.Fatal(err)

@@ -59,16 +59,3 @@ func Find(name string) (Entry, error) {
 	}
 	return Entry{}, fmt.Errorf("experiments: unknown experiment %q", name)
 }
-
-// RunAll executes every experiment and returns the results in paper order.
-func (h *Harness) RunAll() ([]*Result, error) {
-	var out []*Result
-	for _, e := range Catalog {
-		rs, err := e.Run(h)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.Name, err)
-		}
-		out = append(out, rs...)
-	}
-	return out, nil
-}

@@ -502,12 +502,16 @@ func TestRunAllTinyScale(t *testing.T) {
 	cfg.OuterN = 2000
 	cfg.InnerN = 200
 	h := NewHarness(cfg)
-	results, err := h.RunAll()
-	if err != nil {
-		t.Fatal(err)
+	var results []*Result
+	for _, e := range Catalog {
+		rs, err := e.Run(h)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		results = append(results, rs...)
 	}
 	if len(results) < 20 {
-		t.Fatalf("RunAll produced %d results", len(results))
+		t.Fatalf("the catalog produced %d results", len(results))
 	}
 	for _, r := range results {
 		if out := r.Format(); len(out) < 20 {

@@ -289,32 +289,24 @@ func (h *Harness) ExtGrowingRelations() (*Result, error) {
 
 // demandCenters converts a single-query report into per-(site, resource)
 // service demands in seconds for the MVA model: each site contributes a CPU
-// center, a disk center, and a network-interface center.
+// center, a disk center, and a network-interface center, in site order.
 func demandCenters(rep *core.Report) []float64 {
-	type acc struct{ cpu, dsk, net cost.SimNs }
-	sites := map[int]*acc{}
+	var sites []cost.Acct
 	for _, p := range rep.Phases {
+		if n := len(p.PerSite) - len(sites); n > 0 {
+			sites = append(sites, make([]cost.Acct, n)...)
+		}
 		for site, a := range p.PerSite {
-			s := sites[site]
-			if s == nil {
-				s = &acc{}
-				sites[site] = s
-			}
-			s.cpu += a.CPU
-			s.dsk += a.Disk
-			s.net += a.Net
+			sites[site].Merge(a)
 		}
 	}
 	var out []float64
-	add := func(ns cost.SimNs) {
-		if ns > 0 {
-			out = append(out, ns.Seconds())
-		}
-	}
 	for _, s := range sites {
-		add(s.cpu)
-		add(s.dsk)
-		add(s.net)
+		for _, ns := range []cost.SimNs{s.CPU, s.Disk, s.Net} {
+			if ns > 0 {
+				out = append(out, ns.Seconds())
+			}
+		}
 	}
 	return out
 }

@@ -2,11 +2,50 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"gammajoin/internal/core"
+	"gammajoin/internal/mva"
 )
+
+// TestDemandCentersDeterministic: demandCenters lists the MVA centers in
+// site order, so converting one report again gives the same centers and
+// bit-identical MVA throughputs. Centers in map order would not: exact MVA
+// sums residence times over the centers, and float addition depends on its
+// order.
+func TestDemandCentersDeterministic(t *testing.T) {
+	h := NewHarness(testConfig())
+	for _, remote := range []bool{false, true} {
+		rep, err := h.Run(RunKey{Alg: core.Hybrid, Remote: remote, Ratio: 1.0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := demandCenters(rep)
+		want, err := mva.Solve(first, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call := 1; call < 50; call++ {
+			got := demandCenters(rep)
+			if !slices.Equal(got, first) {
+				t.Fatalf("remote=%v call %d: centers %v, first call %v", remote, call, got, first)
+			}
+			curve, err := mva.Solve(got, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range curve {
+				if math.Float64bits(curve[i].Throughput) != math.Float64bits(want[i].Throughput) {
+					t.Fatalf("remote=%v call %d, %d clients: throughput %v, first call %v",
+						remote, call, curve[i].Clients, curve[i].Throughput, want[i].Throughput)
+				}
+			}
+		}
+	}
+}
 
 func TestExtFormingFilters(t *testing.T) {
 	h := NewHarness(testConfig())

@@ -43,26 +43,17 @@ func (s Strategy) String() string {
 type Relation struct {
 	Name      string
 	Strategy  Strategy
-	PartAttr  int // partitioning attribute (integer attribute index)
-	Fragments map[int]*wiss.File
+	PartAttr  int          // partitioning attribute (integer attribute index)
+	Fragments []*wiss.File // indexed by disk site
 	N         int64
 }
 
 // Bytes returns the relation size in bytes.
 func (r *Relation) Bytes() int64 { return r.N * tuple.Bytes }
 
-// FragmentSites returns the sites storing fragments, in ascending order.
-func (r *Relation) FragmentSites() []int {
-	sites := make([]int, 0, len(r.Fragments))
-	for s := range r.Fragments {
-		sites = append(sites, s)
-	}
-	sort.Ints(sites)
-	return sites
-}
-
 // Load declusters tuples across all disk sites of the cluster using the
-// given strategy and partitioning attribute, returning the relation. Load
+// given strategy and partitioning attribute, returning the relation with a
+// fragment at every disk site (disk sites are numbered 0..d-1). Load
 // time is not part of any query's response time, so the page writes are
 // charged to a discarded account.
 func Load(c *Cluster, name string, tuples []tuple.Tuple, strat Strategy, partAttr int) (*Relation, error) {
@@ -77,7 +68,7 @@ func Load(c *Cluster, name string, tuples []tuple.Tuple, strat Strategy, partAtt
 		Name:      name,
 		Strategy:  strat,
 		PartAttr:  partAttr,
-		Fragments: make(map[int]*wiss.File, len(disks)),
+		Fragments: make([]*wiss.File, len(disks)),
 		N:         int64(len(tuples)),
 	}
 	for _, s := range disks {
@@ -93,17 +84,16 @@ func Load(c *Cluster, name string, tuples []tuple.Tuple, strat Strategy, partAtt
 	// disk, so grouping leaves every disk's page-write sequence unchanged;
 	// the charges go to a discarded account either way.
 	var sink cost.Acct
-	groups := make(map[int][]tuple.Tuple, len(disks))
+	groups := make([][]tuple.Tuple, len(disks))
 	switch strat {
 	case RoundRobin:
 		for i := range tuples {
-			site := disks[i%len(disks)]
+			site := i % len(disks)
 			groups[site] = append(groups[site], tuples[i])
 		}
 	case HashPart:
 		for i := range tuples {
-			h := split.Hash(tuples[i].Int(partAttr), 0)
-			site := disks[h%uint64(len(disks))]
+			site := split.Hash(tuples[i].Int(partAttr), 0) % uint64(len(disks))
 			groups[site] = append(groups[site], tuples[i])
 		}
 	case RangeUniform:
@@ -118,7 +108,7 @@ func Load(c *Cluster, name string, tuples []tuple.Tuple, strat Strategy, partAtt
 		})
 		per := (len(tuples) + len(disks) - 1) / len(disks)
 		for rank, idx := range order {
-			site := disks[min(rank/max(per, 1), len(disks)-1)]
+			site := min(rank/max(per, 1), len(disks)-1)
 			groups[site] = append(groups[site], tuples[idx])
 		}
 	default:

@@ -334,8 +334,7 @@ func TestLoadRangeUniformBalancedAndOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	var prevMax int32 = -1 << 31
-	for _, s := range rel.FragmentSites() {
-		f := rel.Fragments[s]
+	for s, f := range rel.Fragments {
 		if f.Len() != 1000 {
 			t.Fatalf("range fragment at %d has %d tuples, want 1000", s, f.Len())
 		}

@@ -15,7 +15,7 @@ import (
 type Index struct {
 	Rel     *Relation
 	Attr    int
-	trees   map[int]*wiss.BTree
+	trees   []*wiss.BTree // indexed by disk site, like Rel.Fragments
 	perPage int
 }
 
@@ -33,14 +33,14 @@ func BuildIndex(c *Cluster, rel *Relation, attr int) (*Index, error) {
 	idx := &Index{
 		Rel:     rel,
 		Attr:    attr,
-		trees:   make(map[int]*wiss.BTree, len(rel.Fragments)),
+		trees:   make([]*wiss.BTree, len(rel.Fragments)),
 		perPage: perPage,
 	}
 	var sink cost.Acct
-	for _, site := range rel.FragmentSites() {
+	for site, f := range rel.Fragments {
 		bt := wiss.NewBTree(64)
 		var pos int64
-		rel.Fragments[site].Scan(&sink, func(t *tuple.Tuple) bool {
+		f.Scan(&sink, func(t *tuple.Tuple) bool {
 			bt.Insert(t.Int(attr), wiss.RecordID{
 				Page: int32(pos / int64(perPage)),
 				Slot: int32(pos % int64(perPage)),
@@ -53,7 +53,7 @@ func BuildIndex(c *Cluster, rel *Relation, attr int) (*Index, error) {
 	return idx, nil
 }
 
-// Tree returns the fragment tree at a site (tests and diagnostics).
+// Tree returns the fragment tree at a disk site (tests and diagnostics).
 func (ix *Index) Tree(site int) *wiss.BTree { return ix.trees[site] }
 
 // LookupRange charges an index-driven range retrieval at one site and calls
@@ -62,10 +62,10 @@ func (ix *Index) Tree(site int) *wiss.BTree { return ix.trees[site] }
 // selections use when an index matches the predicate.
 func (ix *Index) LookupRange(c *Cluster, site int, a *cost.Acct, lo, hi int32,
 	fn func(t *tuple.Tuple) bool) error {
-	bt, ok := ix.trees[site]
-	if !ok {
+	if site < 0 || site >= len(ix.trees) {
 		return fmt.Errorf("gamma: no index fragment at site %d", site)
 	}
+	bt := ix.trees[site]
 	d, err := c.Disk(site)
 	if err != nil {
 		return err

@@ -20,7 +20,7 @@ func TestIndexLookupRange(t *testing.T) {
 	}
 	before := c.DiskCounters()
 	found := map[int32]bool{}
-	for _, site := range rel.FragmentSites() {
+	for site := range rel.Fragments {
 		if ix.Tree(site) == nil {
 			t.Fatalf("no tree at site %d", site)
 		}
@@ -51,7 +51,7 @@ func TestIndexLookupRange(t *testing.T) {
 	// Early stop.
 	a := &cost.Acct{}
 	n := 0
-	_ = ix.LookupRange(c, rel.FragmentSites()[0], a, 0, 1999, func(*tuple.Tuple) bool {
+	_ = ix.LookupRange(c, 0, a, 0, 1999, func(*tuple.Tuple) bool {
 		n++
 		return n < 3
 	})
@@ -61,12 +61,16 @@ func TestIndexLookupRange(t *testing.T) {
 }
 
 func TestIndexLookupRangeErrors(t *testing.T) {
-	c := NewLocal(2, nil)
+	c := NewRemote(2, 2, nil)
 	rel, _ := Load(c, "A", wisconsin.Generate(100, 14), RoundRobin, tuple.Unique1)
 	ix, _ := BuildIndex(c, rel, tuple.Unique1)
 	a := &cost.Acct{}
-	if err := ix.LookupRange(c, 99, a, 0, 1, nil); err == nil {
-		t.Fatal("lookup at unknown site should error")
+	// A negative id, both diskless sites and an id past the cluster hold
+	// no fragment.
+	for _, site := range []int{-1, 2, 3, 99} {
+		if err := ix.LookupRange(c, site, a, 0, 1, nil); err == nil {
+			t.Fatalf("lookup at site %d should error", site)
+		}
 	}
 }
 

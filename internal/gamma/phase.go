@@ -19,10 +19,10 @@ type PhaseStat struct {
 	// Sched is the scheduling overhead: scheduler latency, control
 	// messages, and split-table delivery packets.
 	Sched cost.SimNs
-	// PerSite holds each participating site's summed CPU, disk and network
-	// time: the sum over the phase's worker spans at that site. Fault
-	// events stay on the spans.
-	PerSite map[int]cost.Acct
+	// PerSite holds each site's summed CPU, disk and network time, indexed
+	// by site: the sum over the phase's worker spans at that site, zero
+	// where no process ran. Fault events stay on the spans.
+	PerSite []cost.Acct
 	// Net snapshots network activity during the phase.
 	Net netsim.Counters
 }
@@ -69,7 +69,7 @@ func (q *Query) Response() cost.SimNs {
 // crash and the scheduler declaring the site dead. Both recovery rungs —
 // failover and full restart — pay this before reacting.
 func (q *Query) AddDetection(name string, delay cost.SimNs) {
-	q.Phases = append(q.Phases, PhaseStat{Name: name, Sched: delay})
+	q.Phases = append(q.Phases, PhaseStat{Name: name, Sched: delay, PerSite: make([]cost.Acct, len(q.C.Sites))})
 	q.Trace.BeginPhase(name)
 	q.Trace.EndPhase(0, delay)
 }
@@ -134,12 +134,16 @@ func (p *Phase) End(opts EndOpts) cost.SimNs {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	perSite := make(map[int]cost.Acct)
-	for _, sp := range p.workers {
+	// A process may charge nothing, so a zero PerSite entry does not say
+	// whether a site took part: sites counts each site at its first worker.
+	perSite := make([]cost.Acct, len(p.q.C.Sites))
+	sites := 0
+	for i, sp := range p.workers {
 		sp.Close()
-		a := perSite[sp.Site]
-		a.Merge(*sp.Acct())
-		perSite[sp.Site] = a
+		perSite[sp.Site].Merge(*sp.Acct())
+		if !slices.ContainsFunc(p.workers[:i], func(w *trace.Span) bool { return w.Site == sp.Site }) {
+			sites++
+		}
 	}
 	clear(p.workers)
 	p.q.workers, p.workers = p.workers[:0], nil
@@ -149,9 +153,9 @@ func (p *Phase) End(opts EndOpts) cost.SimNs {
 	}
 
 	// Scheduling: fixed scheduler latency, three control messages per
-	// participating process (initiate, ready, done), and split-table
-	// delivery packets to each producer, all serialized at the scheduler.
-	sched := m.PhaseStartup + cost.ScaleNs(len(perSite)*3, m.ControlMsg)
+	// participating site (initiate, ready, done), and split-table delivery
+	// packets to each producer, all serialized at the scheduler.
+	sched := m.PhaseStartup + cost.ScaleNs(sites*3, m.ControlMsg)
 	if opts.SplitEntries > 0 && opts.Producers > 0 {
 		pkts := m.SplitTablePackets(opts.SplitEntries)
 		sched += cost.ScaleNs(pkts*opts.Producers, m.PacketProto+m.PacketWire)

@@ -123,8 +123,7 @@ func (s *Session) show(name string) error {
 	}
 	fmt.Fprintf(s.out, "%s: %d tuples (%d bytes), %s-declustered on %s\n",
 		name, r.N, r.Bytes(), r.Strategy, tuple.IntAttrNames[r.PartAttr])
-	for _, site := range r.FragmentSites() {
-		f := r.Fragments[site]
+	for site, f := range r.Fragments {
 		fmt.Fprintf(s.out, "  site %d: %d tuples, %d pages\n", site, f.Len(), f.Pages())
 	}
 	return nil

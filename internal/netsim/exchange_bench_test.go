@@ -31,7 +31,8 @@ func BenchmarkSenderExchange(b *testing.B) {
 			v := int32(p*fragment + i)
 			var t tuple.Tuple
 			t.SetInt(tuple.Unique1, v)
-			frags[p].Append(&t, split.Hash(v, 1989))
+			frags[p].Tuples = append(frags[p].Tuples, t)
+			frags[p].Hashes = append(frags[p].Hashes, split.Hash(v, 1989))
 		}
 	}
 
@@ -112,7 +113,8 @@ func BenchmarkSenderExchangeHybrid(b *testing.B) {
 			v := int32(p*fragment + i)
 			var t tuple.Tuple
 			t.SetInt(tuple.Unique1, v)
-			frags[p].Append(&t, split.Hash(v, 1989))
+			frags[p].Tuples = append(frags[p].Tuples, t)
+			frags[p].Hashes = append(frags[p].Hashes, split.Hash(v, 1989))
 		}
 	}
 

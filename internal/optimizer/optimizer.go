@@ -91,8 +91,8 @@ func SampleSkew(rel *gamma.Relation, attr, nSites int) float64 {
 	}
 	counts := make([]int64, nSites)
 	var sink cost.Acct
-	for _, site := range rel.FragmentSites() {
-		rel.Fragments[site].Scan(&sink, func(t *tuple.Tuple) bool {
+	for _, f := range rel.Fragments {
+		f.Scan(&sink, func(t *tuple.Tuple) bool {
 			counts[split.Hash(t.Int(attr), 0)%uint64(nSites)]++
 			return true
 		})

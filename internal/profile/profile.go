@@ -153,9 +153,6 @@ func (s SiteWork) Elapsed() cost.SimNs {
 	return e
 }
 
-// Busy is the site's summed resource time within the phase.
-func (s SiteWork) Busy() cost.SimNs { return s.CPU + s.Disk + s.Net }
-
 // PhaseProfile is one barrier-synchronized phase of the profiled attempt.
 type PhaseProfile struct {
 	Index int    // per-attempt phase ordinal
@@ -410,7 +407,7 @@ func FromSpans(queryID int, spans []*trace.Span, m *cost.Model) (*Profile, error
 // phaseWork is the slowest site's elapsed time within one aggregated phase.
 func phaseWork(pa *phaseAgg) cost.SimNs {
 	var work cost.SimNs
-	for _, sa := range pa.sites {
+	for _, sa := range pa.sites { //gammavet:ordered max fold is order-independent
 		e := SiteWork{CPU: sa.cpu, Disk: sa.disk, Net: sa.net}.Elapsed()
 		if e > work {
 			work = e

@@ -99,15 +99,6 @@ func (p *Plan) Execute(c *gamma.Cluster) (*core.Report, error) {
 	return core.Run(c, p.Spec)
 }
 
-// Run prepares and executes in one call.
-func Run(c *gamma.Cluster, q Join) (*core.Report, error) {
-	p, err := Prepare(c, q)
-	if err != nil {
-		return nil, err
-	}
-	return p.Execute(c)
-}
-
 // Explain renders the plan the way a database EXPLAIN would.
 func (p *Plan) Explain() string {
 	var sb strings.Builder

@@ -27,9 +27,23 @@ func fixture(t *testing.T) (*gamma.Cluster, *gamma.Relation, *gamma.Relation) {
 	return c, r, s
 }
 
+// run prepares q and executes the plan on c.
+func run(t *testing.T, c *gamma.Cluster, q Join) *core.Report {
+	t.Helper()
+	p, err := Prepare(c, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.Execute(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestJoinABprimeStyle(t *testing.T) {
 	c, r, s := fixture(t)
-	rep, err := Run(c, Join{
+	rep := run(t, c, Join{
 		Inner:            Scan{Rel: r, Pred: pred.Cmp{Attr: tuple.Unique1, Op: pred.LT, Val: 400}},
 		Outer:            Scan{Rel: s},
 		InnerAttr:        tuple.Unique1,
@@ -37,9 +51,6 @@ func TestJoinABprimeStyle(t *testing.T) {
 		InnerSelectivity: 0.1,
 		MemRatio:         0.5,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rep.ResultCount != 400 {
 		t.Fatalf("count = %d, want 400", rep.ResultCount)
 	}
@@ -52,16 +63,13 @@ func TestJoinABprimeStyle(t *testing.T) {
 
 func TestJoinCselAselBStyle(t *testing.T) {
 	c, r, s := fixture(t)
-	rep, err := Run(c, Join{
+	rep := run(t, c, Join{
 		Inner:            Scan{Rel: r, Pred: pred.Range(tuple.Unique1, 0, 1000)},
 		Outer:            Scan{Rel: s, Pred: pred.Range(tuple.Unique1, 500, 1500)},
 		InnerAttr:        tuple.Unique1,
 		OuterAttr:        tuple.Unique1,
 		InnerSelectivity: 0.25,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Intersection of [0,1000) and [500,1500) over permutations = 500.
 	if rep.ResultCount != 500 {
 		t.Fatalf("count = %d, want 500", rep.ResultCount)

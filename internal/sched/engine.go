@@ -55,9 +55,9 @@ type Engine struct {
 	now     cost.SimNs
 	running []*runq // admission order
 	peakMPL int
-	// sitePeak tracks the lease high-water mark per site: how many
+	// sitePeak tracks the lease high-water mark, indexed by site: how many
 	// resident queries held unfinished work there at once.
-	sitePeak map[int]int
+	sitePeak []int
 
 	// Overload state (see overload.go). sheds records every query resolved
 	// without completing; the metrics registry carries the shed/timeout
@@ -81,13 +81,21 @@ const (
 )
 
 // phaseSched is one phase of a query's schedule, extracted from its report:
-// the unshared scheduling latency plus per-site remaining work. Sites are
-// kept as a sorted slice so the event loop never iterates a map.
+// the unshared scheduling latency plus the remaining work, indexed by site.
 type phaseSched struct {
 	name  string
 	sched cost.SimNs
-	sites []int
-	rem   map[int]cost.SimNs
+	rem   []cost.SimNs
+}
+
+// drained reports whether the phase has no per-site work left.
+func (ph *phaseSched) drained() bool {
+	for _, rem := range ph.rem {
+		if rem > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // runq is one admitted query on the simulated timeline.
@@ -127,15 +135,11 @@ func newRunq(q *Query, rep *core.Report, grant int64, admitNs cost.SimNs) *runq 
 		ph := &phaseSched{
 			name:  ps.Name,
 			sched: ps.Sched,
-			rem:   make(map[int]cost.SimNs, len(ps.PerSite)),
+			rem:   make([]cost.SimNs, len(ps.PerSite)),
 		}
 		for site, a := range ps.PerSite {
-			if e := a.Elapsed(); e > 0 {
-				ph.sites = append(ph.sites, site)
-				ph.rem[site] = e
-			}
+			ph.rem[site] = a.Elapsed()
 		}
-		sort.Ints(ph.sites)
 		r.phases = append(r.phases, ph)
 	}
 	r.pi = -1
@@ -158,23 +162,12 @@ func (r *runq) nextPhase() {
 			r.schedRem = ph.sched
 			return
 		}
-		if len(ph.sites) > 0 {
+		if !ph.drained() {
 			r.st = stageWork
 			return
 		}
 		// Empty phase (nothing charged): skip.
 	}
-}
-
-// workDone reports whether the current phase's per-site work is exhausted.
-func (r *runq) workDone() bool {
-	ph := r.phases[r.pi]
-	for _, site := range ph.sites {
-		if ph.rem[site] > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // remainingNominal is the query's remaining schedule at load 1 — the time it
@@ -194,10 +187,8 @@ func (r *runq) remainingNominal() cost.SimNs {
 			t += ph.sched
 		}
 		var maxRem cost.SimNs
-		for _, site := range ph.sites {
-			if ph.rem[site] > maxRem {
-				maxRem = ph.rem[site]
-			}
+		for _, rem := range ph.rem {
+			maxRem = max(maxRem, rem)
 		}
 		t += maxRem
 	}
@@ -219,10 +210,9 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("sched: a bounded admission queue (cap %d) needs a shed policy", cfg.QueueCap)
 	}
 	e := &Engine{
-		cfg:      cfg,
-		sitePeak: make(map[int]int),
-		sheds:    make(map[int]*shedRec),
-		metrics:  trace.NewMetrics(),
+		cfg:     cfg,
+		sheds:   make(map[int]*shedRec),
+		metrics: trace.NewMetrics(),
 	}
 	e.mShed = e.metrics.Counter("sched.shed")
 	e.mTimeout = e.metrics.Counter("sched.timeout")
@@ -463,8 +453,8 @@ func (e *Engine) Run(queries []*Query) (*Result, error) {
 		next     int // next unarrived query
 		waitq    []*Query
 		admitted = make(map[int]*runq, len(queries))
-		loads    = make(map[int]int)
-		resolved int // completed + shed + timed out + canceled
+		loads    []int // resident queries with unfinished work, by site
+		resolved int   // completed + shed + timed out + canceled
 	)
 	shedding := e.cfg.Shed != NoShed
 	for resolved < len(queries) {
@@ -662,32 +652,23 @@ func (e *Engine) Run(queries []*Query) (*Result, error) {
 		}
 
 		// Site loads: how many resident queries hold an unfinished lease on
-		// each site. Iterating running (admission order) and each phase's
-		// sorted site slice keeps this loop map-iteration-free.
-		for k := range loads {
-			delete(loads, k)
-		}
+		// each site.
+		clear(loads)
 		for _, r := range e.running {
 			if r.st != stageWork {
 				continue
 			}
 			ph := r.phases[r.pi]
-			for _, site := range ph.sites {
-				if ph.rem[site] > 0 {
+			loads = zeroExtend(loads, len(ph.rem))
+			for site, rem := range ph.rem {
+				if rem > 0 {
 					loads[site]++
 				}
 			}
 		}
-		for _, r := range e.running {
-			if r.st != stageWork {
-				continue
-			}
-			ph := r.phases[r.pi]
-			for _, site := range ph.sites {
-				if ph.rem[site] > 0 && loads[site] > e.sitePeak[site] {
-					e.sitePeak[site] = loads[site]
-				}
-			}
+		e.sitePeak = zeroExtend(e.sitePeak, len(loads))
+		for site, n := range loads {
+			e.sitePeak[site] = max(e.sitePeak[site], n)
 		}
 
 		// Next event: the earliest of (a) a sched stage finishing, (b) some
@@ -729,8 +710,7 @@ func (e *Engine) Run(queries []*Query) (*Result, error) {
 				continue
 			}
 			ph := r.phases[r.pi]
-			for _, site := range ph.sites {
-				rem := ph.rem[site]
+			for site, rem := range ph.rem {
 				if rem <= 0 {
 					continue
 				}
@@ -750,7 +730,7 @@ func (e *Engine) Run(queries []*Query) (*Result, error) {
 				r.schedRem -= dt
 				if r.schedRem <= 0 {
 					r.schedRem = 0
-					if len(r.phases[r.pi].sites) > 0 {
+					if !r.phases[r.pi].drained() {
 						r.st = stageWork
 					} else {
 						r.nextPhase()
@@ -759,8 +739,7 @@ func (e *Engine) Run(queries []*Query) (*Result, error) {
 				continue
 			}
 			ph := r.phases[r.pi]
-			for _, site := range ph.sites {
-				rem := ph.rem[site]
+			for site, rem := range ph.rem {
 				if rem <= 0 {
 					continue
 				}
@@ -771,7 +750,7 @@ func (e *Engine) Run(queries []*Query) (*Result, error) {
 					ph.rem[site] = rem - dec
 				}
 			}
-			if r.workDone() {
+			if ph.drained() {
 				r.nextPhase()
 			}
 		}
@@ -794,4 +773,13 @@ func (e *Engine) Run(queries []*Query) (*Result, error) {
 		e.running = alive
 	}
 	return e.buildResult(queries, admitted), nil
+}
+
+// zeroExtend returns s extended with zeros to length n, or s itself when it
+// is already that long.
+func zeroExtend(s []int, n int) []int {
+	if n > len(s) {
+		s = append(s, make([]int, n-len(s))...)
+	}
+	return s
 }

@@ -100,9 +100,9 @@ type Result struct {
 	RegrantedBytes int64
 	Revokes        int
 
-	// SitePeak is each site's lease high-water mark: the most queries that
-	// simultaneously held unfinished work there.
-	SitePeak map[int]int
+	// SitePeak is each site's lease high-water mark, indexed by site: the
+	// most queries that simultaneously held unfinished work there.
+	SitePeak []int
 
 	// Overload accounting (zero / absent unless overload control is in
 	// play; Overload gates the extra report lines so pre-overload runs
@@ -324,13 +324,10 @@ func (r *Result) WriteText(w io.Writer) error {
 		ms(r.P50Ns), ms(r.P95Ns), ms(r.P99Ns), ms(r.MeanWaitNs))
 	fmt.Fprintf(bw, "pool peak %.1f%% of %.1f MB; peak concurrency %d; site leases:",
 		poolPct(r.PoolPeak, r.PoolTotal), float64(r.PoolTotal)/(1<<20), r.PeakMPL)
-	sites := make([]int, 0, len(r.SitePeak))
-	for s := range r.SitePeak {
-		sites = append(sites, s)
-	}
-	sort.Ints(sites)
-	for _, s := range sites {
-		fmt.Fprintf(bw, " %d:%d", s, r.SitePeak[s])
+	for s, peak := range r.SitePeak {
+		if peak > 0 {
+			fmt.Fprintf(bw, " %d:%d", s, peak)
+		}
 	}
 	fmt.Fprintln(bw)
 	if r.Policy == ShrinkRevoke {

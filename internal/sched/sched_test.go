@@ -25,7 +25,7 @@ func synthExec(schedNs, workNs int64, phases int) Exec {
 				Name:    "synthetic",
 				Work:    cost.Ns(workNs),
 				Sched:   cost.Ns(schedNs),
-				PerSite: map[int]cost.Acct{0: a},
+				PerSite: []cost.Acct{a},
 			})
 			total += workNs + schedNs
 		}

@@ -251,14 +251,3 @@ func ReachableJoinSites(hybrid bool, numDisks, joinNodes, numBuckets int) [][]in
 	}
 	return out
 }
-
-// AllJoinSitesReachable reports whether every joining node can receive
-// tuples for every on-disk bucket.
-func AllJoinSitesReachable(hybrid bool, numDisks, joinNodes, numBuckets int) bool {
-	for _, sites := range ReachableJoinSites(hybrid, numDisks, joinNodes, numBuckets) {
-		if len(sites) != joinNodes {
-			return false
-		}
-	}
-	return true
-}

@@ -172,6 +172,17 @@ func TestAnalyzeBucketsLocalIdentity(t *testing.T) {
 	}
 }
 
+// allJoinSitesReachable reports whether every joining node can receive
+// tuples for every on-disk bucket: the oracle of the property test below.
+func allJoinSitesReachable(hybrid bool, numDisks, joinNodes, numBuckets int) bool {
+	for _, sites := range ReachableJoinSites(hybrid, numDisks, joinNodes, numBuckets) {
+		if len(sites) != joinNodes {
+			return false
+		}
+	}
+	return true
+}
+
 func TestAnalyzeBucketsGuaranteesReachability(t *testing.T) {
 	f := func(hybridRaw bool, dRaw, jRaw, nRaw uint8) bool {
 		numDisks := int(dRaw)%8 + 1
@@ -187,7 +198,7 @@ func TestAnalyzeBucketsGuaranteesReachability(t *testing.T) {
 		if got == 1 {
 			return true
 		}
-		return AllJoinSitesReachable(hybridRaw, numDisks, joinNodes, got)
+		return allJoinSitesReachable(hybridRaw, numDisks, joinNodes, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

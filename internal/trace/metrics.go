@@ -56,9 +56,6 @@ func (g *Gauge) Max(v int64) {
 	}
 }
 
-// Value returns the gauge's current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Counter returns (registering if needed) the counter named name.
 func (m *Metrics) Counter(name string) *Counter {
 	m.mu.Lock()

@@ -12,14 +12,3 @@ type Batch struct {
 	Tuples []Tuple
 	Hashes []uint64
 }
-
-// Len returns the number of tuples in the batch.
-func (b *Batch) Len() int { return len(b.Tuples) }
-
-// Append copies one tuple and its hash into the batch. The tuple is copied
-// immediately, so the caller may pass a pointer into a buffer it is about to
-// recycle.
-func (b *Batch) Append(t *Tuple, h uint64) {
-	b.Tuples = append(b.Tuples, *t)
-	b.Hashes = append(b.Hashes, h)
-}

@@ -157,9 +157,6 @@ func (f *File) ID() int64 { return f.id }
 // Name returns the file name.
 func (f *File) Name() string { return f.name }
 
-// Disk returns the disk the file lives on.
-func (f *File) Disk() *disk.Disk { return f.dsk }
-
 // Len returns the number of tuples in the file (including any buffered in a
 // partially full last page).
 func (f *File) Len() int64 {

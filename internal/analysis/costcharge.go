@@ -37,14 +37,13 @@ var CostCharge = &Analyzer{
 }
 
 func runCostCharge(p *Pass) error {
-	inNetsim := isPathSuffix(p.Pkg.Path(), "internal/netsim")
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			checkCostUnit(p, fn.Body, inNetsim)
+			checkCostUnit(p, fn.Body)
 		}
 	}
 	return nil
@@ -56,8 +55,7 @@ func isPathSuffix(path, suffix string) bool {
 
 // costUnit accumulates the facts about one function body.
 type costUnit struct {
-	p        *Pass
-	inNetsim bool
+	p *Pass
 
 	sends      []ast.Node // Sender send-method call sites (see senderSends)
 	batchLoops []ast.Node // ranges over chan *netsim.Batch
@@ -66,8 +64,8 @@ type costUnit struct {
 	recvCalled bool       // Network.Recv called
 }
 
-func checkCostUnit(p *Pass, body *ast.BlockStmt, inNetsim bool) {
-	u := &costUnit{p: p, inNetsim: inNetsim}
+func checkCostUnit(p *Pass, body *ast.BlockStmt) {
+	u := &costUnit{p: p}
 	u.walk(body)
 	u.report()
 }
@@ -76,14 +74,14 @@ func (u *costUnit) walk(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			checkCostUnit(u.p, n.Body, u.inNetsim)
+			checkCostUnit(u.p, n.Body)
 			return false
 		case *ast.SendStmt:
 			if u.isBatch(u.p.Info.Types[n.Value].Type) {
 				u.p.Reportf(n.Pos(), "netsim.Batch sent on a raw channel bypasses packet cost accounting; deliver through a netsim.Sender")
 			}
 		case *ast.CompositeLit:
-			if !u.inNetsim && n.Type != nil {
+			if n.Type != nil {
 				if t := u.p.Info.Types[n.Type].Type; t != nil && isPkgNamed(t, "internal/netsim", "Batch") {
 					u.p.Reportf(n.Pos(), "netsim.Batch built by hand skips per-tuple copy costs; batches must come from a netsim.Sender")
 				}
@@ -141,7 +139,7 @@ func (u *costUnit) report() {
 			u.p.Reportf(s.Pos(), "netsim send without a cost.Model charge in this function; charge the per-tuple work on a *cost.Acct before sending")
 		}
 	}
-	if !u.recvCalled && !u.inNetsim {
+	if !u.recvCalled {
 		for _, l := range u.batchLoops {
 			u.p.Reportf(l.Pos(), "draining a netsim.Batch channel without Network.Recv skips receive-side protocol costs")
 		}

@@ -104,7 +104,7 @@ func (rc *runCtx) blockJoinLevel(name string, bucket int, rsrc, ssrc []fileAt) e
 		}
 		rfile, sfile := rf.f, ssrc[i].f
 		site := rf.site
-		ps.produce[site] = append(ps.produce[site], func(a *cost.Acct, snd *netsim.Sender) {
+		ps.add(produce, site, func(a *cost.Acct, snd *netsim.Sender, _ []*netsim.Batch) {
 			em := rc.newEmitter(site, snd)
 			defer em.close()
 			chunkCap := int(rc.tableCap() / tuple.Bytes)
@@ -151,7 +151,7 @@ func (rc *runCtx) blockJoinLevel(name string, bucket int, rsrc, ssrc []fileAt) e
 			}
 		})
 	}
-	rc.storeAt(ps.consume)
+	rc.storeAt(&ps, consume)
 	return rc.runPhase(ps)
 }
 

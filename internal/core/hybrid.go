@@ -76,7 +76,7 @@ func (rc *runCtx) hybridPartition(nb int) (rb, sb *fileSink, rover, sover []file
 	partR.end.SplitEntries = pt.Entries()
 	rc.scan(&partR, relSources(rc.spec.R), rc.spec.RAttr, rc.spec.RPred, 0, false, partRoute(pt))
 	rc.buildPass(&partR, js)
-	rb.install(partR.consume, rc.diskSites)
+	rb.install(&partR, consume, rc.diskSites)
 	if err := rc.runPhase(partR); err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -85,7 +85,7 @@ func (rc *runCtx) hybridPartition(nb int) (rb, sb *fileSink, rover, sover []file
 		opLabels{produce: "scan", consume: "split + probe bucket 1", write: "store"}, 0)
 	partS.end.SplitEntries = pt.Entries()
 	rc.probePass(&partS, js, relSources(rc.spec.S), rc.spec.SPred, 0, pt)
-	sb.install(partS.consume, rc.diskSites)
+	sb.install(&partS, consume, rc.diskSites)
 	if err := rc.runPhase(partS); err != nil {
 		return nil, nil, nil, nil, err
 	}

@@ -285,7 +285,7 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 	})
 	phaseOrd := len(rc.q.Phases)
 	for _, j := range rc.joinSites {
-		build.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
+		build.add(consume, j, func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
 			st := &states[j]
 			// The admission-time lease may already be under pressure: the
 			// registry's per-phase factor rescales the nominal lease, so a
@@ -331,9 +331,9 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 				rc.dynEnforce(a, snd, st, np, spilled)
 			}
 			st.spills = nil // the handles die with the phase's sender
-		}
+		})
 	}
-	rSink.install(build.write, nil)
+	rSink.install(&build, write, nil)
 	if err := rc.runPhase(build); err != nil {
 		return nil, nil, nil, err
 	}
@@ -388,7 +388,7 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 	probe.end.SplitEntries = np
 	// Spilled-partition appends run before the probe at a site playing both
 	// roles.
-	sSink.install(probe.consume, nil)
+	sSink.install(&probe, consume, nil)
 	// Spill states are fixed for the whole phase, so each partition has one
 	// stream: its spill file's or its owner's probe stream.
 	rc.scan(&probe, relSources(rc.spec.S), rc.spec.SAttr, rc.spec.SPred, 0, rc.spec.BitFilter, router{
@@ -416,7 +416,7 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 		},
 	})
 	for _, j := range rc.joinSites {
-		chain(probe.consume, j, func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
+		probe.add(consume, j, func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
 			st := &states[j]
 			em := rc.newEmitter(j, snd)
 			defer em.close()
@@ -443,7 +443,7 @@ func (rc *runCtx) dynBuildProbe(np int) (rFiles, sFiles []*wiss.File, spilled []
 			}
 		})
 	}
-	rc.storeAt(probe.write)
+	rc.storeAt(&probe, write)
 	if err := rc.runPhase(probe); err != nil {
 		return nil, nil, nil, err
 	}
@@ -533,7 +533,7 @@ func (rc *runCtx) dynResurrect(np int, states []dynSite, resurrect [][]int, rFil
 		}
 	}
 	for _, j := range rc.joinSites {
-		res.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
+		res.add(consume, j, func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) {
 			st := &states[j]
 			counts := make([]int64, np)
 			for _, b := range batches {
@@ -554,7 +554,7 @@ func (rc *runCtx) dynResurrect(np int, states []dynSite, resurrect [][]int, rFil
 					rc.resurrections.Add(1)
 				}
 			}
-		}
+		})
 	}
 	return rc.runPhase(res)
 }

@@ -22,35 +22,14 @@ import (
 // the split tables they route through, the files they partition into, and
 // what they do with the overflow.
 
-// newPhase starts a phase with empty solo, produce, consume and write roles.
-// bucket is the 0-based bucket or partition the phase joins, or -1.
+// newPhase starts a phase with no steps. bucket is the 0-based bucket or
+// partition the phase joins, or -1. The phase takes the attempt's step and
+// process lists, so a phase started before the previous one has run grows
+// lists of its own.
 func (rc *runCtx) newPhase(name string, ops opLabels, bucket int) phaseSpec {
-	n := len(rc.c.Sites)
-	return phaseSpec{
-		name:    name,
-		ops:     ops,
-		bucket:  bucket,
-		solo:    make([][]func(a *cost.Acct), n),
-		produce: make([][]producerFn, n),
-		consume: make([]stageFn, n),
-		write:   make([]stageFn, n),
-	}
-}
-
-// chain adds fn to site's stage in a role, after any stage already there:
-// one consumer (or writer) per site serves every role the site plays in a
-// phase. The order matters — file appends charge disk switches and notes
-// stamp the account's current time — so plans chain roles in a fixed order.
-func chain(role []stageFn, site int, fn stageFn) {
-	prev := role[site]
-	if prev == nil {
-		role[site] = fn
-		return
-	}
-	role[site] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
-		prev(a, snd, batches)
-		fn(a, snd, batches)
-	}
+	ps := phaseSpec{name: name, ops: ops, bucket: bucket, steps: rc.steps[:0], procs: rc.procs[:0]}
+	rc.steps, rc.procs = nil, nil
+	return ps
 }
 
 // relSources lists a base relation's fragments at the sites holding them.
@@ -82,14 +61,14 @@ func toSite(dst, tag int) router {
 	}
 }
 
-// scan adds one producer per source: it scans the file, applies the
+// scan adds one produce step per source: it scans the file, applies the
 // selection p, hashes attr with seed and sends each tuple where r says.
 // recvFilter first charges the receipt of the join sites' shared bit-filter
 // packet.
 func (rc *runCtx) scan(ps *phaseSpec, srcs []fileAt, attr int, p pred.Pred, seed uint64, recvFilter bool, r router) {
 	for _, src := range srcs {
 		f := src.f
-		ps.produce[src.site] = append(ps.produce[src.site], func(a *cost.Acct, snd *netsim.Sender) {
+		ps.add(produce, src.site, func(a *cost.Acct, snd *netsim.Sender, _ []*netsim.Batch) {
 			if recvFilter {
 				a.AddCPU(rc.m.PacketProto)
 			}
@@ -167,7 +146,7 @@ func (rc *runCtx) partitionPhase(name, op string, rel *gamma.Relation, attr int,
 	ps := rc.newPhase(name, opLabels{produce: "scan", consume: op}, -1)
 	ps.end.SplitEntries = pt.Entries()
 	rc.scan(&ps, relSources(rel), attr, p, 0, false, partRoute(pt))
-	sink.install(ps.consume, nil)
+	sink.install(&ps, consume, nil)
 	return rc.runPhase(ps)
 }
 
@@ -252,12 +231,12 @@ func (s *fileSink) sources(tag int) []fileAt {
 	return src
 }
 
-// install chains the sink's stage onto role at each of sites, or at every
-// site holding one of its files when sites is nil.
-func (s *fileSink) install(role []stageFn, sites []int) {
+// install adds the sink's step to role r of phase ps at each of sites, or at
+// every site holding one of its files when sites is nil.
+func (s *fileSink) install(ps *phaseSpec, r role, sites []int) {
 	if sites != nil {
 		for _, site := range sites {
-			chain(role, site, s.stage(s.at(site)))
+			ps.add(r, site, s.stage(s.at(site)))
 		}
 		return
 	}
@@ -267,13 +246,13 @@ func (s *fileSink) install(role []stageFn, sites []int) {
 		for hi < len(files) && files[hi].site == files[lo].site {
 			hi++
 		}
-		chain(role, files[lo].site, s.stage(files[lo:hi]))
+		ps.add(r, files[lo].site, s.stage(files[lo:hi]))
 		lo = hi
 	}
 }
 
 // stage appends the batches addressed to one site's files and flushes them.
-func (s *fileSink) stage(files []sinkFile) stageFn {
+func (s *fileSink) stage(files []sinkFile) stepFn {
 	rc := s.rc
 	return func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) {
 		var local, remote, dropped int64
@@ -341,16 +320,17 @@ func findFile(files []sinkFile, tag int) *sinkFile {
 	return nil
 }
 
-// storeAt installs the result-store operator at every disk site: it
-// appends the result tuples to the site's fragment of the result relation,
-// charging tuple copies and page writes. The site's slot counts the stored
-// tuples across phases; the last partial page is never written.
-func (rc *runCtx) storeAt(role []stageFn) {
+// storeAt adds the result-store operator to role r of phase ps at every
+// disk site: it appends the result tuples to the site's fragment of the
+// result relation, charging tuple copies and page writes. The site's slot
+// counts the stored tuples across phases; the last partial page is never
+// written.
+func (rc *runCtx) storeAt(ps *phaseSpec, r role) {
 	perPage := int64(max(rc.m.P.PageBytes/tuple.JoinedBytes, 1))
 	for _, ds := range rc.diskSites {
 		out := &rc.slots[ds]
 		resultFileID := int64(-1000 - ds) // stable pseudo file id per site
-		chain(role, ds, func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) {
+		ps.add(r, ds, func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) {
 			d, err := rc.c.Disk(ds)
 			if err != nil {
 				rc.fail(fmt.Errorf("core: store writer: %w", err))
@@ -416,7 +396,7 @@ func (rc *runCtx) buildPass(ps *phaseSpec, js []joinState) {
 		home := rc.c.OverflowDiskSite(st.site)
 		tag := tagROverBase + st.site
 		rover.add(home, tag, st.rover, nil)
-		chain(ps.consume, st.site, func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
+		ps.add(consume, st.site, func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
 			tbl := st.tbl
 			over := snd.Stream(home, tag)
 			for _, b := range batches {
@@ -448,7 +428,7 @@ func (rc *runCtx) buildPass(ps *phaseSpec, js []joinState) {
 			rc.overflowClears.Add(int64(tbl.Overflows()))
 		})
 	}
-	rover.install(ps.write, nil)
+	rover.install(ps, write, nil)
 }
 
 // probePass scans the outer sources through pt and probes the join sites'
@@ -468,7 +448,7 @@ func (rc *runCtx) probePass(ps *phaseSpec, js []joinState, srcs []fileAt, p pred
 		sover.add(rc.c.OverflowDiskSite(st.site), tagSOverBase+st.site, st.sover, nil)
 	}
 	// Overflow appends run before the probe at a site playing both roles.
-	sover.install(ps.consume, nil)
+	sover.install(ps, consume, nil)
 
 	// The outer scan routes inline rather than through a router: every
 	// overflow level rescans the outer relation, so this is the hottest loop.
@@ -476,7 +456,7 @@ func (rc *runCtx) probePass(ps *phaseSpec, js []joinState, srcs []fileAt, p pred
 	ne := pt.Entries()
 	for _, src := range srcs {
 		f := src.f
-		ps.produce[src.site] = append(ps.produce[src.site], func(a *cost.Acct, snd *netsim.Sender) {
+		ps.add(produce, src.site, func(a *cost.Acct, snd *netsim.Sender, _ []*netsim.Batch) {
 			if rc.spec.BitFilter {
 				a.AddCPU(rc.m.PacketProto) // receive the shared filter packet
 			}
@@ -523,7 +503,7 @@ func (rc *runCtx) probePass(ps *phaseSpec, js []joinState, srcs []fileAt, p pred
 	}
 	for i := range js {
 		st := &js[i]
-		chain(ps.consume, st.site, func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
+		ps.add(consume, st.site, func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
 			em := rc.newEmitter(st.site, snd)
 			defer em.close()
 			onMatch := func(outer, match *tuple.Tuple) { em.emit(a, match, outer) }
@@ -536,7 +516,7 @@ func (rc *runCtx) probePass(ps *phaseSpec, js []joinState, srcs []fileAt, p pred
 			rc.noteChains(st.site, st.tbl)
 		})
 	}
-	rc.storeAt(ps.write)
+	rc.storeAt(ps, write)
 }
 
 // endPass recycles the pass's hash tables and returns the overflow files

@@ -99,7 +99,7 @@ func RunSelect(c *gamma.Cluster, s SelectSpec) (*OpReport, []tuple.Tuple, error)
 	perPage := rc.m.TuplesPerPage(tuple.Bytes)
 	ps := rc.newPhase("select "+s.Rel.Name, opLabels{produce: "scan", consume: "store"}, -1)
 	for site, f := range s.Rel.Fragments {
-		ps.produce[site] = append(ps.produce[site], func(a *cost.Acct, snd *netsim.Sender) {
+		ps.add(produce, site, func(a *cost.Acct, snd *netsim.Sender, _ []*netsim.Batch) {
 			rr := site
 			sl := &rc.slots[site]
 			f.Scan(a, func(t *tuple.Tuple) bool {
@@ -124,7 +124,7 @@ func RunSelect(c *gamma.Cluster, s SelectSpec) (*OpReport, []tuple.Tuple, error)
 		})
 	}
 	for _, ds := range rc.diskSites {
-		ps.consume[ds] = func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) {
+		ps.add(consume, ds, func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) {
 			d, err := c.Disk(ds)
 			if err != nil {
 				rc.fail(fmt.Errorf("core: select store: %w", err))
@@ -146,7 +146,7 @@ func RunSelect(c *gamma.Cluster, s SelectSpec) (*OpReport, []tuple.Tuple, error)
 			if n%perPage != 0 {
 				d.WritePage(a, int64(-2000-ds))
 			}
-		}
+		})
 	}
 	if err := rc.runPhase(ps); err != nil {
 		return nil, nil, err
@@ -316,7 +316,7 @@ func RunAggregate(c *gamma.Cluster, s AggSpec) (*OpReport, []AggGroup, error) {
 		opLabels{produce: "partial agg", consume: "merge agg"}, -1)
 	ps.end.SplitEntries = jt.Entries()
 	for site, f := range s.Rel.Fragments {
-		ps.produce[site] = append(ps.produce[site], func(a *cost.Acct, snd *netsim.Sender) {
+		ps.add(produce, site, func(a *cost.Acct, snd *netsim.Sender, _ []*netsim.Batch) {
 			local := make(map[int32]*partial)
 			var order []int32
 			f.Scan(a, func(t *tuple.Tuple) bool {
@@ -346,7 +346,7 @@ func RunAggregate(c *gamma.Cluster, s AggSpec) (*OpReport, []AggGroup, error) {
 		})
 	}
 	for _, j := range rc.joinSites {
-		ps.consume[j] = func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch) {
+		ps.add(consume, j, func(a *cost.Acct, _ *netsim.Sender, batches []*netsim.Batch) {
 			siteFinals := make(map[int32]*partial)
 			for _, b := range batches {
 				if b.Tag != tagProbe {
@@ -364,7 +364,7 @@ func RunAggregate(c *gamma.Cluster, s AggSpec) (*OpReport, []AggGroup, error) {
 				}
 			}
 			rc.slots[j].groups = siteFinals
-		}
+		})
 	}
 	if err := rc.runPhase(ps); err != nil {
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -96,6 +97,12 @@ type runCtx struct {
 	// serves every stage of the attempt.
 	stageWG   sync.WaitGroup
 	stageNext atomic.Int32
+
+	// steps and procs are the step and process lists of the attempt's
+	// phases: newPhase takes them, and runPhase clears them and hands them
+	// back, so the phases share two arrays rather than each growing its own.
+	steps []step
+	procs []proc
 
 	fileSeq int
 
@@ -270,13 +277,10 @@ func (rc *runCtx) report() *Report {
 	// resource time (CPU + disk + net). Both sum this attempt's phase
 	// ledger per site. Each PerSite entry is the sum of that phase's worker
 	// spans at the site, so the numbers are the trace's own (the trace *is*
-	// the audit trail for the paper's Section 4.5 utilization claims).
-	totals := make([]cost.Acct, len(rc.c.Sites))
-	for _, ph := range rc.q.Phases {
-		for site, a := range ph.PerSite {
-			totals[site].Merge(a)
-		}
-	}
+	// the audit trail for the paper's Section 4.5 utilization claims). A
+	// positive response means at least one phase, and every phase's PerSite
+	// has an entry per cluster site.
+	totals := gamma.SiteTotals(rc.q.Phases)
 	if resp > 0 {
 		var dSum, dn, lSum, ln float64
 		for _, site := range rc.c.DiskSites() {
@@ -455,52 +459,66 @@ func (rc *runCtx) dropTempFiles() {
 	rc.tempFiles = nil
 }
 
-// producerFn produces tuples into the phase's first exchange via snd.
-type producerFn func(a *cost.Acct, snd *netsim.Sender)
+// role is the part an operator process plays in a phase. A phase runs in
+// three barrier-separated stages: producers and solos fill its first
+// exchange, consumers drain it and may fill the second, and writers drain
+// the second. Processes register in role order, each role in site order.
+type role uint8
 
-// stageFn consumes the (deterministically ordered) batches addressed to its
-// site. Consumers drain the phase's first exchange and may produce into the
-// second via snd; writers drain the second exchange and get a nil snd.
-type stageFn func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch)
+const (
+	write role = iota
+	consume
+	produce
+	solo // site-local work, no communication
+	numRoles
+)
 
-// opLabels names the operator each launch role performs in a phase, for the
-// trace (e.g. produce="scan", consume="build"). Empty labels fall back to
-// the role name.
-type opLabels struct {
-	produce, consume, write, solo string
+// roleNames are the roles' names on the trace.
+var roleNames = [numRoles]string{write: "write", consume: "consume", produce: "produce", solo: "solo"}
+
+// roleEx names the exchange each role drains and the one it fills: 1 is the
+// phase's first exchange, 2 its second and 0 none.
+var roleEx = [numRoles]struct{ in, out int }{produce: {0, 1}, consume: {1, 2}, write: {2, 0}}
+
+// stepFn is one piece of an operator process's work. It charges a, sends
+// through snd when its role fills an exchange (nil otherwise), and reads
+// the batches its role drained, in the exchange's deterministic order (nil
+// when its role drains none).
+type stepFn func(a *cost.Acct, snd *netsim.Sender, batches []*netsim.Batch)
+
+// step is one piece of work a plan adds to a phase: fn, run by the process
+// playing role at a logical site.
+type step struct {
+	role role
+	site int
+	fn   stepFn
 }
 
-// phaseSpec wires one barrier-synchronized operator phase; rc.newPhase
-// starts one. Each role is indexed by logical site; a nil entry means the
-// site does not play that role.
+// opLabels names the operator each role performs in a phase, for the trace
+// (e.g. produce="scan", consume="build"). Empty labels fall back to the role
+// name.
+type opLabels [numRoles]string
+
+// phaseSpec wires one barrier-synchronized operator phase: rc.newPhase
+// starts one, plans add its work with add, and rc.runPhase runs it. Its
+// step and process lists are the attempt's buffers, which newPhase takes
+// and runPhase clears and hands back.
 type phaseSpec struct {
-	name    string
-	end     gamma.EndOpts
-	ops     opLabels
-	bucket  int                    // 0-based bucket/partition this phase joins, or -1
-	solo    [][]func(a *cost.Acct) // site-local work, no communication
-	produce [][]producerFn
-	consume []stageFn
-	write   []stageFn
+	name   string
+	end    gamma.EndOpts
+	ops    opLabels
+	bucket int // 0-based bucket/partition this phase joins, or -1
+	steps  []step
+	procs  []proc
 }
 
-// op resolves the trace operator label for a launch role.
-func (ps *phaseSpec) op(role string) string {
-	var label string
-	switch role {
-	case "produce":
-		label = ps.ops.produce
-	case "consume":
-		label = ps.ops.consume
-	case "write":
-		label = ps.ops.write
-	case "solo":
-		label = ps.ops.solo
-	}
-	if label == "" {
-		return role
-	}
-	return label
+// add gives fn to the process playing r at site, after the steps already
+// added there: one process per (role, site) serves every operator the site
+// plays in that role. The order matters — file appends charge disk switches
+// and notes stamp the account's current time — so plans add steps in a
+// fixed order.
+func (ps *phaseSpec) add(r role, site int, fn stepFn) {
+	ps.steps = append(ps.steps, step{role: r, site: site, fn: fn})
 }
 
 // drain charges receive costs for every batch taken from the phase exchange
@@ -539,28 +557,29 @@ func (rc *runCtx) newPhaseSender(a *cost.Acct, site int, deliver func(int, []*ne
 	return snd
 }
 
-// proc is one registered operator process: the role it plays for a logical
-// site and the account its trace span carries.
+// proc is one registered operator process: its steps, all of one (role,
+// logical site) in the order they were added, and the account its trace
+// span carries.
 type proc struct {
-	role string
-	site int
-	a    *cost.Acct
-}
-
-// register opens the span of the process playing role for a logical site.
-// Both the span and the phase's per-site ledger are keyed by the physical
-// executor, so after a failover the dead site's roles are charged and traced
-// on its ring neighbor while the dataflow (exchange lanes, split tables,
-// batch sources) is untouched.
-func (rc *runCtx) register(procs []proc, p *gamma.Phase, ps *phaseSpec, role string, site int) []proc {
-	a := p.Worker(rc.c.AliveHost(site), ps.op(role), role, ps.bucket)
-	return append(procs, proc{role: role, site: site, a: a})
+	steps []step
+	a     *cost.Acct
 }
 
 // runPhase executes one phase in three barrier-separated stages: producers
 // and solos fill the first exchange, consumers drain it (and may fill the
-// second), writers drain the second.
+// second), writers drain the second. It stable-sorts the steps by (role,
+// site) and registers one process per run of equal (role, site) on the
+// coordinator before any runs — writers, consumers, producers, solos, each
+// role in site order — so the phase's span order never depends on goroutine
+// scheduling. The step and process lists go back to the attempt for its
+// next phase, so a phaseSpec runs once: a redo-able unit builds its phases
+// anew on every call.
 func (rc *runCtx) runPhase(ps phaseSpec) error {
+	defer func() {
+		clear(ps.steps)
+		clear(ps.procs)
+		rc.steps, rc.procs = ps.steps[:0], ps.procs[:0]
+	}()
 	// Injected site crashes surface at the phase boundary — Gamma's
 	// scheduler notices a dead operator process when it tries to start the
 	// next phase's operators there. Aborting before any goroutine is
@@ -584,44 +603,41 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 		name += " (redo)"
 	}
 	p := rc.q.NewPhase(name)
-	ex1 := rc.c.NewExchange()
-	ex2 := rc.c.NewExchange()
+	ex := [3]*gamma.Exchange{nil, rc.c.NewExchange(), rc.c.NewExchange()}
 
-	// Every process registers on the coordinator before any runs — writers,
-	// consumers, producers, solos, each role in site order — so the phase's
-	// span order never depends on goroutine scheduling.
-	procs := make([]proc, 0, 4*len(ps.write))
-	for site, fn := range ps.write {
-		if fn != nil {
-			procs = rc.register(procs, p, &ps, "write", site)
+	slices.SortStableFunc(ps.steps, func(x, y step) int {
+		return cmp.Or(cmp.Compare(x.role, y.role), cmp.Compare(x.site, y.site))
+	})
+	var n [numRoles]int // processes per role
+	for lo := 0; lo < len(ps.steps); {
+		r, site := ps.steps[lo].role, ps.steps[lo].site
+		hi := lo + 1
+		for hi < len(ps.steps) && ps.steps[hi].role == r && ps.steps[hi].site == site {
+			hi++
 		}
-	}
-	writers := len(procs)
-	for site, fn := range ps.consume {
-		if fn != nil {
-			procs = rc.register(procs, p, &ps, "consume", site)
+		op := ps.ops[r]
+		if op == "" {
+			op = roleNames[r]
 		}
+		// The span and the phase's per-site ledger are keyed by the physical
+		// executor, so after a failover the dead site's roles are charged and
+		// traced on its ring neighbor while the dataflow (exchange lanes,
+		// split tables, batch sources) is untouched.
+		a := p.Worker(rc.c.AliveHost(site), op, roleNames[r], ps.bucket)
+		ps.procs = append(ps.procs, proc{steps: ps.steps[lo:hi], a: a})
+		n[r]++
+		lo = hi
 	}
-	consumers := len(procs)
-	for site, fns := range ps.produce {
-		if fns != nil {
-			procs = rc.register(procs, p, &ps, "produce", site)
-		}
-	}
-	ps.end.Producers = len(procs) - consumers
-	for site, fns := range ps.solo {
-		if fns != nil {
-			procs = rc.register(procs, p, &ps, "solo", site)
-		}
-	}
+	ps.end.Producers = n[produce]
+	writers, consumers := n[write], n[write]+n[consume]
 
-	rc.runStage(procs[consumers:], &ps, ex1, ex2)
-	rc.runStage(procs[writers:consumers], &ps, ex1, ex2)
-	rc.runStage(procs[:writers], &ps, ex1, ex2)
+	rc.runStage(ps.procs[consumers:], ex)
+	rc.runStage(ps.procs[writers:consumers], ex)
+	rc.runStage(ps.procs[:writers], ex)
 	// Recycled last-in first-out, so the next phase's first exchange is
 	// this one's: each keeps lanes sized for its own role's traffic.
-	rc.c.PutExchange(ex2)
-	rc.c.PutExchange(ex1)
+	rc.c.PutExchange(ex[2])
+	rc.c.PutExchange(ex[1])
 
 	p.End(ps.end)
 	return rc.takeErr()
@@ -633,7 +649,7 @@ func (rc *runCtx) runPhase(ps phaseSpec) error {
 // WaitGroup of its own. Which goroutine runs which process does not
 // matter: every process charges only its own account, and its span was
 // registered before the launch.
-func (rc *runCtx) runStage(procs []proc, ps *phaseSpec, ex1, ex2 *gamma.Exchange) {
+func (rc *runCtx) runStage(procs []proc, ex [3]*gamma.Exchange) {
 	if len(procs) == 0 {
 		return
 	}
@@ -641,7 +657,7 @@ func (rc *runCtx) runStage(procs []proc, ps *phaseSpec, ex1, ex2 *gamma.Exchange
 	next.Store(0)
 	run := func() {
 		defer wg.Done()
-		rc.runProc(&procs[next.Add(1)-1], ps, ex1, ex2)
+		rc.runProc(&procs[next.Add(1)-1], ex)
 	}
 	wg.Add(len(procs))
 	for range procs {
@@ -650,34 +666,28 @@ func (rc *runCtx) runStage(procs []proc, ps *phaseSpec, ex1, ex2 *gamma.Exchange
 	wg.Wait()
 }
 
-// runProc runs one process's role. Each takes from an exchange only after
-// the barrier of the stage that delivered into it.
-func (rc *runCtx) runProc(pr *proc, ps *phaseSpec, ex1, ex2 *gamma.Exchange) {
-	a, site := pr.a, pr.site
-	switch pr.role {
-	case "produce":
-		snd := rc.newPhaseSender(a, site, ex1.DeliverFunc())
-		for _, fn := range ps.produce[site] {
-			fn(a, snd)
-		}
-		snd.FlushAll()
-		snd.Release()
-	case "solo":
-		for _, fn := range ps.solo[site] {
-			fn(a)
-		}
-	case "consume":
-		snd := rc.newPhaseSender(a, site, ex2.DeliverFunc())
-		batches := drain(rc.c.Net, a, ex1.Take(site))
-		defer netsim.PutBatches(batches)
-		ps.consume[site](a, snd, batches)
-		snd.FlushAll()
-		snd.Release()
-	case "write":
-		batches := drain(rc.c.Net, a, ex2.Take(site))
-		defer netsim.PutBatches(batches)
-		ps.write[site](a, nil, batches)
+// runProc runs one process's steps in the order they were added. Its role
+// names the exchange it drains, which it takes only after the barrier of
+// the stage that delivered into it, and the one it fills through a sender
+// of its own.
+func (rc *runCtx) runProc(pr *proc, ex [3]*gamma.Exchange) {
+	a, site, io := pr.a, pr.steps[0].site, roleEx[pr.steps[0].role]
+	var snd *netsim.Sender
+	if out := ex[io.out]; out != nil {
+		snd = rc.newPhaseSender(a, site, out.DeliverFunc())
 	}
+	var batches []*netsim.Batch
+	if in := ex[io.in]; in != nil {
+		batches = drain(rc.c.Net, a, in.Take(site))
+	}
+	for _, st := range pr.steps {
+		st.fn(a, snd, batches)
+	}
+	if snd != nil {
+		snd.FlushAll()
+		snd.Release()
+	}
+	netsim.PutBatches(batches)
 }
 
 // runUnit executes one redo-able unit of the join — a group of phases whose

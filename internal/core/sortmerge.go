@@ -91,14 +91,16 @@ func (rc *runCtx) runSortMerge() error {
 	}
 
 	// Local merge join in parallel across the disk sites.
-	merge := rc.newPhase("merge join", opLabels{produce: "merge join", consume: "store"}, -1)
-	for i, s := range sites {
-		merge.produce[s] = append(merge.produce[s], func(a *cost.Acct, snd *netsim.Sender) {
-			rc.mergeJoinSite(s, a, snd, srtR[i], srtS[i])
-		})
-	}
-	rc.storeAt(merge.consume)
-	return rc.runUnit(func() error { return rc.runPhase(merge) })
+	return rc.runUnit(func() error {
+		merge := rc.newPhase("merge join", opLabels{produce: "merge join", consume: "store"}, -1)
+		for i, s := range sites {
+			merge.add(produce, s, func(a *cost.Acct, snd *netsim.Sender, _ []*netsim.Batch) {
+				rc.mergeJoinSite(s, a, snd, srtR[i], srtS[i])
+			})
+		}
+		rc.storeAt(&merge, consume)
+		return rc.runPhase(merge)
+	})
 }
 
 // sortPhase sorts every site's file src[i] into dst[i] in parallel and
@@ -108,7 +110,7 @@ func (rc *runCtx) sortPhase(name string, sites []int, src, dst []*wiss.File, att
 	passes := make([]int, len(rc.c.Sites))
 	ps := rc.newPhase(name, opLabels{solo: "sort"}, -1)
 	for i, s := range sites {
-		ps.solo[s] = append(ps.solo[s], func(a *cost.Acct) {
+		ps.add(solo, s, func(a *cost.Acct, _ *netsim.Sender, _ []*netsim.Batch) {
 			st, err := wiss.Sort(a, src[i], dst[i], attr, memPerSite)
 			if err != nil {
 				rc.fail(fmt.Errorf("core: %s at site %d: %w", name, s, err))

@@ -6,6 +6,7 @@ import (
 
 	"gammajoin/internal/cost"
 	"gammajoin/internal/gamma"
+	"gammajoin/internal/netsim"
 	"gammajoin/internal/pred"
 	"gammajoin/internal/tuple"
 )
@@ -43,7 +44,7 @@ func RunUpdate(c *gamma.Cluster, s UpdateSpec) (*OpReport, error) {
 
 	ps := rc.newPhase("update "+s.Rel.Name, opLabels{solo: "update"}, -1)
 	for site, f := range s.Rel.Fragments {
-		ps.solo[site] = append(ps.solo[site], func(a *cost.Acct) {
+		ps.add(solo, site, func(a *cost.Acct, _ *netsim.Sender, _ []*netsim.Batch) {
 			rc.slots[site].n = f.UpdateWhere(a,
 				func(t *tuple.Tuple) bool { return rc.scanPred(a, p, t) },
 				func(t *tuple.Tuple) { t.SetInt(s.SetAttr, s.SetVal) })
@@ -136,7 +137,7 @@ func RunIndexSelect(c *gamma.Cluster, ix *gamma.Index, p pred.Pred, collect bool
 	rc := newBareCtx(c, nil)
 	ps := rc.newPhase("index select "+ix.Rel.Name, opLabels{solo: "index select"}, -1)
 	for site := range ix.Rel.Fragments {
-		ps.solo[site] = append(ps.solo[site], func(a *cost.Acct) {
+		ps.add(solo, site, func(a *cost.Acct, _ *netsim.Sender, _ []*netsim.Batch) {
 			sl := &rc.slots[site]
 			err := ix.LookupRange(c, site, a, lo, hi, func(t *tuple.Tuple) bool {
 				// The residual predicate still runs (it may constrain

@@ -5,6 +5,7 @@ import (
 
 	"gammajoin/internal/core"
 	"gammajoin/internal/cost"
+	"gammajoin/internal/gamma"
 	"gammajoin/internal/mva"
 	"gammajoin/internal/tuple"
 )
@@ -291,17 +292,8 @@ func (h *Harness) ExtGrowingRelations() (*Result, error) {
 // service demands in seconds for the MVA model: each site contributes a CPU
 // center, a disk center, and a network-interface center, in site order.
 func demandCenters(rep *core.Report) []float64 {
-	var sites []cost.Acct
-	for _, p := range rep.Phases {
-		if n := len(p.PerSite) - len(sites); n > 0 {
-			sites = append(sites, make([]cost.Acct, n)...)
-		}
-		for site, a := range p.PerSite {
-			sites[site].Merge(a)
-		}
-	}
 	var out []float64
-	for _, s := range sites {
+	for _, s := range gamma.SiteTotals(rep.Phases) {
 		for _, ns := range []cost.SimNs{s.CPU, s.Disk, s.Net} {
 			if ns > 0 {
 				out = append(out, ns.Seconds())

@@ -30,6 +30,22 @@ type PhaseStat struct {
 // Elapsed is the phase's contribution to query response time.
 func (p PhaseStat) Elapsed() cost.SimNs { return p.Work + p.Sched }
 
+// SiteTotals folds the phases' PerSite ledgers into one account per site,
+// indexed by site: each site's CPU, disk and network time summed over the
+// phases, in phase order.
+func SiteTotals(phases []PhaseStat) []cost.Acct {
+	var totals []cost.Acct
+	for _, ph := range phases {
+		if n := len(ph.PerSite) - len(totals); n > 0 {
+			totals = append(totals, make([]cost.Acct, n)...)
+		}
+		for site, a := range ph.PerSite {
+			totals[site].Merge(a)
+		}
+	}
+	return totals
+}
+
 // Query accumulates the phases of one query execution. Response time is the
 // sum of phase elapsed times: Gamma's operator phases for these join
 // algorithms are barrier-synchronized (relations are partitioned serially,
